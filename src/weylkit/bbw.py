@@ -8,7 +8,7 @@ trivial bundle and dominant regular weights put all cohomology in
 degree zero.
 
 Dimensions come from the Weyl dimension formula; the product over
-positive coroots divides exactly, which is asserted rather than
+positive coroots divides exactly, which is checked rather than
 rounded.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import positive_coroots
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
 IntegralWeight = tuple[int, ...]
@@ -25,7 +25,8 @@ IntegralWeight = tuple[int, ...]
 
 def _check_weight(g: WeylGroup, lam) -> IntegralWeight:
     lam = tuple(lam)
-    if len(lam) != g.rank or not all(isinstance(c, int) for c in lam):
+    # type(c) is int: bool is an int subclass, and True is no coordinate
+    if len(lam) != g.rank or not all(type(c) is int for c in lam):
         raise InvalidInputError(
             f"weight must be {g.rank} integers, got {lam!r}")
     return lam
@@ -74,7 +75,7 @@ def classify_weight(g: WeylGroup, lam) -> WeightClass:
         w = g.left_mult_gen(i, w)
     if any(c == 0 for c in v):
         return WeightClass(regular=False, w=None, dominant_form=v)
-    assert weyl_act(g, w, lam) == v
+    require(weyl_act(g, w, lam) == v, "w(lam) is not the dominant form")
     return WeightClass(regular=True, w=w, dominant_form=v)
 
 
@@ -88,7 +89,7 @@ def weyl_dimension(g: WeylGroup, mu) -> int:
         num *= sum(d * (m + 1) for d, m in zip(coroot, mu))
         den *= sum(coroot)
     q, r = divmod(num, den)
-    assert r == 0 and q > 0
+    require(r == 0 and q > 0, "Weyl dimension formula is not a positive integer")
     return q
 
 

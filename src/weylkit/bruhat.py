@@ -11,7 +11,8 @@ An ideal is a downward-closed subset, stored as a membership bitmask.
 The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
 according to I contained in / containing / equal to I^perp.  Balanced
 ideals are enumerated by backtracking over the pairs {x, w0 x}, seeded
-with the small elements (x <= w0 x), which every fat ideal contains.
+with the small elements (x <= w0 x), which every fat ideal contains;
+each result is then certified once, in one pass over its members.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .cartan import CartanType, RootSystem, build_root_system, \
     component_coxeter_number
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError, require
 from .weyl import Word, WeylGroup, _compose, generate
 
 DENSE_LIMIT_DEFAULT = 50000
@@ -62,9 +63,10 @@ def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatO
     for t in reflections:
         act = g.acts[t]
         sent = [j for j, v in enumerate(act) if v == -(j + 1)]
-        assert len(sent) == 1, "reflection must negate exactly its own root"
+        require(len(sent) == 1, "reflection must negate exactly its own root")
         root_of[sent[0]] = t
-    assert len(root_of) == g.n_positive
+    require(len(root_of) == g.n_positive,
+            "reflections and positive roots do not match one to one")
     refl_by_root = [root_of[j] for j in range(g.n_positive)]
     refl_acts = [g.acts[t] for t in refl_by_root]
 
@@ -119,7 +121,7 @@ def _reflection_elements(g: WeylGroup) -> list[int]:
             if u not in found:
                 found.add(u)
                 queue.append(u)
-    assert len(found) == g.n_positive
+    require(len(found) == g.n_positive, "reflection count differs from |Sigma^+|")
     return sorted(found)
 
 
@@ -239,7 +241,8 @@ def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
     gens = [x for x in ideal.members()
             if not any(ideal.mask >> y & 1 for y in o.upper[x])]
     gens.sort(key=lambda x: (g.length[x], x))
-    assert ideal_from_elements(o, gens).mask == ideal.mask
+    require(ideal_from_elements(o, gens).mask == ideal.mask,
+            "maximal elements do not regenerate the ideal")
     return gens
 
 
@@ -252,7 +255,7 @@ def orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal:
     m = 0
     for x in Ideal(g, comp).members():
         m |= 1 << g.w0_left(x)
-    assert is_downward_closed(o, m), "orthogonal failed to be an ideal"
+    require(is_downward_closed(o, m), "orthogonal failed to be an ideal")
     return Ideal(g, m)
 
 
@@ -367,7 +370,8 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     Backtracking over the pairs {x, w0 x} in increasing length of the
     shorter member.  Seeds: every small element is forced into I (balanced
     ideals are fat, and fat ideals contain all small elements), and its
-    w0-image out.  Output order: (generator count, generator word list).
+    w0-image out.  Each result is certified by _certify_balanced.  Output
+    order: (generator count, generator word list).
     """
     g = o.g
     budget = enumeration_budget() if max_order is None else max_order
@@ -409,7 +413,7 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
             taken.add(px)
             pairs.append(x)
 
-    results_masks = []
+    results = []
     stack = [(seeded[0], seeded[1], 0)]
     while stack:
         in_mask, out_mask, idx = stack.pop()
@@ -419,9 +423,7 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
                 break
             idx += 1
         if idx == len(pairs):
-            assert in_mask | out_mask == o.full_mask
-            assert 2 * in_mask.bit_count() == g.order
-            results_masks.append(in_mask)
+            results.append((in_mask, out_mask))
             continue
         x = pairs[idx]
         for inside in (False, True):  # True popped first: IN branch first
@@ -429,23 +431,49 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
             if closed is not None:
                 stack.append((closed[0], closed[1], idx))
 
-    ideals = []
-    for m in results_masks:
-        ideal = Ideal(g, m)
-        assert is_downward_closed(o, m)
-        assert classify(o, ideal).balanced
-        if invariance is not None:
-            for x in ideal.members():
-                assert coset_masks[x] & ~m == 0
-        ideals.append(ideal)
-
-    def sort_key(ideal: Ideal):
-        gens = minimal_generators(o, ideal)
+    keyed = []
+    for in_mask, out_mask in results:
+        gens = _certify_balanced(o, in_mask, out_mask, coset_masks)
         words = tuple(sorted(g.reduced_word(x) for x in gens))
-        return (len(gens), words)
+        keyed.append(((len(gens), words), Ideal(g, in_mask)))
+    keyed.sort(key=lambda item: item[0])
+    return [ideal for _, ideal in keyed]
 
-    ideals.sort(key=sort_key)
-    return ideals
+
+def _certify_balanced(o: BruhatOrder, in_mask: int, out_mask: int,
+                      coset_masks: list[int] | None) -> list[int]:
+    """Certify one search result in one pass; return its generators.
+
+    Checks that the in- and out-masks together cover W, that 2|I| = |W|,
+    that I is downward closed, that I = I^perp (equivalently w0 I is the
+    complement of I), that I is a union of the cosets in coset_masks
+    when given, and that the maximal elements regenerate I.  It reads
+    the cover lists and the w0 table, not the reachability masks the
+    search propagated with.
+    """
+    g = o.g
+    require(in_mask | out_mask == o.full_mask,
+            "search result leaves elements undecided")
+    require(2 * in_mask.bit_count() == g.order,
+            "search result does not hold half of W")
+    below = w0_image = cosets = 0
+    for y in Ideal(g, in_mask).members():
+        for x in o.covers[y]:
+            below |= 1 << x
+        w0_image |= 1 << g.w0_left(y)
+        if coset_masks is not None:
+            cosets |= coset_masks[y]
+    require(below & ~in_mask == 0, "search result is not downward closed")
+    require(w0_image == in_mask ^ o.full_mask,
+            "search result differs from its orthogonal")
+    require(coset_masks is None or cosets == in_mask,
+            "search result is not a union of cosets")
+    # in a downward-closed set a member lies below another member exactly
+    # when some member covers it, so the maximal ones are the uncovered
+    gens = Ideal(g, in_mask & ~below).members()
+    require(ideal_from_elements(o, gens).mask == in_mask,
+            "maximal elements do not regenerate the ideal")
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +487,22 @@ def ideal_to_json_dict(o: BruhatOrder, ideal: Ideal) -> dict:
     }
 
 
-def ideal_from_json_dict(o: BruhatOrder, data: dict) -> Ideal:
+def ideal_from_json_dict(o: BruhatOrder, data) -> Ideal:
+    """The ideal of a decoded ideal file: {"type": ..., "generators": [...]}.
+
+    data comes from outside the program, so its shape is checked: an
+    object whose generators are lists of integer letters.
+    """
+    if not isinstance(data, dict):
+        raise InvalidInputError("ideal must be a JSON object")
     if str(o.g.rs.cartan_type) != data.get("type"):
         raise InvalidInputError(
             f"ideal is for type {data.get('type')}, order is for {o.g.rs.cartan_type}")
-    gens = [o.g.word_to_id(tuple(w)) for w in data["generators"]]
+    words = data.get("generators")
+    if not isinstance(words, list) or not all(
+            isinstance(w, list) and all(type(i) is int for i in w)
+            for w in words):
+        raise InvalidInputError(
+            "ideal generators must be a list of words of integer letters")
+    gens = [o.g.word_to_id(tuple(w)) for w in words]
     return ideal_from_elements(o, gens)

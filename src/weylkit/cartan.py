@@ -15,10 +15,11 @@ block-diagonally, so the Weyl group of a product is the direct product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import factorial
 import re
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 
 # ---------------------------------------------------------------------------
 # Cartan types
@@ -36,11 +37,8 @@ _RANK_OK = {
     "G": lambda n: n == 2,
 }
 
-# |W| per simple factor, used to pre-check budgets before generating tables
-_FACTORIALS = [1]
-for _i in range(1, 13):
-    _FACTORIALS.append(_FACTORIALS[-1] * _i)
-
+# |W| of the exceptional factors, used to pre-check budgets before
+# generating tables
 _EXC_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
               ("F", 4): 1152, ("G", 2): 12}
 
@@ -69,11 +67,11 @@ class CartanType:
         order = 1
         for fam, n in self.factors:
             if fam == "A":
-                order *= _FACTORIALS[n + 1]
+                order *= factorial(n + 1)
             elif fam in ("B", "C"):
-                order *= 2**n * _FACTORIALS[n]
+                order *= 2**n * factorial(n)
             elif fam == "D":
-                order *= 2 ** (n - 1) * _FACTORIALS[n]
+                order *= 2 ** (n - 1) * factorial(n)
             else:
                 order *= _EXC_ORDER[(fam, n)]
         return order
@@ -160,10 +158,8 @@ class RootSystem:
 
     cartan_type: CartanType
     cartan_matrix: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
     coxeter_numbers: tuple[int, ...]
-    delta: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
     @property
@@ -230,40 +226,6 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
     return simple + extra
 
 
-def _coxeter_number_of_indices(cartan: list[list[int]],
-                               indices: tuple[int, ...]) -> int:
-    """Order of the product of the simple reflections with these indices.
-
-    Computed as the order of the composite acting on root coordinates, a
-    faithful representation, so this equals the element order in W.
-    """
-    n = len(cartan)
-
-    def reflect(i: int, v: list[int]) -> list[int]:
-        pairing = sum(cartan[i][j] * v[j] for j in range(n))
-        out = list(v)
-        out[i] -= pairing
-        return out
-
-    # columns of the composite matrix
-    cols = []
-    for j in range(n):
-        v = [1 if a == j else 0 for a in range(n)]
-        for i in reversed(indices):
-            v = reflect(i, v)
-        cols.append(v)
-    ident = [[1 if a == j else 0 for a in range(n)] for j in range(n)]
-    cur = [list(v) for v in cols]
-    order = 1
-    while cur != ident:
-        cur = [[sum(cols[a][r] * c[a] for a in range(n)) for r in range(n)]
-               for c in cur]
-        order += 1
-        if order > 64:  # h <= 30 for every supported type
-            raise AssertionError("runaway Coxeter element order")
-    return order
-
-
 def build_root_system(t: CartanType) -> RootSystem:
     """Assemble the block-diagonal root system of a product type."""
     rank = t.rank
@@ -278,18 +240,15 @@ def build_root_system(t: CartanType) -> RootSystem:
         factor_blocks.append(tuple(range(offset, offset + n)))
         offset += n
 
-    roots = _positive_roots(cartan)
-    coxeter = tuple(_coxeter_number_of_indices(cartan, blk)
-                    for blk in factor_blocks)
-    return RootSystem(
+    rs = RootSystem(
         cartan_type=t,
         cartan_matrix=tuple(tuple(row) for row in cartan),
-        simple_roots=tuple(roots[:rank]),
-        positive_roots=tuple(roots),
-        coxeter_numbers=coxeter,
-        delta=tuple(1 for _ in range(rank)),
+        positive_roots=tuple(_positive_roots(cartan)),
+        coxeter_numbers=(),
         components=tuple(_dynkin_components(cartan)),
     )
+    return replace(rs, coxeter_numbers=tuple(
+        component_coxeter_number(rs, blk) for blk in factor_blocks))
 
 
 def positive_coroots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
@@ -302,7 +261,8 @@ def positive_coroots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     transposed = [[rs.cartan_matrix[j][i] for j in range(rank)]
                   for i in range(rank)]
     coroots = _positive_roots(transposed)
-    assert len(coroots) == len(rs.positive_roots)
+    require(len(coroots) == len(rs.positive_roots),
+            "coroot count differs from root count")
     return tuple(coroots)
 
 
@@ -310,12 +270,33 @@ def coxeter_number(t: CartanType, factor_index: int) -> int:
     """The order of any product of all simple reflections of the factor."""
     if not 0 <= factor_index < len(t.factors):
         raise InvalidInputError(f"factor index {factor_index} out of range")
-    rs = build_root_system(CartanType((t.factors[factor_index],)))
-    return _coxeter_number_of_indices(
-        [list(r) for r in rs.cartan_matrix], tuple(range(rs.rank)))
+    return build_root_system(
+        CartanType((t.factors[factor_index],))).coxeter_numbers[0]
 
 
 def component_coxeter_number(rs: RootSystem, component: tuple[int, ...]) -> int:
-    """Coxeter number of one connected Dynkin component of rs."""
-    return _coxeter_number_of_indices(
-        [list(r) for r in rs.cartan_matrix], component)
+    """Order of the product of the simple reflections with these indices.
+
+    For one connected Dynkin component of rs (or one factor of its type)
+    this is the Coxeter number.  The order is taken on root coordinates,
+    a faithful representation, so it equals the element order in W; it
+    is not read off as 2N/rank, which criterion 8 checks independently.
+    """
+    rank = rs.rank
+    units = [tuple(int(a == j) for a in range(rank)) for j in range(rank)]
+    # columns of the composite matrix
+    cols = []
+    for v in units:
+        for i in reversed(component):
+            v = rs.reflect(i, v)
+        cols.append(v)
+    cur = cols
+    order = 1
+    while cur != units:
+        cur = [tuple(sum(cols[a][r] * c[a] for a in range(rank))
+                     for r in range(rank)) for c in cur]
+        order += 1
+        # h is n+1 for A_n, 2n for B_n and C_n, 2n-2 for D_n, <= 30 for E-G
+        require(order <= max(30, 2 * len(component)),
+                "runaway Coxeter element order")
+    return order

@@ -13,7 +13,7 @@ output for the same reason.
 Generator indices are 1-based on the command line and in human output
 (s1, s2, ...); JSON words use the internal 0-based indices so that
 ideal files round-trip.  Exit codes: 0 success, 1 usage error, 2 a
-verified property failed, 3 enumeration budget exceeded.
+verified property failed, 3 a size budget exceeded.
 """
 
 from __future__ import annotations
@@ -75,18 +75,20 @@ def _build(type_str: str) -> tuple[WeylGroup, bruhat.BruhatOrder]:
     return g, bruhat.build_order(g)
 
 
-def _resolve_ideal(o: bruhat.BruhatOrder, spec: str,
-                   verify: bool) -> bruhat.Ideal:
+# family name -> constructor(order, verify=...); `family` also offers
+# lower-half-J, which takes a middle-level selection
+_FAMILIES = {"lower-half": families.lower_half_ideal,
+             "incidence": families.incidence_ideal,
+             "principal-2n": families.principal_2n_ideal}
+
+
+def _resolve_ideal(o: bruhat.BruhatOrder, spec: str) -> bruhat.Ideal:
     """An ideal from `family:<name>` or from a JSON file."""
     if spec.startswith("family:"):
         name = spec[len("family:"):]
-        if name == "lower-half":
-            return families.lower_half_ideal(o, verify=verify)
-        if name == "incidence":
-            return families.incidence_ideal(o, verify=verify)
-        if name == "principal-2n":
-            return families.principal_2n_ideal(o, verify=verify)
-        raise InvalidInputError(f"unknown family {name!r}")
+        if name not in _FAMILIES:
+            raise InvalidInputError(f"unknown family {name!r}")
+        return _FAMILIES[name](o, verify=False)
     try:
         with open(spec) as fh:
             data = json.load(fh)
@@ -154,24 +156,15 @@ def _cmd_balanced(args, t0):
     return 0
 
 
-_FAMILY_BUILDERS = ("lower-half", "lower-half-J", "incidence",
-                    "principal-2n")
-
-
 def _cmd_family(args, t0):
     degree = args.n if args.name != "principal-2n" else 2 * args.n
     if degree < 2:
         raise InvalidInputError("need a symmetric group of degree >= 2")
     g, o = families.build_symmetric(degree)
     verify = bool(args.verify)
-    if args.name == "lower-half":
-        ideal = families.lower_half_ideal(o, verify=verify)
-    elif args.name == "incidence":
-        ideal = families.incidence_ideal(o, verify=verify)
-    elif args.name == "principal-2n":
-        ideal = families.principal_2n_ideal(o, verify=verify)
+    if args.name in _FAMILIES:
+        ideal = _FAMILIES[args.name](o, verify=verify)
     else:
-        table = families.perm_table(g)
         if args.select:
             chosen = [families.perm_to_element(g, _parse_perm(tok))
                       for tok in args.select.split(";") if tok]
@@ -202,7 +195,7 @@ def _cmd_family(args, t0):
 
 def _cmd_betti(args, t0):
     g, o = _build(args.type)
-    ideal = _resolve_ideal(o, args.ideal, verify=False)
+    ideal = _resolve_ideal(o, args.ideal)
     theta = _parse_gens(args.domain, g.rank)
     p = build_parabolic(g, theta)
     cls = bruhat.classify(o, ideal)
@@ -311,7 +304,7 @@ def _cmd_small(args, t0):
 
 def _cmd_hausdorff(args, t0):
     g, o = _build(args.type)
-    ideal = _resolve_ideal(o, args.ideal, verify=False)
+    ideal = _resolve_ideal(o, args.ideal)
     p = build_parabolic(g, _parse_gens(args.domain, g.rank))
     report = topology.hausdorff_bound(o, ideal, p,
                                       limit_curve_dim=args.curve_dim)
@@ -353,8 +346,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one deterministic JSON document")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", parents=[common],
@@ -374,7 +365,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("family", parents=[common],
                        help="construct a named ideal family")
-    p.add_argument("name", choices=_FAMILY_BUILDERS)
+    p.add_argument("name", choices=[*_FAMILIES, "lower-half-J"])
     p.add_argument("n", type=int,
                    help="symmetric group degree (for principal-2n: "
                    "half the degree)")

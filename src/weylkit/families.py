@@ -8,8 +8,8 @@ filled in one pass over the group's search tree.
 
 Family constructors re-derive the structural claims about each ideal
 (downward closed, balanced, invariance, generators, lengths) as runtime
-checks.  The checks run when __debug__ is set, or when verify=True is
-passed; a failed check raises VerificationError with the numbers.
+checks.  The checks run unless verify=False is passed, also under
+``python -O``; a failed check raises VerificationError.
 """
 
 from __future__ import annotations
@@ -19,20 +19,11 @@ from bisect import insort
 from .bruhat import (BruhatOrder, Ideal, build_order, classify,
                      is_downward_closed, minimal_generators, principal_ideal)
 from .cartan import build_root_system, parse_type
-from .errors import InvalidInputError, VerificationError
+from .errors import InvalidInputError, require
 from .parabolic import build_parabolic, is_right_invariant
 from .weyl import WeylGroup, generate
 
 Permutation = tuple[int, ...]
-
-
-def _want_checks(verify: bool | None) -> bool:
-    return __debug__ if verify is None else verify
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise VerificationError(message)
 
 
 def check_permutation(p: Permutation) -> int:
@@ -131,7 +122,7 @@ def build_symmetric(n: int, max_table_entries: int | None = None
 # ---------------------------------------------------------------------------
 # Lower-half families (any type)
 
-def lower_half_ideal(o: BruhatOrder, verify: bool | None = None) -> Ideal:
+def lower_half_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
     """All elements of length <= (l(w0)-1)/2; needs l(w0) odd."""
     g = o.g
     half, odd = divmod(g.n_positive, 2)
@@ -143,15 +134,15 @@ def lower_half_ideal(o: BruhatOrder, verify: bool | None = None) -> Ideal:
         if g.length[x] <= half:
             m |= 1 << x
     ideal = Ideal(g, m)
-    if _want_checks(verify):
-        _require(is_downward_closed(o, m), "lower half not downward closed")
-        _require(classify(o, ideal).balanced, "lower half not balanced")
-        _require(2 * ideal.size == g.order, "lower half has wrong size")
+    if verify:
+        require(is_downward_closed(o, m), "lower half not downward closed")
+        require(classify(o, ideal).balanced, "lower half not balanced")
+        require(2 * ideal.size == g.order, "lower half has wrong size")
     return ideal
 
 
 def lower_half_with_selection(o: BruhatOrder, selection,
-                              verify: bool | None = None) -> Ideal:
+                              verify: bool = True) -> Ideal:
     """W_{<k} plus one chosen middle-level element per {x, w0 x} pair.
 
     l(w0) = 2k must be even; the selection consists of element ids of
@@ -178,11 +169,11 @@ def lower_half_with_selection(o: BruhatOrder, selection,
         if g.length[x] < k or x in chosen:
             m |= 1 << x
     ideal = Ideal(g, m)
-    if _want_checks(verify):
-        _require(is_downward_closed(o, m), "selection ideal not downward closed")
-        _require(classify(o, ideal).balanced, "selection ideal not balanced")
+    if verify:
+        require(is_downward_closed(o, m), "selection ideal not downward closed")
+        require(classify(o, ideal).balanced, "selection ideal not balanced")
         gens = set(minimal_generators(o, ideal))
-        _require(chosen <= gens, "selection not among minimal generators")
+        require(chosen <= gens, "selection not among minimal generators")
     return ideal
 
 
@@ -219,7 +210,7 @@ def incidence_subgroup_indices(n: int) -> tuple[int, ...]:
     return tuple(range(1, n - 2))
 
 
-def incidence_ideal(o: BruhatOrder, verify: bool | None = None) -> Ideal:
+def incidence_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
     """{x in S_n : x(1) < x(n)} with its structure theorem as checks."""
     g = o.g
     n = symmetric_n(g)
@@ -229,19 +220,19 @@ def incidence_ideal(o: BruhatOrder, verify: bool | None = None) -> Ideal:
         if table[x][0] < table[x][-1]:
             m |= 1 << x
     ideal = Ideal(g, m)
-    if _want_checks(verify):
-        _require(is_downward_closed(o, m), "incidence set not downward closed")
-        _require(classify(o, ideal).balanced, "incidence ideal not balanced")
+    if verify:
+        require(is_downward_closed(o, m), "incidence set not downward closed")
+        require(classify(o, ideal).balanced, "incidence ideal not balanced")
         p = build_parabolic(g, incidence_subgroup_indices(n))
-        _require(is_right_invariant(ideal, p),
-                 "incidence ideal not right-invariant")
+        require(is_right_invariant(ideal, p),
+                "incidence ideal not right-invariant")
         want = {perm_to_element(g, incidence_generator_perm(n, k))
                 for k in range(1, n)}
         got = set(minimal_generators(o, ideal))
-        _require(got == want, "incidence generators differ from z_1..z_{n-1}")
+        require(got == want, "incidence generators differ from z_1..z_{n-1}")
         lz = (n - 1) * (n - 2) // 2
-        _require(all(g.length[x] == lz for x in got),
-                 "incidence generator of unexpected length")
+        require(all(g.length[x] == lz for x in got),
+                "incidence generator of unexpected length")
     return ideal
 
 
@@ -254,7 +245,7 @@ def principal_generator_perm(n: int) -> Permutation:
     return (*body, n + 1)
 
 
-def principal_2n_ideal(o: BruhatOrder, verify: bool | None = None) -> Ideal:
+def principal_2n_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
     """{w in S_2n : w(2n) > n}: the principal balanced ideal of lambda."""
     g = o.g
     size = symmetric_n(g)
@@ -268,22 +259,22 @@ def principal_2n_ideal(o: BruhatOrder, verify: bool | None = None) -> Ideal:
             m |= 1 << x
     ideal = Ideal(g, m)
     lam = perm_to_element(g, principal_generator_perm(n))
-    if _want_checks(verify):
-        _require(is_downward_closed(o, m), "principal set not downward closed")
-        _require(classify(o, ideal).balanced, "principal ideal not balanced")
-        _require(principal_ideal(o, lam).mask == m,
-                 "membership differs from the principal ideal of lambda")
-        _require(minimal_generators(o, ideal) == [lam],
-                 "ideal is not generated by lambda alone")
-        _require(g.length[lam] == g.n_positive - n,
-                 f"l(lambda) = {g.length[lam]}, expected {g.n_positive - n}")
+    if verify:
+        require(is_downward_closed(o, m), "principal set not downward closed")
+        require(classify(o, ideal).balanced, "principal ideal not balanced")
+        require(principal_ideal(o, lam).mask == m,
+                "membership differs from the principal ideal of lambda")
+        require(minimal_generators(o, ideal) == [lam],
+                "ideal is not generated by lambda alone")
+        require(g.length[lam] == g.n_positive - n,
+                f"l(lambda) = {g.length[lam]}, expected {g.n_positive - n}")
     return ideal
 
 
 # ---------------------------------------------------------------------------
 # Homotopy-distinction witness
 
-def distinction_witness_mu(j: int, verify: bool | None = None) -> Permutation:
+def distinction_witness_mu(j: int, verify: bool = True) -> Permutation:
     """The witness tuple mu in S_{2(2j+1)}: (2j..j+1, 4j+2, j..1, 4j+1..2j+1).
 
     Checks that mu lies outside the principal family's ideal
@@ -294,11 +285,11 @@ def distinction_witness_mu(j: int, verify: bool | None = None) -> Permutation:
     mu = (*range(2 * j, j, -1), 4 * j + 2, *range(j, 0, -1),
           *range(4 * j + 1, 2 * j, -1))
     n = 2 * j + 1
-    assert check_permutation(mu) == 2 * n
-    if _want_checks(verify):
-        _require(mu[-1] == n, "mu(2n) != n")
+    require(check_permutation(mu) == 2 * n, "mu is not a permutation of 1..2n")
+    if verify:
+        require(mu[-1] == n, "mu(2n) != n")
         k = j * (4 * j + 3)
         got = perm_length(mu)
-        _require(got == k,
-                 f"inversion count of mu is {got}, expected k = {k}")
+        require(got == k,
+                f"inversion count of mu is {got}, expected k = {k}")
     return mu

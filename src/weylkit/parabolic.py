@@ -4,7 +4,7 @@ The input is the generator subset that generates W_P itself, not its
 complement.  Each left coset x W_P contains a unique element with no
 right descent into the subset, and it is the strictly shortest member;
 it is found by stripping descents.  Lengths add along the factorization
-x = rep * u with u in W_P, which build_parabolic asserts for every
+x = rep * u with u in W_P, which build_parabolic checks for every
 element.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
 
@@ -68,7 +68,7 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
     mask = 0
     for x in subgroup:
         mask |= 1 << x
-    assert g.order % len(subgroup) == 0
+    require(g.order % len(subgroup) == 0, "|W_P| does not divide |W|")
 
     coset_of = [0] * g.order
     for x in range(g.order):
@@ -82,12 +82,13 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
         coset_of[x] = y
         # length-additive factorization x = y * u, u in W_P
         u = g.multiply(g.inverse[y], x)
-        assert mask >> u & 1
-        assert g.length[x] == g.length[y] + g.length[u]
+        require(mask >> u & 1 and g.length[x] == g.length[y] + g.length[u],
+                "x = rep * u is not a length-additive factorization into W_P")
 
     min_reps = sorted({coset_of[x] for x in range(g.order)},
                       key=lambda x: (g.length[x], x))
-    assert len(min_reps) * len(subgroup) == g.order
+    require(len(min_reps) * len(subgroup) == g.order,
+            "coset count times |W_P| differs from |W|")
     return ParabolicSubset(g=g, theta=theta, subgroup=subgroup,
                            subgroup_mask=mask, min_reps=min_reps,
                            coset_of=coset_of)

@@ -5,9 +5,8 @@ length.  Thickenings have free even homology with rank r_k in degree 2k
 (r = length histogram of I/W_D); domains combine r(I) and r(I-perp);
 quotient manifolds tensor with the surface homology (1, 2g, 1).
 
-Polynomial arithmetic is exact over the integers and divisions assert a
-zero remainder, so the closed forms are checked as identities, not
-numerically.
+The closed-form Poincare polynomials are exact integer products of
+t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bruhat import BruhatOrder, Ideal, classify, orthogonal
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
 from .parabolic import (ParabolicSubset, build_parabolic, is_right_invariant,
                         quotient_ideal)
@@ -63,6 +62,11 @@ def _trim(ranks) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _at(hist, k: int) -> int:
+    """hist[k], read as 0 outside the list."""
+    return hist[k] if 0 <= k < len(hist) else 0
+
+
 def _length_histogram(pairs) -> list[int]:
     """Counts by quotient length from (rep, length) pairs."""
     if not pairs:
@@ -96,9 +100,7 @@ def omega_betti(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> GradedRanks
     r_i = _length_histogram(quotient_ideal(ideal, p))
     r_p = _length_histogram(quotient_ideal(perp, p))
     n = p.max_quotient_length
-    def at(hist, k):
-        return hist[k] if 0 <= k < len(hist) else 0
-    even = [at(r_i, n - 1 - k) + at(r_p, k) for k in range(n)]
+    even = [_at(r_i, n - 1 - k) + _at(r_p, k) for k in range(n)]
     return GradedRanks.from_even(even)
 
 
@@ -107,7 +109,8 @@ def euler_omega(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> int:
     if not classify(o, ideal).balanced:
         raise InvalidInputError("ideal is not balanced")
     chi = p.n_cosets
-    assert omega_betti(o, ideal, p).total == chi
+    require(omega_betti(o, ideal, p).total == chi,
+            "domain Betti numbers do not sum to |W/W_P|")
     return chi
 
 
@@ -130,9 +133,7 @@ def splitting_check(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> bool:
     r_p = _length_histogram(quotient_ideal(orthogonal(o, ideal), p))
     full = _length_histogram([(x, g.length[x]) for x in p.min_reps])
     n = p.max_quotient_length
-    def at(hist, k):
-        return hist[k] if 0 <= k < len(hist) else 0
-    return all(at(full, k) == at(r_i, k) + at(r_p, n - k)
+    return all(_at(full, k) == _at(r_i, k) + _at(r_p, n - k)
                for k in range(n + 1))
 
 
@@ -189,62 +190,40 @@ def hausdorff_bound(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset,
 # ---------------------------------------------------------------------------
 # Exact polynomial closed forms
 
-def _polymul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+def _times_t2_integer(a: list[int], i: int) -> list[int]:
+    """a * [i], where [i] = 1 + t^2 + ... + t^(2i-2).
+
+    [i] (1 - t^2) = 1 - t^(2i), so out[k] = a[k] + out[k-2] - a[k-2i],
+    with a read as 0 outside its range.
+    """
+    out = a + [0] * (2 * i - 2)
+    for k in range(2, len(out)):
+        out[k] += out[k - 2] - _at(a, k - 2 * i)
     return out
 
 
-def _polydivexact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of num by den; asserts the remainder is zero."""
-    num = list(num)
-    while den and den[-1] == 0:
-        den = den[:-1]
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0
-        q[i] = c
-        for j, y in enumerate(den):
-            num[i + j] -= c * y
-    assert all(v == 0 for v in num)
-    return q
-
-
-def _one_minus_t_pow(k: int) -> list[int]:
-    p = [0] * (k + 1)
-    p[0], p[k] = 1, -1
-    return p
-
-
 def flag_poincare(m: int) -> GradedRanks:
-    """Poincare polynomial of the full flag variety of C^m."""
+    """Poincare polynomial of the full flag variety of C^m: [2][3]...[m]."""
     if m < 1:
         raise InvalidInputError("need m >= 1")
-    num = [1]
-    for i in range(1, m):
-        num = _polymul(num, _one_minus_t_pow(2 * (i + 1)))
-    den = [1]
-    for _ in range(m - 1):
-        den = _polymul(den, _one_minus_t_pow(2))
-    return GradedRanks(_trim(_polydivexact(num, den)))
+    poly = [1]
+    for i in range(2, m + 1):
+        poly = _times_t2_integer(poly, i)
+    return GradedRanks(_trim(poly))
 
 
 def omega2n_closed_form(n: int) -> GradedRanks:
-    """Closed-form Poincare polynomial of the principal-family domain."""
+    """Closed-form Poincare polynomial of the principal-family domain.
+
+    (1 + t^(2n-2)) [n] [2][3]...[2n-1].
+    """
     if n < 1:
         raise InvalidInputError("need n >= 1")
-    num = [1] + [0] * (2 * n - 3) + [1] if n > 1 else [2]  # 1 + t^(2n-2)
-    num = _polymul(num, _one_minus_t_pow(2 * n))
-    for i in range(1, 2 * n - 1):
-        num = _polymul(num, _one_minus_t_pow(2 * (i + 1)))
-    den = [1]
-    for _ in range(2 * n - 1):
-        den = _polymul(den, _one_minus_t_pow(2))
-    return GradedRanks(_trim(_polydivexact(num, den)))
+    poly = [1] + [0] * (2 * n - 3) + [1] if n > 1 else [2]  # 1 + t^(2n-2)
+    poly = _times_t2_integer(poly, n)
+    for k in range(2, 2 * n):
+        poly = _times_t2_integer(poly, k)
+    return GradedRanks(_trim(poly))
 
 
 def incidence_betti(n: int, k: int) -> int:
@@ -279,7 +258,7 @@ class DistinctionReport:
         }
 
 
-def homotopy_distinction(j: int, verify: bool | None = None,
+def homotopy_distinction(j: int, verify: bool = True,
                          max_table_entries: int | None = None
                          ) -> DistinctionReport:
     """Compare middle Betti numbers of the two domains over S_2(2j+1).
@@ -292,7 +271,7 @@ def homotopy_distinction(j: int, verify: bool | None = None,
         raise InvalidInputError("need j >= 1")
     n = 2 * j + 1
     g, o = build_symmetric(2 * n, max_table_entries=max_table_entries)
-    assert g.n_positive % 2 == 1
+    require(g.n_positive % 2 == 1, "l(w0) of S_2n is even")
     k = (g.n_positive - 1) // 2
     p = build_parabolic(g, ())
     half = lower_half_ideal(o, verify=verify)
@@ -301,8 +280,10 @@ def homotopy_distinction(j: int, verify: bool | None = None,
     b_principal = omega_betti(o, principal, p).get(2 * k)
     # balanced + l(w0) odd make both values twice a middle length count
     level = sum(1 for x in range(g.order) if g.length[x] == k)
-    assert b_half == 2 * level
-    assert b_principal == 2 * sum(1 for x in principal.members()
-                                  if g.length[x] == k)
+    require(b_half == 2 * level,
+            "lower-half b_2k differs from twice the middle level count")
+    require(b_principal == 2 * sum(1 for x in principal.members()
+                                   if g.length[x] == k),
+            "principal b_2k differs from twice its middle level count")
     return DistinctionReport(j=j, n=n, k=k, b_lower_half=b_half,
                              b_principal=b_principal, strict=b_principal < b_half)

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cartan import RootSystem, component_coxeter_number
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import (BudgetExceededError, InvalidInputError,
+                     VerificationError, require)
 
 Word = tuple[int, ...]
 
@@ -41,7 +42,7 @@ class WeylGroup:
     rs: RootSystem
     acts: list[tuple[int, ...]]
     length: list[int]
-    rmult: list[list[int]]          # rmult[x][i] = id of x * s_i
+    rmult: list[tuple[int, ...]]    # rmult[x][i] = id of x * s_i
     bfs_parent: list[int]
     bfs_letter: list[int]
     generators: list[int]           # ids of the simple reflections
@@ -173,13 +174,11 @@ def generate(rs: RootSystem,
     length = [0]
     parent = [0]
     letter = [-1]
-    rmult: list[list[int]] = [[-1] * rs.rank]
+    rmult: list[tuple[int, ...]] = []
 
-    head = 0
-    while head < len(acts):
-        x = head
-        head += 1
-        ax = acts[x]
+    # acts grows while it is read: breadth-first, rows complete in order
+    for x, ax in enumerate(acts):
+        row = []
         for i in range(rs.rank):
             t = _compose(ax, gen_acts[i])
             y = id_of.get(t)
@@ -190,16 +189,14 @@ def generate(rs: RootSystem,
                 length.append(length[x] + 1)
                 parent.append(x)
                 letter.append(i)
-                rmult.append([-1] * rs.rank)
-            rmult[x][i] = y
+            row.append(y)
+        rmult.append(tuple(row))
 
-    if len(acts) != order:
-        raise AssertionError(
+    require(len(acts) == order,
             f"BFS found {len(acts)} elements, order formula says {order}")
     for x, a in enumerate(acts):
-        inv_count = sum(1 for v in a if v < 0)
-        if inv_count != length[x]:
-            raise AssertionError(f"length/inversion mismatch at element {x}")
+        require(sum(1 for v in a if v < 0) == length[x],
+                "BFS depth differs from the inversion count")
 
     inverse = []
     for a in acts:
@@ -213,8 +210,8 @@ def generate(rs: RootSystem,
 
     maxlen = max(length)
     longest = [x for x in range(len(acts)) if length[x] == maxlen]
-    if maxlen != npos or len(longest) != 1:
-        raise AssertionError("longest element is not unique of length |Sigma^+|")
+    require(maxlen == npos and len(longest) == 1,
+            "longest element is not unique of length |Sigma^+|")
 
     return WeylGroup(
         rs=rs,
@@ -230,19 +227,11 @@ def generate(rs: RootSystem,
     )
 
 
-def multiply(g: WeylGroup, x: int, y: int) -> int:
-    return g.multiply(x, y)
-
-
-def reduced_word(g: WeylGroup, x: int) -> Word:
-    return g.reduced_word(x)
-
-
 def left_w0_length(g: WeylGroup, x: int) -> int:
-    """l(w0 x), asserted equal to l(w0) - l(x)."""
+    """l(w0 x), checked equal to l(w0) - l(x)."""
     g._check_id(x)
     val = g.length[g.w0_left(x)]
-    assert val == g.length[g.w0] - g.length[x]
+    require(val == g.length[g.w0] - g.length[x], "l(w0 x) != l(w0) - l(x)")
     return val
 
 
@@ -275,7 +264,7 @@ def bipartite_w0_word(g: WeylGroup,
     a and b are the products of the two parts of a pairwise-commuting
     bipartition of the generators; the construction runs per connected
     Dynkin component and the component words are concatenated.  The result
-    is asserted reduced and equal to w0.
+    is checked reduced and equal to w0.
     """
     rs = g.rs
     if split is None:
@@ -302,8 +291,8 @@ def bipartite_w0_word(g: WeylGroup,
         word.extend(piece)
 
     result = tuple(word)
-    if len(result) != g.n_positive or g.word_to_id(result) != g.w0:
-        raise AssertionError("bipartite word is not a reduced word for w0")
+    require(len(result) == g.n_positive and g.word_to_id(result) == g.w0,
+            "bipartite word is not a reduced word for w0")
     return result
 
 
@@ -336,6 +325,6 @@ def exchange_deletion(g: WeylGroup, word: Word, s: int) -> tuple[int, int]:
             s_elem = g.generators[s]
             deleted = g.generators[word[k]]
             conj = g.multiply(g.multiply(q, s_elem), g.inverse[q])
-            assert conj == deleted, "deleted letter not conjugate via the suffix"
+            require(conj == deleted, "deleted letter not conjugate via the suffix")
             return k + 1, q
-    raise AssertionError("exchange property failed to produce a deletion")
+    raise VerificationError("exchange property failed to produce a deletion")

@@ -182,3 +182,5 @@ def test_sheaf_cases_validates_input():
         sheaf_cohomology_cases(g, (1, 1), k=2, cd=-1)
     with pytest.raises(InvalidInputError):
         bbw_cohomology(g, (1,))
+    with pytest.raises(InvalidInputError):
+        bbw_cohomology(g, (True, 1))

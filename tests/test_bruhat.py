@@ -1,16 +1,21 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from weylkit.bruhat import (build_order, classify, enumerate_balanced,
+from weylkit import bruhat
+from weylkit.bruhat import (_certify_balanced, build_order, classify,
+                            enumerate_balanced,
                             ideal_from_elements, ideal_from_json_dict,
                             ideal_to_json_dict, is_downward_closed, is_small,
                             leq, minimal_generators, orthogonal,
                             principal_ideal, subword_ideal_mask,
                             verify_short_small)
 from weylkit.cartan import build_root_system, parse_type
-from weylkit.errors import BudgetExceededError, InvalidInputError
+from weylkit.errors import (BudgetExceededError, InvalidInputError,
+                            VerificationError)
+from weylkit.families import middle_level_pairs
 from weylkit.parabolic import build_parabolic, is_right_invariant
 from weylkit.weyl import generate
 
@@ -170,6 +175,68 @@ def test_right_invariant_enumeration_filters():
         got = enumerate_balanced(o, invariance=p)
         want = [i.mask for i in every if is_right_invariant(i, p)]
         assert sorted(i.mask for i in got) == sorted(want)
+
+
+def test_certification_rejects_each_broken_property():
+    g, o = make_order("A3")
+    full = o.full_mask
+    ideals = enumerate_balanced(o)
+    ok = ideals[0].mask
+    gens = minimal_generators(o, ideals[0])
+    assert _certify_balanced(o, ok, full ^ ok, None) == gens
+    top = 1 << g.w0
+    shifted = (ok & ~1) | top           # the identity swapped for w0
+
+    # W_{<3} plus both members of one middle pair and one of another:
+    # downward closed and half of W, but not its own orthogonal
+    (a, pa), (b, _) = middle_level_pairs(g)[:2]
+    twice = 1 << a | 1 << pa | 1 << b
+    for x in range(g.order):
+        if g.length[x] < 3:
+            twice |= 1 << x
+
+    p = build_parabolic(g, (0,))
+    moved = next(i.mask for i in ideals if not is_right_invariant(i, p))
+    cosets = {}
+    for x in range(g.order):
+        cosets[p.coset_of[x]] = cosets.get(p.coset_of[x], 0) | 1 << x
+    coset_masks = [cosets[p.coset_of[x]] for x in range(g.order)]
+
+    # claim the identity covers one generator, so it drops out
+    covers = list(o.covers)
+    covers[0] = [gens[-1]]
+    forged = dataclasses.replace(o, covers=covers)
+
+    cases = [
+        (o, ok, full ^ ok ^ top, None, "undecided"),
+        (o, ok | top, full, None, "half of W"),
+        (o, shifted, full ^ shifted, None, "not downward closed"),
+        (o, twice, full ^ twice, None, "orthogonal"),
+        (o, moved, full ^ moved, coset_masks, "union of cosets"),
+        (forged, ok, full ^ ok, None, "regenerate"),
+    ]
+    for order, in_mask, out_mask, masks, what in cases:
+        with pytest.raises(VerificationError, match=what):
+            _certify_balanced(order, in_mask, out_mask, masks)
+
+
+def test_enumeration_certifies_each_result_once(monkeypatch):
+    calls = {"certify": 0, "other": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bruhat, "_certify_balanced",
+                        counting("certify", bruhat._certify_balanced))
+    for fn in ("is_downward_closed", "classify", "orthogonal",
+               "minimal_generators"):
+        monkeypatch.setattr(bruhat, fn, counting("other", getattr(bruhat, fn)))
+    g, o = make_order("B3")
+    ideals = enumerate_balanced(o)
+    assert calls == {"certify": len(ideals), "other": 0}
 
 
 def test_balanced_budget():

@@ -61,6 +61,8 @@ def test_coxeter_numbers():
         assert component_coxeter_number(rs, rs.components[0]) == h
         # n_positive = rank * h / 2 for a connected system
         assert 2 * rs.n_positive == rs.rank * h
+    # h = 2n grows with the rank; no fixed cap on the element order holds
+    assert coxeter_number(parse_type("B33"), 0) == 66
 
 
 def test_components_partition_generators():
@@ -71,8 +73,14 @@ def test_components_partition_generators():
 
 
 def test_delta_is_all_ones():
-    rs = build_root_system(parse_type("B3"))
-    assert rs.delta == (1, 1, 1)
+    # delta, half the sum of the positive roots, pairs to 1 with every
+    # simple coroot: it is all ones in fundamental-weight coordinates
+    for spec in ["B3", "G2", "F4", "A1xC3"]:
+        rs = build_root_system(parse_type(spec))
+        two_delta = [sum(r[j] for r in rs.positive_roots)
+                     for j in range(rs.rank)]
+        assert [sum(c * v for c, v in zip(row, two_delta))
+                for row in rs.cartan_matrix] == [2] * rs.rank
 
 
 def test_simple_reflection_permutes_other_positives():
@@ -80,10 +88,10 @@ def test_simple_reflection_permutes_other_positives():
         rs = build_root_system(parse_type(spec))
         roots = set(rs.positive_roots)
         for i in range(rs.rank):
-            alpha_i = rs.positive_roots[i] if rs.positive_roots[i][i] else None
+            alpha_i = rs.positive_roots[i]  # the simple roots come first
             for r in rs.positive_roots:
                 image = rs.reflect(i, r)
-                if r == rs.simple_roots[i]:
+                if r == alpha_i:
                     assert image == tuple(-c for c in r)
                 else:
                     assert image in roots

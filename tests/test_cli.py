@@ -135,8 +135,16 @@ def test_distinct_default_and_verify(capsys):
     assert "verification failed" in err
 
 
-def test_usage_errors_exit_1(capsys):
-    for argv in [["group", "Z9"],
+def test_usage_errors_exit_1(capsys, tmp_path):
+    bad_ideals = []
+    for name, text in [("no_generators", '{"type":"A2"}'),
+                       ("list", "[1,2]"),
+                       ("string_letters", '{"type":"A2","generators":["01"]}'),
+                       ("bool_letters", '{"type":"A2","generators":[[true]]}')]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        bad_ideals.append(["betti", "A2", "--ideal", str(path)])
+    for argv in bad_ideals + [["group", "Z9"],
                  ["balanced", "A2", "--right-invariant", "7"],
                  ["betti", "A2", "--ideal", "family:nope"],
                  ["betti", "A2", "--ideal", "/no/such/file.json"],
@@ -147,13 +155,16 @@ def test_usage_errors_exit_1(capsys):
                  ["nonsense"]]:
         code, out, err = run(capsys, argv)
         assert code == 1, (argv, err)
-        assert err
+        assert err.startswith("error:"), (argv, err)
 
 
 def test_budget_exit_3(capsys):
-    code, out, err = run(capsys, ["balanced", "F4", "--max-order", "100"])
-    assert code == 3
-    assert "budget" in err
+    for argv in [["balanced", "F4", "--max-order", "100"],
+                 ["group", "A12"],
+                 ["group", "B13"]]:
+        code, out, err = run(capsys, argv)
+        assert code == 3, (argv, err)
+        assert "budget" in err
 
 
 def test_console_script_byte_identical():

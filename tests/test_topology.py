@@ -148,6 +148,56 @@ def test_omega2n_closed_form_matches_direct():
     assert omega2n_closed_form(2).total == 24
 
 
+# Reference: the closed forms as numerator over (1 - t^2)^k, divided
+# exactly, the way they were computed before the t^2-integer products.
+
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _polydivexact(num, den):
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c, r = divmod(num[i + len(den) - 1], den[-1])
+        assert r == 0
+        q[i] = c
+        for j, y in enumerate(den):
+            num[i + j] -= c * y
+    assert not any(num)
+    while q and q[-1] == 0:
+        q.pop()
+    return tuple(q)
+
+
+def _one_minus_t_pow(k):
+    return [1] + [0] * (k - 1) + [-1]
+
+
+def _quotient_reference(num, factors):
+    for k in factors:
+        num = _polymul(num, _one_minus_t_pow(2 * k))
+    den = [1]
+    for _ in factors:
+        den = _polymul(den, _one_minus_t_pow(2))
+    return _polydivexact(num, den)
+
+
+def test_closed_forms_match_quotient_reference():
+    for m in range(1, 31):
+        assert flag_poincare(m).ranks == \
+            _quotient_reference([1], range(2, m + 1))
+    for n in range(1, 16):
+        first = [1] + [0] * (2 * n - 3) + [1] if n > 1 else [2]
+        assert omega2n_closed_form(n).ranks == \
+            _quotient_reference(first, [n, *range(2, 2 * n)])
+
+
 def test_incidence_betti_closed_form():
     from weylkit.families import incidence_ideal, incidence_subgroup_indices
     for n in range(3, 6):

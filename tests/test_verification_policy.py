@@ -1,0 +1,71 @@
+"""One verification policy: every check goes through errors.require().
+
+Bare assert statements and __debug__ tests vanish under ``python -O``,
+which would make the optimized interpreter run a second, unchecked
+program; the package uses neither.
+"""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _policy_breaches(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Assert):
+            yield f"{path.name}:{node.lineno}: assert"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield f"{path.name}:{node.lineno}: raise AssertionError"
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            yield f"{path.name}:{node.lineno}: __debug__"
+
+
+def test_package_has_no_assert_or_debug():
+    paths = sorted((SRC / "weylkit").glob("*.py"))
+    assert paths
+    breaches = [b for path in paths for b in _policy_breaches(path)]
+    assert breaches == []
+
+
+# Runs under -O, so it reports through stdout rather than assert.
+OPTIMIZED = """
+import dataclasses
+from weylkit import (VerificationError, build_order, build_root_system,
+                     distinction_witness_mu, enumerate_balanced, generate,
+                     minimal_generators, parse_type)
+
+
+def outcome(fn):
+    try:
+        fn()
+    except VerificationError:
+        return "VerificationError"
+    return "returned"
+
+
+o = build_order(generate(build_root_system(parse_type("A2"))))
+(ideal,) = enumerate_balanced(o)
+# one tampered cover list: the identity claims to cover a generator
+covers = list(o.covers)
+covers[0] = [minimal_generators(o, ideal)[0]]
+forged = dataclasses.replace(o, covers=covers)
+print(__debug__, outcome(lambda: enumerate_balanced(forged)),
+      outcome(lambda: distinction_witness_mu(1)))
+"""
+
+
+def test_checks_run_under_python_O():
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "VerificationError",
+                                   "VerificationError"]
