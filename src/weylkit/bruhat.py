@@ -1,18 +1,19 @@
 """Chevalley-Bruhat order, ideals, and balanced-ideal enumeration.
 
 Covering relations come from reflections: x is covered by y when x = yt
-for a reflection t and l(x) = l(y) - 1.  The full order is stored as
+for a reflection t and l(x) = l(y) - 1.  The order is stored once, as
 dense per-element bitmasks (Python ints) built by rank propagation:
-down[y] collects everything reachable downward from y.  Above the dense
-size limit the masks are skipped and comparisons fall back to a memoized
-recursion on the lifting property.
+down[y] collects everything reachable downward from y.  Nothing is kept
+upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x].
+Above the dense size limit the masks are skipped and comparisons fall
+back to a memoized recursion on the lifting property.
 
 An ideal is a downward-closed subset, stored as a membership bitmask.
 The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
 according to I contained in / containing / equal to I^perp.  Balanced
 ideals are enumerated by backtracking over the pairs {x, w0 x}, seeded
-with the small elements (x <= w0 x), which every fat ideal contains;
-each result is then certified once, in one pass over its members.
+with the small elements (x <= w0 x), which every fat ideal contains,
+and propagated through down and w0 alone; each result is certified once.
 """
 
 from __future__ import annotations
@@ -20,25 +21,27 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .cartan import CartanType, RootSystem, build_root_system, \
-    component_coxeter_number
+from .cartan import CartanType, RootSystem, component_coxeter_number
 from .errors import BudgetExceededError, InvalidInputError, require
-from .weyl import Word, WeylGroup, _compose, generate
+from .weyl import Word, WeylGroup, _compose, build_group
 
 DENSE_LIMIT_DEFAULT = 50000
 ENUM_BUDGET_DEFAULT = 1152
 
 
-def enumeration_budget() -> int:
-    """Max |W| for balanced enumeration; WEYLKIT_MAX_ORDER overrides."""
-    env = os.environ.get("WEYLKIT_MAX_ORDER")
-    if env is not None:
+def check_enumeration_budget(order: int, max_order: int | None = None) -> None:
+    """Refuse |W| above max_order, else WEYLKIT_MAX_ORDER, else 1152."""
+    budget = max_order
+    if budget is None:
+        env = os.environ.get("WEYLKIT_MAX_ORDER", str(ENUM_BUDGET_DEFAULT))
         try:
-            return int(env)
+            budget = int(env)
         except ValueError as exc:
             raise InvalidInputError(
                 f"WEYLKIT_MAX_ORDER must be an integer, got {env!r}") from exc
-    return ENUM_BUDGET_DEFAULT
+    if order > budget:
+        raise BudgetExceededError(
+            f"|W| = {order} exceeds enumeration budget {budget}")
 
 
 @dataclass
@@ -46,10 +49,11 @@ class BruhatOrder:
     g: WeylGroup
     reflections: list[int]            # element ids, indexed by positive root
     covers: list[list[int]]           # covers[y] = ids covered by y
-    upper: list[list[int]]            # transpose of covers
     down: list[int] | None            # down[y] = bitmask of {x : x <= y}
-    up: list[int] | None              # up[x] = bitmask of {y : y >= x}
     _leq_memo: dict[tuple[int, int], bool] = field(default_factory=dict)
+    # no upward masks: {y : y >= x} is w0 down[w0 x].  Kept as None for
+    # perfbench/tracing.py, which adds up the bytes of down and up.
+    up = None
 
     @property
     def full_mask(self) -> int:
@@ -83,31 +87,17 @@ def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatO
         found.sort()
         covers[y] = found
 
-    upper: list[list[int]] = [[] for _ in range(g.order)]
-    for y, cs in enumerate(covers):
-        for x in cs:
-            upper[x].append(y)
-    for lst in upper:
-        lst.sort()
-
-    down = up = None
+    down = None
     if g.order <= dense_limit:
-        by_len = sorted(range(g.order), key=lambda x: (g.length[x], x))
         down = [0] * g.order
-        for y in by_len:
+        for y in sorted(range(g.order), key=lambda x: (g.length[x], x)):
             m = 1 << y
             for z in covers[y]:
                 m |= down[z]
             down[y] = m
-        up = [0] * g.order
-        for x in reversed(by_len):
-            m = 1 << x
-            for z in upper[x]:
-                m |= up[z]
-            up[x] = m
 
     return BruhatOrder(g=g, reflections=refl_by_root, covers=covers,
-                       upper=upper, down=down, up=up)
+                       down=down)
 
 
 def _reflection_elements(g: WeylGroup) -> list[int]:
@@ -200,12 +190,30 @@ class Ideal:
         return out
 
 
-def is_downward_closed(o: BruhatOrder, mask: int) -> bool:
-    for y in Ideal(o.g, mask).members():
+def _covered(o: BruhatOrder, members) -> int:
+    """Mask of the elements covered by some element of members."""
+    below = 0
+    for y in members:
         for x in o.covers[y]:
-            if not mask >> x & 1:
-                return False
-    return True
+            below |= 1 << x
+    return below
+
+
+def _maximal(o: BruhatOrder, mask: int, below: int) -> list[int]:
+    """Members of an ideal that no member covers, sorted by id.
+
+    below is _covered of the members.  In a downward-closed set a member
+    lies below another member exactly when some member covers it, so
+    these are the maximal members; they must regenerate the ideal.
+    """
+    gens = Ideal(o.g, mask & ~below).members()
+    require(ideal_from_elements(o, gens).mask == mask,
+            "maximal elements do not regenerate the ideal")
+    return gens
+
+
+def is_downward_closed(o: BruhatOrder, mask: int) -> bool:
+    return _covered(o, Ideal(o.g, mask).members()) & ~mask == 0
 
 
 def make_ideal(o: BruhatOrder, mask: int) -> Ideal:
@@ -230,20 +238,12 @@ def ideal_from_elements(o: BruhatOrder, xs) -> Ideal:
 
 
 def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
-    """Maximal elements of the ideal, sorted by (length, id).
-
-    An element of a downward-closed set is non-maximal exactly when one
-    of its upper covers is in the set.
-    """
-    if not is_downward_closed(o, ideal.mask):
+    """Maximal elements of the ideal, sorted by (length, id)."""
+    below = _covered(o, ideal.members())
+    if below & ~ideal.mask:
         raise InvalidInputError("not an ideal")
-    g = o.g
-    gens = [x for x in ideal.members()
-            if not any(ideal.mask >> y & 1 for y in o.upper[x])]
-    gens.sort(key=lambda x: (g.length[x], x))
-    require(ideal_from_elements(o, gens).mask == ideal.mask,
-            "maximal elements do not regenerate the ideal")
-    return gens
+    return sorted(_maximal(o, ideal.mask, below),
+                  key=lambda x: (o.g.length[x], x))
 
 
 def orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal:
@@ -307,8 +307,7 @@ def verify_short_small(t: CartanType, max_length: int) -> ShortSmallReport:
     """Check smallness of every element of length <= max_length."""
     if max_length not in (1, 2):
         raise InvalidInputError("max_length must be 1 or 2")
-    rs = build_root_system(t)
-    g = generate(rs)
+    g = build_group(t)
     o = build_order(g)
     witnesses = []
     for x in range(g.order):
@@ -320,46 +319,37 @@ def verify_short_small(t: CartanType, max_length: int) -> ShortSmallReport:
         max_length=max_length,
         all_small=not witnesses,
         witnesses=tuple(g.reduced_word(x) for x in witnesses),
-        expected_all_small=short_small_expected(rs, max_length),
+        expected_all_small=short_small_expected(g.rs, max_length),
     )
 
 
 # ---------------------------------------------------------------------------
 # Balanced-ideal enumeration
 
-def _propagate(o: BruhatOrder, in_mask: int, out_mask: int,
-               todo: list[tuple[int, bool]],
+def _propagate(o: BruhatOrder, in_mask: int, out_mask: int, todo: list[int],
                coset_masks: list[int] | None) -> tuple[int, int] | None:
-    """Force the pending (element, joins_I) decisions to their closure.
+    """Force the pending elements into I and close under the rules.
 
-    Rules: I is downward closed; the complement is upward closed; exactly
-    one of {x, w0 x} is in I; with an invariance constraint, membership
-    is constant on right cosets.  Returns None on contradiction.
+    I is downward closed, so x joining I brings down[x].  Exactly one of
+    {x, w0 x} is in I, so "x out" means "w0 x in": each b that joins sets
+    bit w0 b of out_mask, which stays w0 * in_mask and, as w0 reverses
+    the order, upward closed with no masks of its own.  Under invariance
+    I is a union of cosets x W_P, and so is the out-set, as
+    w0 (x W_P) = (w0 x) W_P.  Returns None on contradiction, an element
+    both in and out.
     """
-    g = o.g
-    down, up = o.down, o.up
+    g, down = o.g, o.down
     while todo:
-        x, inside = todo.pop()
-        if inside:
-            add = down[x] & ~in_mask
-            if not add:
-                continue
-            if add & out_mask:
-                return None
-            in_mask |= add
-        else:
-            add = up[x] & ~out_mask
-            if not add:
-                continue
-            if add & in_mask:
-                return None
-            out_mask |= add
+        add = down[todo.pop()] & ~in_mask
+        if not add:
+            continue
+        in_mask |= add
         for b in Ideal(g, add).members():
-            todo.append((g.w0_left(b), not inside))
+            out_mask |= 1 << g.w0_left(b)
             if coset_masks is not None:
-                rest = coset_masks[b] & ~(in_mask if inside else out_mask)
-                for c in Ideal(g, rest).members():
-                    todo.append((c, inside))
+                todo.extend(Ideal(g, coset_masks[b] & ~in_mask).members())
+        if in_mask & out_mask:
+            return None
     return in_mask, out_mask
 
 
@@ -368,66 +358,50 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     """All balanced (optionally right-invariant) ideals, canonically sorted.
 
     Backtracking over the pairs {x, w0 x} in increasing length of the
-    shorter member.  Seeds: every small element is forced into I (balanced
-    ideals are fat, and fat ideals contain all small elements), and its
-    w0-image out.  Each result is certified by _certify_balanced.  Output
-    order: (generator count, generator word list).
+    shorter member; the branches of x are "w0 x in" and "x in".  Seeds:
+    every small element is forced into I (balanced ideals are fat, and
+    fat ideals contain all small elements).  Each result is certified by
+    _certify_balanced.  Output order: (generator count, generator word
+    list).
     """
     g = o.g
-    budget = enumeration_budget() if max_order is None else max_order
-    if g.order > budget:
-        raise BudgetExceededError(
-            f"|W| = {g.order} exceeds enumeration budget {budget}")
-    if o.down is None or o.up is None:
+    check_enumeration_budget(g.order, max_order)
+    if o.down is None:
         raise InvalidInputError("enumeration needs the dense order masks")
 
     coset_masks = None
     if invariance is not None:
         if invariance.g is not g:
             raise InvalidInputError("invariance parabolic built on another group")
-        coset_masks = [0] * g.order
         groups: dict[int, int] = {}
-        for x in range(g.order):
-            rep = invariance.coset_of[x]
+        for x, rep in enumerate(invariance.coset_of):
             groups[rep] = groups.get(rep, 0) | 1 << x
-        for x in range(g.order):
-            coset_masks[x] = groups[invariance.coset_of[x]]
+        coset_masks = [groups[rep] for rep in invariance.coset_of]
 
-    todo: list[tuple[int, bool]] = []
-    for x in range(g.order):
-        px = g.w0_left(x)
-        if leq(o, x, px):
-            todo.append((x, True))
-        elif leq(o, px, x):
-            todo.append((x, False))
-    seeded = _propagate(o, 0, 0, todo, coset_masks)
+    seeds = [x for x in range(g.order) if is_small(o, x)]
+    seeded = _propagate(o, 0, 0, seeds, coset_masks)
     if seeded is None:
         return []
 
-    pairs = []
-    taken = set()
-    for x in sorted(range(g.order), key=lambda v: (g.length[v], v)):
-        if x not in taken:
-            px = g.w0_left(x)
-            taken.add(x)
-            taken.add(px)
-            pairs.append(x)
+    def length_id(v):
+        return g.length[v], v
+    # the member of each pair {x, w0 x} that comes first by (length, id)
+    pairs = sorted((x for x in range(g.order)
+                    if length_id(x) < length_id(g.w0_left(x))), key=length_id)
 
     results = []
     stack = [(seeded[0], seeded[1], 0)]
     while stack:
         in_mask, out_mask, idx = stack.pop()
-        while idx < len(pairs):
-            x = pairs[idx]
-            if not (in_mask >> x & 1 or out_mask >> x & 1):
-                break
+        decided = in_mask | out_mask
+        while idx < len(pairs) and decided >> pairs[idx] & 1:
             idx += 1
         if idx == len(pairs):
             results.append((in_mask, out_mask))
             continue
         x = pairs[idx]
-        for inside in (False, True):  # True popped first: IN branch first
-            closed = _propagate(o, in_mask, out_mask, [(x, inside)], coset_masks)
+        for branch in (g.w0_left(x), x):  # x popped first: IN branch first
+            closed = _propagate(o, in_mask, out_mask, [branch], coset_masks)
             if closed is not None:
                 stack.append((closed[0], closed[1], idx))
 
@@ -442,7 +416,7 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
 
 def _certify_balanced(o: BruhatOrder, in_mask: int, out_mask: int,
                       coset_masks: list[int] | None) -> list[int]:
-    """Certify one search result in one pass; return its generators.
+    """Certify one search result; return its generators.
 
     Checks that the in- and out-masks together cover W, that 2|I| = |W|,
     that I is downward closed, that I = I^perp (equivalently w0 I is the
@@ -456,10 +430,10 @@ def _certify_balanced(o: BruhatOrder, in_mask: int, out_mask: int,
             "search result leaves elements undecided")
     require(2 * in_mask.bit_count() == g.order,
             "search result does not hold half of W")
-    below = w0_image = cosets = 0
-    for y in Ideal(g, in_mask).members():
-        for x in o.covers[y]:
-            below |= 1 << x
+    members = Ideal(g, in_mask).members()
+    below = _covered(o, members)
+    w0_image = cosets = 0
+    for y in members:
         w0_image |= 1 << g.w0_left(y)
         if coset_masks is not None:
             cosets |= coset_masks[y]
@@ -468,12 +442,7 @@ def _certify_balanced(o: BruhatOrder, in_mask: int, out_mask: int,
             "search result differs from its orthogonal")
     require(coset_masks is None or cosets == in_mask,
             "search result is not a union of cosets")
-    # in a downward-closed set a member lies below another member exactly
-    # when some member covers it, so the maximal ones are the uncovered
-    gens = Ideal(g, in_mask & ~below).members()
-    require(ideal_from_elements(o, gens).mask == in_mask,
-            "maximal elements do not regenerate the ideal")
-    return gens
+    return _maximal(o, in_mask, below)
 
 
 # ---------------------------------------------------------------------------

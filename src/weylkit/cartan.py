@@ -16,7 +16,7 @@ block-diagonally, so the Weyl group of a product is the direct product.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import factorial
+from math import factorial, prod
 import re
 
 from .errors import InvalidInputError, require
@@ -37,10 +37,17 @@ _RANK_OK = {
     "G": lambda n: n == 2,
 }
 
-# |W| of the exceptional factors, used to pre-check budgets before
-# generating tables
-_EXC_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-              ("F", 4): 1152, ("G", 2): 12}
+# (|W|, |Sigma^+|) of one factor of rank n, from the classical formulas;
+# budgets are checked with these before any root or table is built
+_COUNTS = {
+    "A": lambda n: (factorial(n + 1), n * (n + 1) // 2),
+    "B": lambda n: (2**n * factorial(n), n * n),
+    "C": lambda n: (2**n * factorial(n), n * n),
+    "D": lambda n: (2 ** (n - 1) * factorial(n), n * (n - 1)),
+    "E": lambda n: {6: (51840, 36), 7: (2903040, 63), 8: (696729600, 120)}[n],
+    "F": lambda n: (1152, 24),
+    "G": lambda n: (12, 6),
+}
 
 
 @dataclass(frozen=True)
@@ -64,17 +71,12 @@ class CartanType:
 
     def weyl_order(self) -> int:
         """|W|, from the classical per-family order formulas."""
-        order = 1
-        for fam, n in self.factors:
-            if fam == "A":
-                order *= factorial(n + 1)
-            elif fam in ("B", "C"):
-                order *= 2**n * factorial(n)
-            elif fam == "D":
-                order *= 2 ** (n - 1) * factorial(n)
-            else:
-                order *= _EXC_ORDER[(fam, n)]
-        return order
+        return prod(_COUNTS[fam](n)[0] for fam, n in self.factors)
+
+    @property
+    def n_positive(self) -> int:
+        """|Sigma^+| = l(w0), from the per-family closed forms."""
+        return sum(_COUNTS[fam](n)[1] for fam, n in self.factors)
 
     def __str__(self) -> str:
         return "x".join(f"{fam}{rank}" for fam, rank in self.factors)
@@ -240,10 +242,13 @@ def build_root_system(t: CartanType) -> RootSystem:
         factor_blocks.append(tuple(range(offset, offset + n)))
         offset += n
 
+    roots = _positive_roots(cartan)
+    require(len(roots) == t.n_positive,
+            "positive-root closure differs from the closed-form count")
     rs = RootSystem(
         cartan_type=t,
         cartan_matrix=tuple(tuple(row) for row in cartan),
-        positive_roots=tuple(_positive_roots(cartan)),
+        positive_roots=tuple(roots),
         coxeter_numbers=(),
         components=tuple(_dynkin_components(cartan)),
     )

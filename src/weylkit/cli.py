@@ -25,11 +25,11 @@ import time
 
 from . import bruhat, families, topology
 from .bbw import bbw_cohomology, sheaf_cohomology_cases
-from .cartan import build_root_system, parse_type
+from .cartan import parse_type
 from .errors import (BudgetExceededError, InvalidInputError,
                      VerificationError, WeylkitError)
 from .parabolic import build_parabolic, is_right_invariant
-from .weyl import WeylGroup, generate
+from .weyl import WeylGroup, build_group
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,8 +70,12 @@ def _parse_perm(text: str) -> tuple[int, ...]:
     return p
 
 
+def _group(type_str: str) -> WeylGroup:
+    return build_group(parse_type(type_str))
+
+
 def _build(type_str: str) -> tuple[WeylGroup, bruhat.BruhatOrder]:
-    g = generate(build_root_system(parse_type(type_str)))
+    g = _group(type_str)
     return g, bruhat.build_order(g)
 
 
@@ -117,7 +121,7 @@ def _emit(args, command: str, inputs: dict, outputs: dict,
 # subcommands
 
 def _cmd_group(args, t0):
-    g = generate(build_root_system(parse_type(args.type)))
+    g = _group(args.type)
     hist = [0] * (g.n_positive + 1)
     for l in g.length:
         hist[l] += 1
@@ -132,6 +136,8 @@ def _cmd_group(args, t0):
 
 
 def _cmd_balanced(args, t0):
+    bruhat.check_enumeration_budget(parse_type(args.type).weyl_order(),
+                                    args.max_order)
     g, o = _build(args.type)
     inputs = {"type": args.type, "right_invariant": args.right_invariant,
               "max_order": args.max_order}
@@ -258,7 +264,7 @@ def _cmd_poincare(args, t0):
 
 
 def _cmd_bbw(args, t0):
-    g = generate(build_root_system(parse_type(args.type)))
+    g = _group(args.type)
     lam = _parse_ints(args.weight, "weight")
     report = bbw_cohomology(g, lam)
     inputs = {"type": args.type, "weight": list(lam), "k": args.k,

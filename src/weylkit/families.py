@@ -18,10 +18,10 @@ from bisect import insort
 
 from .bruhat import (BruhatOrder, Ideal, build_order, classify,
                      is_downward_closed, minimal_generators, principal_ideal)
-from .cartan import build_root_system, parse_type
+from .cartan import parse_type
 from .errors import InvalidInputError, require
 from .parabolic import build_parabolic, is_right_invariant
-from .weyl import WeylGroup, generate
+from .weyl import WeylGroup, build_group
 
 Permutation = tuple[int, ...]
 
@@ -114,8 +114,7 @@ def build_symmetric(n: int, max_table_entries: int | None = None
     """Group and order for S_n (type A_{n-1}); n >= 2."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
-    rs = build_root_system(parse_type(f"A{n - 1}"))
-    g = generate(rs, max_table_entries=max_table_entries)
+    g = build_group(parse_type(f"A{n - 1}"), max_table_entries)
     return g, build_order(g)
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .bruhat import BruhatOrder, Ideal, classify, orthogonal
 from .errors import InvalidInputError, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
-from .parabolic import (ParabolicSubset, build_parabolic, is_right_invariant,
-                        quotient_ideal)
+from .parabolic import ParabolicSubset, build_parabolic, quotient_ideal
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,10 @@ def omega_betti(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> GradedRanks
     g = o.g
     if p.g is not g or ideal.g is not g:
         raise InvalidInputError("ideal, parabolic, and order must share a group")
-    if not classify(o, ideal).slim:
-        raise InvalidInputError("ideal is not slim")
     perp = orthogonal(o, ideal)
-    if not is_right_invariant(perp, p):
-        raise InvalidInputError("orthogonal ideal is not right-invariant")
+    if ideal.mask & ~perp.mask:
+        raise InvalidInputError("ideal is not slim")
+    # quotient_ideal refuses an ideal or orthogonal that is not invariant
     r_i = _length_histogram(quotient_ideal(ideal, p))
     r_p = _length_histogram(quotient_ideal(perp, p))
     n = p.max_quotient_length
@@ -105,12 +103,16 @@ def omega_betti(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> GradedRanks
 
 
 def euler_omega(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> int:
-    """Euler characteristic of the domain for balanced I: |W/W_P|."""
-    if not classify(o, ideal).balanced:
+    """Euler characteristic of the domain for balanced I: |W/W_P|.
+
+    omega_betti refuses I unless slim, and a slim I (inside I^perp, of
+    size |W| - |I|) is balanced exactly when 2|I| = |W|.
+    """
+    total = omega_betti(o, ideal, p).total
+    if 2 * ideal.size != o.g.order:
         raise InvalidInputError("ideal is not balanced")
     chi = p.n_cosets
-    require(omega_betti(o, ideal, p).total == chi,
-            "domain Betti numbers do not sum to |W/W_P|")
+    require(total == chi, "domain Betti numbers do not sum to |W/W_P|")
     return chi
 
 

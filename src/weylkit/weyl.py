@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cartan import RootSystem, component_coxeter_number
+from .cartan import (CartanType, RootSystem, build_root_system,
+                     component_coxeter_number)
 from .errors import (BudgetExceededError, InvalidInputError,
                      VerificationError, require)
 
@@ -139,6 +140,23 @@ class WeylGroup:
             raise InvalidInputError(f"element id {x} out of range")
 
 
+def check_table_budget(t: CartanType,
+                       max_table_entries: int | None = None) -> None:
+    """Refuse, from the type alone, a table larger than the entry budget."""
+    cap = DEFAULT_MAX_TABLE_ENTRIES if max_table_entries is None else max_table_entries
+    entries = t.weyl_order() * (t.n_positive + t.rank)
+    if entries > cap:
+        raise BudgetExceededError(
+            f"{t}: table needs {entries} entries > budget {cap}")
+
+
+def build_group(t: CartanType,
+                max_table_entries: int | None = None) -> WeylGroup:
+    """The group table of a type, refused before any root is built."""
+    check_table_budget(t, max_table_entries)
+    return generate(build_root_system(t), max_table_entries)
+
+
 def generate(rs: RootSystem,
              max_table_entries: int | None = None) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
@@ -147,13 +165,9 @@ def generate(rs: RootSystem,
     cross-checked against inversion counts.  Refuses to build tables
     larger than the configured entry budget.
     """
-    cap = DEFAULT_MAX_TABLE_ENTRIES if max_table_entries is None else max_table_entries
+    check_table_budget(rs.cartan_type, max_table_entries)
     order = rs.cartan_type.weyl_order()
     npos = rs.n_positive
-    entries = order * (npos + rs.rank)
-    if entries > cap:
-        raise BudgetExceededError(
-            f"{rs.cartan_type}: table needs {entries} entries > budget {cap}")
 
     root_index = {r: k for k, r in enumerate(rs.positive_roots)}
     gen_acts = []

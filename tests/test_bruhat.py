@@ -32,7 +32,8 @@ def make_order(spec, dense_limit=None):
 def test_covers_drop_length_by_one():
     for spec in ["A2", "B2", "G2", "A3", "B3"]:
         g, o = make_order(spec)
-        assert sorted(o.upper[0]) == sorted(g.generators)
+        assert [y for y in range(g.order) if 0 in o.covers[y]] == \
+            sorted(g.generators)
         for y in range(g.order):
             for x in o.covers[y]:
                 assert g.length[x] == g.length[y] - 1
@@ -168,13 +169,15 @@ def test_balanced_enumeration_is_deterministic():
 
 
 def test_right_invariant_enumeration_filters():
-    g, o = make_order("A3")
-    every = enumerate_balanced(o)
-    for theta in [(0,), (1,), (2,), (0, 2)]:
-        p = build_parabolic(g, theta)
-        got = enumerate_balanced(o, invariance=p)
-        want = [i.mask for i in every if is_right_invariant(i, p)]
-        assert sorted(i.mask for i in got) == sorted(want)
+    for spec in ["A3", "B3", "G2", "A2xA1", "B2xA1"]:
+        g, o = make_order(spec)
+        every = enumerate_balanced(o)
+        for k in range(g.rank + 1):
+            for theta in itertools.combinations(range(g.rank), k):
+                p = build_parabolic(g, theta)
+                got = enumerate_balanced(o, invariance=p)
+                want = [i.mask for i in every if is_right_invariant(i, p)]
+                assert sorted(i.mask for i in got) == sorted(want)
 
 
 def test_certification_rejects_each_broken_property():

@@ -1,7 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
+from weylkit import bruhat, cartan, cli, families, weyl
 from weylkit.cli import main
 
 
@@ -158,10 +162,25 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         assert err.startswith("error:"), (argv, err)
 
 
-def test_budget_exit_3(capsys):
+def test_budget_exit_3(capsys, monkeypatch):
+    # every budget is checked from the type alone: nothing may be built
+    def refuse(*args, **kwargs):
+        pytest.fail("built before the budget was checked")
+
+    for mod in (cartan, weyl, bruhat, families, cli):
+        for name in ("build_root_system", "generate", "build_order"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
     for argv in [["balanced", "F4", "--max-order", "100"],
+                 ["balanced", "E6"],
+                 ["balanced", "A7"],
                  ["group", "A12"],
-                 ["group", "B13"]]:
+                 ["group", "B13"],
+                 ["group", "A80"],
+                 ["group", "D70"],
+                 ["bbw", "A80", "--weight", "1"],
+                 ["small", "A80", "--max-len", "2"],
+                 ["family", "incidence", "13"]]:
         code, out, err = run(capsys, argv)
         assert code == 3, (argv, err)
         assert "budget" in err
@@ -180,3 +199,66 @@ def test_ideal_not_invariant_is_usage_error(capsys):
                                   "family:incidence", "--domain", "1"])
     assert code == 1
     assert "invariant" in err
+
+
+# sha256 of the --json stdout of each argv, recorded with the earlier
+# implementation that stored the Bruhat order downward and upward; the
+# balanced search, topology and budget checks must keep every byte
+GOLDEN = [
+    (["balanced", "A2"],
+     "23aac8a199dd81ea31e76346c586b6d74bf0449435f82894d15be59208c97849"),
+    (["balanced", "A3"],
+     "7747327871496ef8019282c5a3b7c9356df5cd7eda40d736aa4601c9ae3b0a44"),
+    (["balanced", "A4"],
+     "aceb798bca2eb07ac0f04c0722cf519e9fa535a02b90bf15fe89a1ab3e2a24bb"),
+    (["balanced", "B2xA2"],
+     "743ccf3f77b08f6d3a2a7af947e0504f54a67d12b5e5d9df76eecc3ab3b3c145"),
+    (["balanced", "D4", "--right-invariant", "1"],
+     "9f9882de708eac33d7bbc80a758dc118bc68084f26bf71e00abfbf93a28be31a"),
+    (["balanced", "B4", "--right-invariant", "1,2"],
+     "1edc83658dfab7554de962120636a97e9decaed1c6c09d597e2c0f9cab2b65ce"),
+    (["balanced", "C4", "--right-invariant", "1,2"],
+     "8e05181da0aaa6b1baa577daf77af2bce293148360f755ec331f9443e69363e7"),
+    (["balanced", "A5", "--right-invariant", "1,2,3"],
+     "f2c93b73f3a4969ad9f77a303ffeff2c5fc1d6eecc736fd68ffbba2332e4244e"),
+    (["balanced", "A6", "--right-invariant", "1,2,3,4,5",
+      "--max-order", "5040"],
+     "2fef85c12bbfc96b437177d062653513b732f846e8b6fdc41093a5e201f026d3"),
+    (["balanced", "F4", "--right-invariant", "1,2,3", "--max-order", "1152"],
+     "a7d2ac87e6cdac2d5392415f68d9092824326c1542717cb5ec59bfd35d7bd373"),
+    (["betti", "A2", "--ideal", "family:lower-half", "--domain", ""],
+     "9ad3a398400599e05879217c0f3068382d07c7328aaf1a239b02e98aa7529fcd"),
+    (["betti", "A3", "--ideal", "family:principal-2n",
+      "--domain", "", "--genus", "3"],
+     "0f2084ee92e4454facf804ec760e4041ca504b24b4b6e153aa22f2e44d6825b5"),
+    (["betti", "A3", "--ideal", "family:incidence", "--domain", "2"],
+     "2c2a5e2062ee888a2acf10bfcafb6dacb2913be04dde1b0f237f7ee5b2840b41"),
+    (["betti", "A4", "--ideal", "family:incidence",
+      "--domain", "2,3", "--genus", "2"],
+     "40632fdccd4a3df74b92baff1e424e89e3fe32076d55d15d33aeda44a9a93537"),
+    (["hausdorff", "A2", "--ideal", "family:lower-half",
+      "--domain", "", "--curve-dim", "0.25"],
+     "a5b87d42a7a7ecc3feea4cc22cf82e548fa21c9d131c0e8aecf4b99cbbc00de9"),
+    (["hausdorff", "A3", "--ideal", "family:principal-2n",
+      "--domain", "", "--curve-dim", "1.0"],
+     "204260678f45c67f1e4a08a30f14a06c5a6f4d0daa93748b1e6d46b2fcbebf92"),
+    (["hausdorff", "A3", "--ideal", "family:incidence",
+      "--domain", "2", "--curve-dim", "2.0"],
+     "0167f4eac4eb970540904c6c32f8f5f96274b3fb7d482c0f404f8977cb8508f0"),
+    (["hausdorff", "A4", "--ideal", "family:incidence",
+      "--domain", "2,3", "--curve-dim", "1.5"],
+     "3755d25654d70136bcbbd9594d9e56f13435629397606d52ba9c5afb25d958d4"),
+    (["family", "incidence", "5", "--verify"],
+     "5d2e8346eb124e2ffae343a3ac2a80df6532ba8bf60f9fee67c714d0060348e3"),
+    (["small", "B5", "--max-len", "2"],
+     "9dea14d541f4984efa868d6eaa7bd766de60a325e93f01ef5a256cab91fb6b28"),
+    (["distinct", "1"],
+     "77f7711adf9a24d72769161b0dcbc92bc4add701c640d71478054b0b561c83d7"),
+]
+
+
+def test_json_output_matches_golden_hashes(capsys):
+    for argv, digest in GOLDEN:
+        code, out, err = run(capsys, argv + ["--json"])
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
