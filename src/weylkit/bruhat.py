@@ -1,7 +1,9 @@
 """Chevalley-Bruhat order, ideals, and balanced-ideal enumeration.
 
-Covering relations come from reflections: x is covered by y when x = yt
-for a reflection t and l(x) = l(y) - 1.  The order is stored once, as
+Covering relations come from the BFS tree of the group table: with
+y = p s for p its BFS parent, the covers of y are p and the lifts z s of
+the covers z of p that s lengthens (the lifting property), so each cover
+costs one table lookup.  The order is stored once, as
 dense per-element bitmasks (Python ints) built by rank propagation:
 down[y] collects everything reachable downward from y.  Nothing is kept
 upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x].
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .cartan import CartanType, RootSystem, component_coxeter_number
 from .errors import BudgetExceededError, InvalidInputError, require
-from .weyl import Word, WeylGroup, _compose, build_group
+from .weyl import Word, WeylGroup, build_group
 
 DENSE_LIMIT_DEFAULT = 50000
 ENUM_BUDGET_DEFAULT = 1152
@@ -44,6 +46,19 @@ def check_enumeration_budget(order: int, max_order: int | None = None) -> None:
             f"|W| = {order} exceeds enumeration budget {budget}")
 
 
+def check_dense_masks(order: int, has_masks: bool | None = None) -> None:
+    """Refuse enumeration without the dense order masks.
+
+    has_masks says whether a built order has them.  Left out, it is
+    decided from |W| as build_order decides at its default dense limit,
+    so a caller can refuse from the type before building anything.
+    """
+    if has_masks is None:
+        has_masks = order <= DENSE_LIMIT_DEFAULT
+    if not has_masks:
+        raise InvalidInputError("enumeration needs the dense order masks")
+
+
 @dataclass
 class BruhatOrder:
     g: WeylGroup
@@ -61,7 +76,24 @@ class BruhatOrder:
 
 
 def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatOrder:
-    """Covers from reflections, then reachability masks by rank propagation."""
+    """Covers by descent recursion, then reachability masks by rank propagation.
+
+    Let y = p s with p = bfs_parent[y] and s = bfs_letter[y], so s is a
+    right descent of y.  Then
+
+        covers(y) = {p} | {z s : z in covers(p), l(z s) > l(z)}.
+
+    Lifting (Bjorner-Brenti, Prop. 2.2.7): if u < w and s is a right
+    descent of w but not of u, then u s <= w and u <= w s.  Take x
+    covered by y with x != p.  If s were not a descent of x, lifting
+    would give x <= p, and l(x) = l(p) would force x = p; so s is a
+    descent of x, and lifting applied to x s < y gives x s <= p with
+    l(x s) = l(p) - 1: x = z s for a cover z of p with l(z s) > l(z).
+    Conversely, for z covered by p with l(z s) > l(z), lifting applied
+    to z < y gives z s <= y with l(z s) = l(y) - 1.  The map z -> z s is
+    injective and never gives p, so the union has no repeats.  Parents
+    have smaller ids, so the lists are built in id order.
+    """
     reflections = _reflection_elements(g)
     root_of = {}
     for t in reflections:
@@ -72,25 +104,23 @@ def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatO
     require(len(root_of) == g.n_positive,
             "reflections and positive roots do not match one to one")
     refl_by_root = [root_of[j] for j in range(g.n_positive)]
-    refl_acts = [g.acts[t] for t in refl_by_root]
 
-    covers: list[list[int]] = [[] for _ in range(g.order)]
-    for y in range(g.order):
-        ay = g.acts[y]
-        ly = g.length[y]
-        found = []
-        for j in range(g.n_positive):
-            if ay[j] < 0:  # l(y t_j) < l(y)
-                z = g.id_of_act(_compose(ay, refl_acts[j]))
-                if g.length[z] == ly - 1:
-                    found.append(z)
+    rmult, length = g.rmult, g.length
+    covers: list[list[int]] = [[]]
+    for p, s in zip(g.bfs_parent[1:], g.bfs_letter[1:]):
+        found = [p]
+        for z in covers[p]:
+            zs = rmult[z][s]
+            if length[zs] > length[z]:
+                found.append(zs)
         found.sort()
-        covers[y] = found
+        covers.append(found)
 
     down = None
     if g.order <= dense_limit:
+        # covers are one shorter, and BFS ids never decrease in length
         down = [0] * g.order
-        for y in sorted(range(g.order), key=lambda x: (g.length[x], x)):
+        for y in range(g.order):
             m = 1 << y
             for z in covers[y]:
                 m |= down[z]
@@ -136,8 +166,8 @@ def _leq_lifting(o: BruhatOrder, x: int, y: int) -> bool:
     cached = o._leq_memo.get(key)
     if cached is not None:
         return cached
-    s = min(g.right_descents(y))
-    ys = g.rmult[y][s]
+    # any right descent of y works; the BFS letter is one, found by lookup
+    ys, s = g.bfs_parent[y], g.bfs_letter[y]
     xs = g.rmult[x][s]
     if g.length[xs] < g.length[x]:
         res = _leq_lifting(o, xs, ys)
@@ -182,11 +212,12 @@ class Ideal:
         return bool(self.mask >> x & 1)
 
     def members(self) -> list[int]:
-        m, out = self.mask, []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
+        """Member ids in ascending order, by a C-level scan of the bits."""
+        bits, out = bin(self.mask)[:1:-1], []   # bits[i] is bit i
+        i = bits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = bits.find("1", i + 1)
         return out
 
 
@@ -366,8 +397,7 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     """
     g = o.g
     check_enumeration_budget(g.order, max_order)
-    if o.down is None:
-        raise InvalidInputError("enumeration needs the dense order masks")
+    check_dense_masks(g.order, o.down is not None)
 
     coset_masks = None
     if invariance is not None:

@@ -136,8 +136,9 @@ def _cmd_group(args, t0):
 
 
 def _cmd_balanced(args, t0):
-    bruhat.check_enumeration_budget(parse_type(args.type).weyl_order(),
-                                    args.max_order)
+    order = parse_type(args.type).weyl_order()
+    bruhat.check_enumeration_budget(order, args.max_order)
+    bruhat.check_dense_masks(order)
     g, o = _build(args.type)
     inputs = {"type": args.type, "right_invariant": args.right_invariant,
               "max_order": args.max_order}

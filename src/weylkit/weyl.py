@@ -9,12 +9,15 @@ The table is built breadth-first from the identity over right
 multiplication by the simple reflections, so an element's BFS depth is
 its length; the build cross-checks that against the root-inversion count.
 Only the generator-multiplication columns are cached (memory |W| x rank);
-general products are composed letter by letter.
+general products are composed letter by letter.  The build composes
+actions only at C level (one ``itemgetter`` call per table entry); the
+inverses and the w0 table are walks through those columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter, neg
 
 from .cartan import (CartanType, RootSystem, build_root_system,
                      component_coxeter_number)
@@ -25,17 +28,6 @@ Word = tuple[int, ...]
 
 # the table design is memory-bound: |W| * (|Sigma^+| + rank) small ints
 DEFAULT_MAX_TABLE_ENTRIES = 10**7
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Action of the product: apply b to each root, then a."""
-    out = []
-    for v in b:
-        if v > 0:
-            out.append(a[v - 1])
-        else:
-            out.append(-a[-v - 1])
-    return tuple(out)
 
 
 @dataclass
@@ -49,7 +41,6 @@ class WeylGroup:
     generators: list[int]           # ids of the simple reflections
     inverse: list[int]
     w0: int
-    _id_of: dict[tuple[int, ...], int]
     _w0_left: list[int] | None = None
     _words: dict[int, Word] = field(default_factory=dict)
 
@@ -66,9 +57,6 @@ class WeylGroup:
         return self.rs.n_positive
 
     # -- products ----------------------------------------------------------
-
-    def id_of_act(self, act: tuple[int, ...]) -> int:
-        return self._id_of[act]
 
     def bfs_word(self, x: int) -> Word:
         """Some reduced word for x (the BFS discovery word)."""
@@ -99,10 +87,17 @@ class WeylGroup:
         return cur
 
     def w0_left(self, x: int) -> int:
-        """w0 * x, from a lazily built table."""
+        """w0 * x, from a lazily built table.
+
+        With x = p s for p its BFS parent, w0 x = (w0 p) s: one lookup
+        per element, parents first.
+        """
         if self._w0_left is None:
-            w0_act = self.acts[self.w0]
-            self._w0_left = [self._id_of[_compose(w0_act, a)] for a in self.acts]
+            table = [self.w0]
+            for y in range(1, self.order):
+                table.append(
+                    self.rmult[table[self.bfs_parent[y]]][self.bfs_letter[y]])
+            self._w0_left = table
         return self._w0_left[x]
 
     # -- descents and words -------------------------------------------------
@@ -178,9 +173,15 @@ def generate(rs: RootSystem,
             if img in root_index:
                 act.append(root_index[img] + 1)
             else:
-                neg = tuple(-c for c in img)
-                act.append(-(root_index[neg] + 1))
+                opposite = tuple(-c for c in img)
+                act.append(-(root_index[opposite] + 1))
         gen_acts.append(tuple(act))
+
+    # ext = (0,) + ax + (-ax reversed) has ext[v] = +-ax[|v| - 1] for
+    # v = +-(k + 1), so reading a generator's action as indices into ext
+    # gives the action of x s_i; a one-index itemgetter returns a scalar
+    getters = [itemgetter(*a) if npos > 1 else lambda e, k=a[0]: (e[k],)
+               for a in gen_acts]
 
     ident = tuple(range(1, npos + 1))
     acts = [ident]
@@ -192,9 +193,10 @@ def generate(rs: RootSystem,
 
     # acts grows while it is read: breadth-first, rows complete in order
     for x, ax in enumerate(acts):
+        ext = (0,) + ax + tuple(map(neg, reversed(ax)))
         row = []
-        for i in range(rs.rank):
-            t = _compose(ax, gen_acts[i])
+        for i, get in enumerate(getters):
+            t = get(ext)
             y = id_of.get(t)
             if y is None:
                 y = len(acts)
@@ -212,15 +214,17 @@ def generate(rs: RootSystem,
         require(sum(1 for v in a if v < 0) == length[x],
                 "BFS depth differs from the inversion count")
 
+    # x = s_1 ... s_k along its BFS word, so x^-1 = s_k ... s_1: read the
+    # letters back up the parent chain, multiplying on the right
     inverse = []
-    for a in acts:
-        ia = [0] * npos
-        for j, v in enumerate(a):
-            if v > 0:
-                ia[v - 1] = j + 1
-            else:
-                ia[-v - 1] = -(j + 1)
-        inverse.append(id_of[tuple(ia)])
+    for x in range(len(acts)):
+        cur = 0
+        while x:
+            cur = rmult[cur][letter[x]]
+            x = parent[x]
+        inverse.append(cur)
+    require(all(inverse[y] == x for x, y in enumerate(inverse)),
+            "inverse is not an involution")
 
     maxlen = max(length)
     longest = [x for x in range(len(acts)) if length[x] == maxlen]
@@ -237,7 +241,6 @@ def generate(rs: RootSystem,
         generators=[id_of[g] for g in gen_acts],
         inverse=inverse,
         w0=longest[0],
-        _id_of=id_of,
     )
 
 

@@ -41,6 +41,52 @@ def test_covers_drop_length_by_one():
         assert o.down[g.w0] == o.full_mask
 
 
+def reflection_covers(g, o):
+    """Covers by composing signed actions: for each positive root j that
+    y sends negative, y t_j is covered by y when it is one shorter."""
+    id_of = {a: x for x, a in enumerate(g.acts)}
+    refl_acts = [g.acts[t] for t in o.reflections]
+    covers = []
+    for y, ay in enumerate(g.acts):
+        found = []
+        for j, v in enumerate(ay):
+            if v < 0:
+                yt = tuple(ay[w - 1] if w > 0 else -ay[-w - 1]
+                           for w in refl_acts[j])
+                if g.length[id_of[yt]] == g.length[y] - 1:
+                    found.append(id_of[yt])
+        covers.append(sorted(found))
+    return covers
+
+
+COVER_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2",
+               "F4", "A1xA1", "A2xA1", "B2xA2", "D5"]
+
+
+def test_descent_recursion_covers_match_reflection_covers():
+    for spec in COVER_TYPES:
+        g = generate(build_root_system(parse_type(spec)))
+        for limit in (bruhat.DENSE_LIMIT_DEFAULT, 0):
+            o = build_order(g, dense_limit=limit)
+            assert o.covers == reflection_covers(g, o), (spec, limit)
+
+
+def test_members_match_bit_loop():
+    def bit_loop(m):
+        out = []
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return out
+
+    g = generate(build_root_system(parse_type("A1")))
+    for bits in (1, 2, 5, 64, 65, 1000, 5040):
+        for density in (0.0, 0.01, 0.5, 1.0):
+            mask = sum(1 << i for i in range(bits) if rng.random() < density)
+            assert bruhat.Ideal(g, mask).members() == bit_loop(mask)
+
+
 def test_leq_is_a_partial_order_graded_by_length():
     g, o = make_order("A3")
     for x in range(g.order):

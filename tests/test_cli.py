@@ -186,6 +186,21 @@ def test_budget_exit_3(capsys, monkeypatch):
         assert "budget" in err
 
 
+def test_balanced_refuses_without_dense_masks_before_building(
+        capsys, monkeypatch):
+    # |W(E6)| = 51840 is above the dense limit: refused from the type
+    def refuse(*args, **kwargs):
+        pytest.fail("built before the dense limit was checked")
+
+    for mod in (cartan, weyl, bruhat, cli):
+        for name in ("build_root_system", "generate", "build_order"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    code, out, err = run(capsys, ["balanced", "E6", "--max-order", "51840"])
+    assert code == 1, err
+    assert "dense order masks" in err
+
+
 def test_console_script_byte_identical():
     cmd = [sys.executable, "-m", "weylkit.cli", "balanced", "B2", "--json"]
     a = subprocess.run(cmd, capture_output=True)

@@ -88,6 +88,22 @@ def test_w0_left_reverses_length():
             assert left_w0_length(g, x) == g.n_positive - g.length[x]
 
 
+def test_inverse_and_w0_left_match_signed_actions():
+    for spec in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2",
+                 "F4", "A1xA1", "A2xA1", "B2xA2", "D5"]:
+        g = grp(spec)
+        id_of = {a: x for x, a in enumerate(g.acts)}
+        w0_act = g.acts[g.w0]
+        for x, a in enumerate(g.acts):
+            inv = [0] * g.n_positive
+            for j, v in enumerate(a):
+                inv[abs(v) - 1] = j + 1 if v > 0 else -(j + 1)
+            assert g.inverse[x] == id_of[tuple(inv)]
+            w0x = tuple(w0_act[v - 1] if v > 0 else -w0_act[-v - 1]
+                        for v in a)
+            assert g.w0_left(x) == id_of[w0x]
+
+
 def test_default_bipartition_is_proper():
     for spec in ["A4", "B4", "D4", "F4", "A1xB2"]:
         rs = build_root_system(parse_type(spec))
