@@ -7,8 +7,9 @@ costs one table lookup.  The order is stored once, as
 dense per-element bitmasks (Python ints) built by rank propagation:
 down[y] collects everything reachable downward from y.  Nothing is kept
 upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x].
-Above the dense size limit the masks are skipped and comparisons fall
-back to a memoized recursion on the lifting property.
+Above the dense size limit the masks are skipped and a comparison is a
+walk down y's BFS chain (lifting property), at most l(y) steps and no
+state.
 
 An ideal is a downward-closed subset, stored as a membership bitmask.
 The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
@@ -21,7 +22,7 @@ and propagated through down and w0 alone; each result is certified once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cartan import CartanType, RootSystem, component_coxeter_number
 from .errors import BudgetExceededError, InvalidInputError, require
@@ -65,7 +66,6 @@ class BruhatOrder:
     reflections: list[int]            # element ids, indexed by positive root
     covers: list[list[int]]           # covers[y] = ids covered by y
     down: list[int] | None            # down[y] = bitmask of {x : x <= y}
-    _leq_memo: dict[tuple[int, int], bool] = field(default_factory=dict)
     # no upward masks: {y : y >= x} is w0 down[w0 x].  Kept as None for
     # perfbench/tracing.py, which adds up the bytes of down and up.
     up = None
@@ -118,7 +118,7 @@ def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatO
 
     down = None
     if g.order <= dense_limit:
-        # covers are one shorter, and BFS ids never decrease in length
+        # covers are one shorter, so they have smaller ids
         down = [0] * g.order
         for y in range(g.order):
             m = 1 << y
@@ -152,29 +152,27 @@ def leq(o: BruhatOrder, x: int, y: int) -> bool:
     g._check_id(y)
     if o.down is not None:
         return bool(o.down[y] >> x & 1)
-    return _leq_lifting(o, x, y)
+    return _leq_walk(g, x, y)
 
 
-def _leq_lifting(o: BruhatOrder, x: int, y: int) -> bool:
-    """Memoized recursion on the lifting property (mask-free fallback)."""
-    g = o.g
-    if x == y:
-        return True
-    if g.length[x] >= g.length[y]:
-        return False
-    key = (x, y)
-    cached = o._leq_memo.get(key)
-    if cached is not None:
-        return cached
-    # any right descent of y works; the BFS letter is one, found by lookup
-    ys, s = g.bfs_parent[y], g.bfs_letter[y]
-    xs = g.rmult[x][s]
-    if g.length[xs] < g.length[x]:
-        res = _leq_lifting(o, xs, ys)
-    else:
-        res = _leq_lifting(o, x, ys)
-    o._leq_memo[key] = res
-    return res
+def _leq_walk(g: WeylGroup, x: int, y: int) -> bool:
+    """x <= y by walking y down its BFS chain (mask-free fallback).
+
+    Write y = p s with p = bfs_parent[y] and s = bfs_letter[y], a right
+    descent of y.  By lifting (Bjorner-Brenti, Prop. 2.2.7), if s is a
+    descent of x then x <= y iff x s <= p, and otherwise x <= y iff
+    x <= p.  Each step shortens y, so the walk takes at most l(y) steps.
+    """
+    length, parent, letter, rmult = (g.length, g.bfs_parent, g.bfs_letter,
+                                     g.rmult)
+    while x != y:
+        if length[x] >= length[y]:
+            return False
+        xs = rmult[x][letter[y]]
+        if length[xs] < length[x]:
+            x = xs
+        y = parent[y]
+    return True
 
 
 def subword_ideal_mask(o: BruhatOrder, y: int) -> int:
@@ -269,12 +267,11 @@ def ideal_from_elements(o: BruhatOrder, xs) -> Ideal:
 
 
 def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
-    """Maximal elements of the ideal, sorted by (length, id)."""
+    """Maximal elements of the ideal, sorted by id, so by (length, id)."""
     below = _covered(o, ideal.members())
     if below & ~ideal.mask:
         raise InvalidInputError("not an ideal")
-    return sorted(_maximal(o, ideal.mask, below),
-                  key=lambda x: (o.g.length[x], x))
+    return _maximal(o, ideal.mask, below)
 
 
 def orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal:
@@ -335,16 +332,17 @@ def short_small_expected(rs: RootSystem, max_length: int) -> bool:
 
 
 def verify_short_small(t: CartanType, max_length: int) -> ShortSmallReport:
-    """Check smallness of every element of length <= max_length."""
+    """Check smallness of every element of length <= max_length.
+
+    Needs only the group table: each x is compared with w0 x by the
+    mask-free walk.  Witnesses come in id order, that is (length, id).
+    """
     if max_length not in (1, 2):
         raise InvalidInputError("max_length must be 1 or 2")
     g = build_group(t)
-    o = build_order(g)
-    witnesses = []
-    for x in range(g.order):
-        if 0 < g.length[x] <= max_length and not is_small(o, x):
-            witnesses.append(x)
-    witnesses.sort(key=lambda x: (g.length[x], x))
+    witnesses = [x for x in range(g.order)
+                 if 0 < g.length[x] <= max_length
+                 and not _leq_walk(g, x, g.w0_left(x))]
     return ShortSmallReport(
         cartan_type=t,
         max_length=max_length,
@@ -413,11 +411,8 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     if seeded is None:
         return []
 
-    def length_id(v):
-        return g.length[v], v
     # the member of each pair {x, w0 x} that comes first by (length, id)
-    pairs = sorted((x for x in range(g.order)
-                    if length_id(x) < length_id(g.w0_left(x))), key=length_id)
+    pairs = [x for x in range(g.order) if x < g.w0_left(x)]
 
     results = []
     stack = [(seeded[0], seeded[1], 0)]

@@ -81,8 +81,7 @@ def perm_table(g: WeylGroup) -> list[Permutation]:
     n = symmetric_n(g)
     table: list[Permutation] = [()] * g.order
     table[0] = tuple(range(1, n + 1))
-    by_len = sorted(range(g.order), key=lambda x: (g.length[x], x))
-    for x in by_len[1:]:
+    for x in range(1, g.order):         # parents have smaller ids
         p = list(table[g.bfs_parent[x]])
         i = g.bfs_letter[x]
         p[i], p[i + 1] = p[i + 1], p[i]
@@ -109,12 +108,11 @@ def perm_to_element(g: WeylGroup, p: Permutation) -> int:
     return x
 
 
-def build_symmetric(n: int, max_table_entries: int | None = None
-                    ) -> tuple[WeylGroup, BruhatOrder]:
+def build_symmetric(n: int) -> tuple[WeylGroup, BruhatOrder]:
     """Group and order for S_n (type A_{n-1}); n >= 2."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
-    g = build_group(parse_type(f"A{n - 1}"), max_table_entries)
+    g = build_group(parse_type(f"A{n - 1}"))
     return g, build_order(g)
 
 

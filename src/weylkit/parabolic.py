@@ -22,7 +22,7 @@ class ParabolicSubset:
     theta: tuple[int, ...]            # generator indices of W_P, sorted
     subgroup: list[int]               # element ids of W_P, sorted
     subgroup_mask: int
-    min_reps: list[int]               # W^P, sorted by (length, id)
+    min_reps: list[int]               # W^P, sorted by id, so by (length, id)
     coset_of: list[int]               # element id -> its representative id
 
     @property
@@ -35,7 +35,7 @@ class ParabolicSubset:
 
     @property
     def longest_subgroup_element(self) -> int:
-        return max(self.subgroup, key=lambda x: self.g.length[x])
+        return self.subgroup[-1]
 
     @property
     def max_quotient_length(self) -> int:
@@ -85,8 +85,7 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
         require(mask >> u & 1 and g.length[x] == g.length[y] + g.length[u],
                 "x = rep * u is not a length-additive factorization into W_P")
 
-    min_reps = sorted({coset_of[x] for x in range(g.order)},
-                      key=lambda x: (g.length[x], x))
+    min_reps = sorted(set(coset_of))
     require(len(min_reps) * len(subgroup) == g.order,
             "coset count times |W_P| differs from |W|")
     return ParabolicSubset(g=g, theta=theta, subgroup=subgroup,

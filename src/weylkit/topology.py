@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bruhat import BruhatOrder, Ideal, classify, orthogonal
-from .errors import InvalidInputError, require
+from .errors import BudgetExceededError, InvalidInputError, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
 from .parabolic import ParabolicSubset, build_parabolic, quotient_ideal
 
@@ -204,10 +204,25 @@ def _times_t2_integer(a: list[int], i: int) -> list[int]:
     return out
 
 
+# the degree of flag_poincare(200)
+POINCARE_MAX_DEGREE = 200 * 199
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a closed form above POINCARE_MAX_DEGREE before building it."""
+    if degree > POINCARE_MAX_DEGREE:
+        raise BudgetExceededError(f"Poincare polynomial of degree {degree} "
+                                  f"exceeds budget {POINCARE_MAX_DEGREE}")
+
+
 def flag_poincare(m: int) -> GradedRanks:
-    """Poincare polynomial of the full flag variety of C^m: [2][3]...[m]."""
+    """Poincare polynomial of the full flag variety of C^m: [2][3]...[m].
+
+    Its degree is m(m-1).
+    """
     if m < 1:
         raise InvalidInputError("need m >= 1")
+    _check_degree(m * (m - 1))
     poly = [1]
     for i in range(2, m + 1):
         poly = _times_t2_integer(poly, i)
@@ -217,10 +232,11 @@ def flag_poincare(m: int) -> GradedRanks:
 def omega2n_closed_form(n: int) -> GradedRanks:
     """Closed-form Poincare polynomial of the principal-family domain.
 
-    (1 + t^(2n-2)) [n] [2][3]...[2n-1].
+    (1 + t^(2n-2)) [n] [2][3]...[2n-1], of degree (2n-2)(2n+1).
     """
     if n < 1:
         raise InvalidInputError("need n >= 1")
+    _check_degree((2 * n - 2) * (2 * n + 1))
     poly = [1] + [0] * (2 * n - 3) + [1] if n > 1 else [2]  # 1 + t^(2n-2)
     poly = _times_t2_integer(poly, n)
     for k in range(2, 2 * n):
@@ -260,9 +276,7 @@ class DistinctionReport:
         }
 
 
-def homotopy_distinction(j: int, verify: bool = True,
-                         max_table_entries: int | None = None
-                         ) -> DistinctionReport:
+def homotopy_distinction(j: int, verify: bool = True) -> DistinctionReport:
     """Compare middle Betti numbers of the two domains over S_2(2j+1).
 
     The lower-half and principal-family domains differ in b_2k where
@@ -272,7 +286,7 @@ def homotopy_distinction(j: int, verify: bool = True,
     if j < 1:
         raise InvalidInputError("need j >= 1")
     n = 2 * j + 1
-    g, o = build_symmetric(2 * n, max_table_entries=max_table_entries)
+    g, o = build_symmetric(2 * n)
     require(g.n_positive % 2 == 1, "l(w0) of S_2n is even")
     k = (g.n_positive - 1) // 2
     p = build_parabolic(g, ())

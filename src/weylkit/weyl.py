@@ -21,8 +21,7 @@ from operator import itemgetter, neg
 
 from .cartan import (CartanType, RootSystem, build_root_system,
                      component_coxeter_number)
-from .errors import (BudgetExceededError, InvalidInputError,
-                     VerificationError, require)
+from .errors import BudgetExceededError, InvalidInputError, require
 
 Word = tuple[int, ...]
 
@@ -135,32 +134,29 @@ class WeylGroup:
             raise InvalidInputError(f"element id {x} out of range")
 
 
-def check_table_budget(t: CartanType,
-                       max_table_entries: int | None = None) -> None:
+def check_table_budget(t: CartanType) -> None:
     """Refuse, from the type alone, a table larger than the entry budget."""
-    cap = DEFAULT_MAX_TABLE_ENTRIES if max_table_entries is None else max_table_entries
     entries = t.weyl_order() * (t.n_positive + t.rank)
-    if entries > cap:
-        raise BudgetExceededError(
-            f"{t}: table needs {entries} entries > budget {cap}")
+    if entries > DEFAULT_MAX_TABLE_ENTRIES:
+        raise BudgetExceededError(f"{t}: table needs {entries} entries > "
+                                  f"budget {DEFAULT_MAX_TABLE_ENTRIES}")
 
 
-def build_group(t: CartanType,
-                max_table_entries: int | None = None) -> WeylGroup:
+def build_group(t: CartanType) -> WeylGroup:
     """The group table of a type, refused before any root is built."""
-    check_table_budget(t, max_table_entries)
-    return generate(build_root_system(t), max_table_entries)
+    check_table_budget(t)
+    return generate(build_root_system(t))
 
 
-def generate(rs: RootSystem,
-             max_table_entries: int | None = None) -> WeylGroup:
+def generate(rs: RootSystem) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
 
     Element identity is the signed root action; lengths are BFS depths,
-    cross-checked against inversion counts.  Refuses to build tables
-    larger than the configured entry budget.
+    cross-checked against inversion counts.  Element ids are BFS
+    discovery order, hence never decrease in length: sorting ids sorts
+    by (length, id).  Refuses tables larger than the entry budget.
     """
-    check_table_budget(rs.cartan_type, max_table_entries)
+    check_table_budget(rs.cartan_type)
     order = rs.cartan_type.weyl_order()
     npos = rs.n_positive
 
@@ -244,14 +240,6 @@ def generate(rs: RootSystem,
     )
 
 
-def left_w0_length(g: WeylGroup, x: int) -> int:
-    """l(w0 x), checked equal to l(w0) - l(x)."""
-    g._check_id(x)
-    val = g.length[g.w0_left(x)]
-    require(val == g.length[g.w0] - g.length[x], "l(w0 x) != l(w0) - l(x)")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Bourbaki bipartite word for w0
 
@@ -311,37 +299,3 @@ def bipartite_w0_word(g: WeylGroup,
     require(len(result) == g.n_positive and g.word_to_id(result) == g.w0,
             "bipartite word is not a reduced word for w0")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Exchange/deletion
-
-def exchange_deletion(g: WeylGroup, word: Word, s: int) -> tuple[int, int]:
-    """Given a reduced word for x and a right descent s, delete one letter.
-
-    Returns (k, q) with k the 1-based position whose deletion yields a
-    word for xs, and q the element with ``q s q^{-1}`` equal to the
-    deleted simple reflection (q is the suffix after position k); the
-    conjugacy is verified before returning.
-    """
-    if any(not 0 <= i < g.rank for i in word):
-        raise InvalidInputError("word letters out of range")
-    if not 0 <= s < g.rank:
-        raise InvalidInputError("generator index out of range")
-    x = g.word_to_id(word)
-    if g.length[x] != len(word):
-        raise InvalidInputError("word is not reduced")
-    xs = g.rmult[x][s]
-    if g.length[xs] != g.length[x] - 1:
-        raise InvalidInputError("s is not a right descent of the word's product")
-
-    for k in range(len(word)):
-        shorter = word[:k] + word[k + 1:]
-        if g.word_to_id(shorter) == xs:
-            q = g.word_to_id(word[k + 1:])
-            s_elem = g.generators[s]
-            deleted = g.generators[word[k]]
-            conj = g.multiply(g.multiply(q, s_elem), g.inverse[q])
-            require(conj == deleted, "deleted letter not conjugate via the suffix")
-            return k + 1, q
-    raise VerificationError("exchange property failed to produce a deletion")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -71,6 +72,32 @@ def test_descent_recursion_covers_match_reflection_covers():
             assert o.covers == reflection_covers(g, o), (spec, limit)
 
 
+def test_ids_are_the_length_id_order():
+    def by_length_id(g, xs):
+        return sorted(xs, key=lambda x: (g.length[x], x))
+
+    for spec in COVER_TYPES:
+        t = parse_type(spec)
+        g, o = make_order(spec)
+        assert all(a <= b for a, b in zip(g.length, g.length[1:])), spec
+        for _ in range(5):
+            ideal = ideal_from_elements(
+                o, [rng.randrange(g.order) for _ in range(3)])
+            gens = minimal_generators(o, ideal)
+            assert gens == by_length_id(g, gens), spec
+        for theta in [(), (0,), tuple(range(1, g.rank)),
+                      tuple(range(0, g.rank, 2)), tuple(range(g.rank))]:
+            p = build_parabolic(g, theta)
+            assert p.min_reps == by_length_id(g, set(p.coset_of)), spec
+            assert p.longest_subgroup_element == \
+                by_length_id(g, p.subgroup)[-1], spec
+        for max_len in (1, 2):
+            short = [x for x in range(g.order) if 0 < g.length[x] <= max_len
+                     and not is_small(o, x)]
+            assert verify_short_small(t, max_len).witnesses == tuple(
+                g.reduced_word(x) for x in by_length_id(g, short)), spec
+
+
 def test_members_match_bit_loop():
     def bit_loop(m):
         out = []
@@ -111,13 +138,20 @@ def test_down_masks_match_subword_criterion():
 
 
 def test_lifting_recursion_matches_masks():
-    for spec in ["A3", "B3"]:
+    for spec, n_pairs in [("A3", None), ("B3", None), ("G2", None),
+                          ("A2xA1", None), ("D4", 2000), ("F4", 2000)]:
         g, o = make_order(spec)
         g2, o2 = make_order(spec, dense_limit=0)
         assert o2.down is None
-        for _ in range(300):
-            x, y = rng.randrange(g.order), rng.randrange(g.order)
-            assert leq(o2, x, y) == bool(o.down[y] >> x & 1)
+        if n_pairs is None:
+            pairs = itertools.product(range(g.order), repeat=2)
+        else:
+            pairs = [(rng.randrange(g.order), rng.randrange(g.order))
+                     for _ in range(n_pairs)]
+        state = {k: copy.copy(v) for k, v in vars(o2).items()}
+        for x, y in pairs:
+            assert leq(o2, x, y) == bool(o.down[y] >> x & 1), (spec, x, y)
+        assert vars(o2) == state, spec   # the walk keeps no state
 
 
 def test_reflection_inventory():
@@ -338,6 +372,24 @@ def test_short_small_prediction_matches_scan():
         for max_len in (1, 2):
             rep = verify_short_small(parse_type(spec), max_len)
             assert rep.all_small == rep.expected_all_small
+
+
+def test_short_small_needs_no_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("verify_short_small built an order")
+
+    monkeypatch.setattr(bruhat, "build_order", refuse)
+    expected = {                  # the reports of the order-based check
+        ("B3", 1): (True, ()), ("B3", 2): (True, ()),
+        ("D4", 1): (True, ()), ("D4", 2): (True, ()),
+        ("A2xA1", 1): (False, ((2,),)),
+        ("A2xA1", 2): (False, ((2,), (0, 1), (0, 2), (1, 0), (1, 2))),
+    }
+    for (spec, max_len), (all_small, witnesses) in expected.items():
+        t = parse_type(spec)
+        assert verify_short_small(t, max_len) == bruhat.ShortSmallReport(
+            cartan_type=t, max_length=max_len, all_small=all_small,
+            witnesses=witnesses, expected_all_small=all_small)
 
 
 def test_short_small_rejects_bad_length():

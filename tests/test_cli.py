@@ -180,7 +180,10 @@ def test_budget_exit_3(capsys, monkeypatch):
                  ["group", "D70"],
                  ["bbw", "A80", "--weight", "1"],
                  ["small", "A80", "--max-len", "2"],
-                 ["family", "incidence", "13"]]:
+                 ["family", "incidence", "13"],
+                 ["poincare", "flag", "201"],
+                 ["poincare", "omega2n", "101"],
+                 ["poincare", "flag", "1000000"]]:
         code, out, err = run(capsys, argv)
         assert code == 3, (argv, err)
         assert "budget" in err
