@@ -13,16 +13,22 @@ state.
 
 An ideal is a downward-closed subset, stored as a membership bitmask.
 The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
-according to I contained in / containing / equal to I^perp.  Balanced
+according to I contained in / containing / equal to I^perp.  Whole-mask
+kernels serve them: a mask is rendered once as a bit string, and one
+C-level gather gives its w0 image or the set of elements with an upper
+cover in it, so no check walks the members one by one.  Balanced
 ideals are enumerated by backtracking over the pairs {x, w0 x}, seeded
 with the small elements (x <= w0 x), which every fat ideal contains,
-and propagated through down and w0 alone; each result is certified once.
+and propagated through down and w0 alone; all results are then
+certified at once, on the transposed bit matrix.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .cartan import CartanType, RootSystem, component_coxeter_number
 from .errors import BudgetExceededError, InvalidInputError, require
@@ -30,6 +36,7 @@ from .weyl import Word, WeylGroup, build_group
 
 DENSE_LIMIT_DEFAULT = 50000
 ENUM_BUDGET_DEFAULT = 1152
+CERTIFY_BLOCK = 4096        # search results per bit-sliced block
 
 
 def check_enumeration_budget(order: int, max_order: int | None = None) -> None:
@@ -60,6 +67,46 @@ def check_dense_masks(order: int, has_masks: bool | None = None) -> None:
         raise InvalidInputError("enumeration needs the dense order masks")
 
 
+def mask_bits(mask: int, n: int) -> str:
+    """The n-bit mask as binary digits, most significant first, then a 0.
+
+    Element x sits at index n - 1 - x; the trailing pad at index n
+    reads 0.  This is the input of a Gather.
+    """
+    if mask < 0 or mask >> n:
+        raise InvalidInputError("mask has bits outside W")
+    return f"{mask:0{n}b}0"
+
+
+class Gather:
+    """A whole-mask map, one C-level gather over mask_bits(mask, n).
+
+    Bit j of the result is bit src[j] of the input, or 0 where
+    src[j] < 0.  A permutation of W gives the image of a mask under it;
+    k maps laid end to end give k images, image c in bits c n and up.
+    """
+
+    __slots__ = ("_get",)
+
+    def __init__(self, src, n: int) -> None:
+        idx = [n - 1 - s if s >= 0 else n for s in reversed(src)]
+        # itemgetter takes at least one index; an empty map gives 0
+        self._get = itemgetter(*idx) if idx else lambda bits: "0"
+
+    def __call__(self, bits: str) -> int:
+        return int("".join(self._get(bits)), 2)
+
+
+def _bit_positions(mask: int) -> list[int]:
+    """Set bits of mask in ascending order, by a C-level scan."""
+    bits, out = bin(mask)[:1:-1], []   # bits[i] is bit i
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
 @dataclass
 class BruhatOrder:
     g: WeylGroup
@@ -73,6 +120,31 @@ class BruhatOrder:
     @property
     def full_mask(self) -> int:
         return (1 << self.g.order) - 1
+
+    # Gather tables, built on first use from this order's own covers;
+    # not fields, so dataclasses.replace starts a copy without them.
+
+    @cached_property
+    def _upper(self) -> list[list[int]]:
+        """_upper[x] = ids covering x, ascending."""
+        up: list[list[int]] = [[] for _ in range(self.g.order)]
+        for y, xs in enumerate(self.covers):
+            for x in xs:
+                up[x].append(y)
+        return up
+
+    @cached_property
+    def _w0_gather(self) -> Gather:
+        g = self.g
+        return Gather([g.w0_left(x) for x in range(g.order)], g.order)
+
+    @cached_property
+    def _cover_gather(self) -> tuple[Gather, int]:
+        """Column c: the c-th upper cover of each x, or 0; column count."""
+        up = self._upper
+        width = max(map(len, up))
+        src = [ys[c] if c < len(ys) else -1 for c in range(width) for ys in up]
+        return Gather(src, self.g.order), width
 
 
 def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatOrder:
@@ -210,39 +282,39 @@ class Ideal:
         return bool(self.mask >> x & 1)
 
     def members(self) -> list[int]:
-        """Member ids in ascending order, by a C-level scan of the bits."""
-        bits, out = bin(self.mask)[:1:-1], []   # bits[i] is bit i
-        i = bits.find("1")
-        while i >= 0:
-            out.append(i)
-            i = bits.find("1", i + 1)
-        return out
+        """Member ids in ascending order."""
+        return _bit_positions(self.mask)
 
 
-def _covered(o: BruhatOrder, members) -> int:
-    """Mask of the elements covered by some element of members."""
-    below = 0
-    for y in members:
-        for x in o.covers[y]:
-            below |= 1 << x
+def _covered(o: BruhatOrder, mask: int) -> int:
+    """Mask of the elements with an upper cover in mask."""
+    n, (gather, width) = o.g.order, o._cover_gather
+    columns, full, below = gather(mask_bits(mask, n)), o.full_mask, 0
+    for c in range(width):
+        below |= columns >> c * n & full
     return below
+
+
+def _w0_image(o: BruhatOrder, mask: int) -> int:
+    """w0 * mask, the image of the set under left multiplication by w0."""
+    return o._w0_gather(mask_bits(mask, o.g.order))
 
 
 def _maximal(o: BruhatOrder, mask: int, below: int) -> list[int]:
     """Members of an ideal that no member covers, sorted by id.
 
-    below is _covered of the members.  In a downward-closed set a member
+    below is _covered of the ideal.  In a downward-closed set a member
     lies below another member exactly when some member covers it, so
     these are the maximal members; they must regenerate the ideal.
     """
-    gens = Ideal(o.g, mask & ~below).members()
+    gens = _bit_positions(mask & ~below)
     require(ideal_from_elements(o, gens).mask == mask,
             "maximal elements do not regenerate the ideal")
     return gens
 
 
 def is_downward_closed(o: BruhatOrder, mask: int) -> bool:
-    return _covered(o, Ideal(o.g, mask).members()) & ~mask == 0
+    return _covered(o, mask) & ~mask == 0
 
 
 def make_ideal(o: BruhatOrder, mask: int) -> Ideal:
@@ -268,7 +340,7 @@ def ideal_from_elements(o: BruhatOrder, xs) -> Ideal:
 
 def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
     """Maximal elements of the ideal, sorted by id, so by (length, id)."""
-    below = _covered(o, ideal.members())
+    below = _covered(o, ideal.mask)
     if below & ~ideal.mask:
         raise InvalidInputError("not an ideal")
     return _maximal(o, ideal.mask, below)
@@ -276,15 +348,11 @@ def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
 
 def orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal:
     """I^perp = w0 (W \\ I); downward-closedness of the result is checked."""
-    g = o.g
     if not is_downward_closed(o, ideal.mask):
         raise InvalidInputError("not an ideal")
-    comp = ideal.mask ^ o.full_mask
-    m = 0
-    for x in Ideal(g, comp).members():
-        m |= 1 << g.w0_left(x)
+    m = _w0_image(o, ideal.mask ^ o.full_mask)
     require(is_downward_closed(o, m), "orthogonal failed to be an ideal")
-    return Ideal(g, m)
+    return Ideal(o.g, m)
 
 
 @dataclass(frozen=True)
@@ -298,9 +366,13 @@ class IdealClass:
 
 
 def classify(o: BruhatOrder, ideal: Ideal) -> IdealClass:
-    perp = orthogonal(o, ideal).mask
-    m = ideal.mask
-    return IdealClass(slim=(m & ~perp) == 0, fat=(perp & ~m) == 0)
+    return _class_of(ideal, orthogonal(o, ideal))
+
+
+def _class_of(ideal: Ideal, perp: Ideal) -> IdealClass:
+    """classify, given the orthogonal."""
+    m, p = ideal.mask, perp.mask
+    return IdealClass(slim=(m & ~p) == 0, fat=(p & ~m) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +439,17 @@ def _propagate(o: BruhatOrder, in_mask: int, out_mask: int, todo: list[int],
     w0 (x W_P) = (w0 x) W_P.  Returns None on contradiction, an element
     both in and out.
     """
-    g, down = o.g, o.down
+    down, w0 = o.down, o.g.w0_left
     while todo:
         add = down[todo.pop()] & ~in_mask
         if not add:
             continue
         in_mask |= add
-        for b in Ideal(g, add).members():
-            out_mask |= 1 << g.w0_left(b)
+        # a few bits join per step: a loop beats a whole-mask gather here
+        for b in _bit_positions(add):
+            out_mask |= 1 << w0(b)
             if coset_masks is not None:
-                todo.extend(Ideal(g, coset_masks[b] & ~in_mask).members())
+                todo.extend(_bit_positions(coset_masks[b] & ~in_mask))
         if in_mask & out_mask:
             return None
     return in_mask, out_mask
@@ -389,9 +462,23 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     Backtracking over the pairs {x, w0 x} in increasing length of the
     shorter member; the branches of x are "w0 x in" and "x in".  Seeds:
     every small element is forced into I (balanced ideals are fat, and
-    fat ideals contain all small elements).  Each result is certified by
-    _certify_balanced.  Output order: (generator count, generator word
-    list).
+    fat ideals contain all small elements).  All results are certified
+    together by _certify_all.  Output order: (generator count, generator
+    word list).
+    """
+    _, certified = _enumerate_certified(o, invariance, max_order)
+    return [Ideal(o.g, mask) for mask, _ in certified]
+
+
+def _enumerate_certified(o: BruhatOrder, invariance=None,
+                         max_order: int | None = None
+                         ) -> tuple[list[int], list[tuple[int, bytes]]]:
+    """enumerate_balanced as masks, each with its certified generators.
+
+    Returns (used, [(mask, row)]): used lists every element that
+    generates some result, in canonical word order, and byte j of row
+    is 1 when used[j] generates the ideal, so compress(used, row) lists
+    its generators in word order.
     """
     g = o.g
     check_enumeration_budget(g.order, max_order)
@@ -409,7 +496,7 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     seeds = [x for x in range(g.order) if is_small(o, x)]
     seeded = _propagate(o, 0, 0, seeds, coset_masks)
     if seeded is None:
-        return []
+        return [], []
 
     # the member of each pair {x, w0 x} that comes first by (length, id)
     pairs = [x for x in range(g.order) if x < g.w0_left(x)]
@@ -430,44 +517,103 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
             if closed is not None:
                 stack.append((closed[0], closed[1], idx))
 
-    keyed = []
-    for in_mask, out_mask in results:
-        gens = _certify_balanced(o, in_mask, out_mask, coset_masks)
-        words = tuple(sorted(g.reduced_word(x) for x in gens))
-        keyed.append(((len(gens), words), Ideal(g, in_mask)))
-    keyed.sort(key=lambda item: item[0])
-    return [ideal for _, ideal in keyed]
+    gen_cols = _certify_all(o, results, invariance)
+    # the generators in canonical word order: row r of the transposed
+    # columns then compares as the word list of result r, once its bytes
+    # are flipped (the earlier word present sorts first)
+    used = sorted((x for x, c in enumerate(gen_cols) if c), key=g.reduced_word)
+    rows = _rows([gen_cols[x] for x in used], len(results))
+    keys = [(row.count(1), row.translate(_FLIP)) for row in rows]
+    return used, [(results[r][0], rows[r])
+                  for r in sorted(range(len(results)), key=keys.__getitem__)]
 
 
-def _certify_balanced(o: BruhatOrder, in_mask: int, out_mask: int,
-                      coset_masks: list[int] | None) -> list[int]:
-    """Certify one search result; return its generators.
+def _columns(masks: list[int], n: int) -> list[int]:
+    """Transpose: bit r of column y is bit y of masks[r].
 
-    Checks that the in- and out-masks together cover W, that 2|I| = |W|,
-    that I is downward closed, that I = I^perp (equivalently w0 I is the
-    complement of I), that I is a union of the cosets in coset_masks
-    when given, and that the maximal elements regenerate I.  It reads
-    the cover lists and the w0 table, not the reachability masks the
-    search propagated with.
+    Each block of CERTIFY_BLOCK masks is rendered as one string of
+    n-digit rows, last mask first, so the stride-n slice at n - 1 - y
+    reads element y down the block as a binary number; blocks are
+    shifted into place, and the string never outgrows one block.
     """
-    g = o.g
-    require(in_mask | out_mask == o.full_mask,
+    cols = [0] * n
+    for start in range(0, len(masks), CERTIFY_BLOCK):
+        text = "".join(f"{m:0{n}b}"
+                       for m in reversed(masks[start:start + CERTIFY_BLOCK]))
+        for y in range(n):
+            cols[y] |= int(text[n - 1 - y::n], 2) << start
+    return cols
+
+
+def _certify_all(o: BruhatOrder, results: list[tuple[int, int]],
+                 invariance) -> list[int]:
+    """Certify the search results (in_mask, out_mask) all at once.
+
+    Returns the generator columns G below.  Each result must decide
+    every element and hold half of W.  The rest runs on
+    columns: R[y] has bit r set when result r contains y, so each check
+    costs O(|W| + cover edges) big-int operations, whatever the count.
+    Downward closed: every R[y] with y covering x lies inside R[x].
+    Equal to its orthogonal: R[w0 y] = ALL ^ R[y].  Under invariance,
+    a union of cosets: R[y] = R[y s] for s in theta.  The generators of
+    result r are the x with bit r in G[x] = R[x] & ~OR{R[y] : y covers x};
+    they must regenerate the result through the down masks.  Covers,
+    the w0 table and the group table are read here, and the down masks
+    only to regenerate, so a forged cover list cannot hide a generator.
+    """
+    g, n, full = o.g, o.g.order, o.full_mask
+    require(all(i | u == full for i, u in results),
             "search result leaves elements undecided")
-    require(2 * in_mask.bit_count() == g.order,
+    require(all(2 * i.bit_count() == n for i, _ in results),
             "search result does not hold half of W")
-    members = Ideal(g, in_mask).members()
-    below = _covered(o, members)
-    w0_image = cosets = 0
-    for y in members:
-        w0_image |= 1 << g.w0_left(y)
-        if coset_masks is not None:
-            cosets |= coset_masks[y]
-    require(below & ~in_mask == 0, "search result is not downward closed")
-    require(w0_image == in_mask ^ o.full_mask,
+    masks = [i for i, _ in results]
+    cols = _columns(masks, n)
+    every = (1 << len(masks)) - 1
+    above = []
+    for ys in o._upper:
+        a = 0
+        for y in ys:
+            a |= cols[y]
+        above.append(a)
+    require(all(a & ~c == 0 for a, c in zip(above, cols)),
+            "search result is not downward closed")
+    require(all(cols[g.w0_left(y)] == every ^ c for y, c in enumerate(cols)),
             "search result differs from its orthogonal")
-    require(coset_masks is None or cosets == in_mask,
-            "search result is not a union of cosets")
-    return _maximal(o, in_mask, below)
+    require(invariance is None or all(
+        c == cols[g.rmult[y][i]]
+        for y, c in enumerate(cols) for i in invariance.theta),
+        "search result is not a union of cosets")
+    gen_cols = [c & ~a for c, a in zip(cols, above)]
+    # regenerate through the down masks: bit r of regen[x] says that x
+    # lies below a generator of result r
+    down, regen = o.down, [0] * n
+    for y, gen in enumerate(gen_cols):
+        if gen:
+            for x in _bit_positions(down[y]):
+                regen[x] |= gen
+    require(regen == cols, "maximal elements do not regenerate the ideal")
+    return gen_cols
+
+
+_BITS_AS_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _rows(cols: list[int], count: int) -> list[bytes]:
+    """Transpose back: byte j of row r is bit r of cols[j], as 0 or 1.
+
+    Per block of CERTIFY_BLOCK rows the columns are rendered as one
+    string of 0/1 bytes, column after column, and row r is its stride
+    slice.
+    """
+    out = []
+    for start in range(0, count, CERTIFY_BLOCK):
+        width = min(CERTIFY_BLOCK, count - start)
+        low = (1 << width) - 1
+        text = "".join(f"{c >> start & low:0{width}b}"
+                       for c in cols).encode().translate(_BITS_AS_BYTES)
+        out.extend(text[k::width] for k in range(width - 1, -1, -1))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import compress
 
 from . import bruhat, families, topology
 from .bbw import bbw_cohomology, sheaf_cohomology_cases
@@ -145,20 +146,22 @@ def _cmd_balanced(args, t0):
     inv = None
     if args.right_invariant is not None:
         inv = build_parabolic(g, _parse_gens(args.right_invariant, g.rank))
-    ideals = bruhat.enumerate_balanced(o, invariance=inv,
-                                       max_order=args.max_order)
-    out_ideals = []
-    for ideal in ideals:
-        d = bruhat.ideal_to_json_dict(o, ideal)
-        d["size"] = ideal.size
-        out_ideals.append(d)
-    outputs = {"count": len(ideals), "ideals": out_ideals}
-    lines = [f"type {g.rs.cartan_type}: {len(ideals)} balanced ideal(s)"
-             + ("" if inv is None else
-                f" invariant under <{args.right_invariant}>")]
-    for pos, (ideal, d) in enumerate(zip(ideals, out_ideals)):
-        gens = ", ".join(_word_str(w) for w in d["generators"])
-        lines.append(f"  #{pos}: size {ideal.size}, generators {gens}")
+    used, certified = bruhat._enumerate_certified(o, invariance=inv,
+                                                  max_order=args.max_order)
+    words = [list(g.reduced_word(x)) for x in used]
+    out_ideals = [{"type": str(g.rs.cartan_type),
+                   "generators": list(compress(words, row)),
+                   "size": mask.bit_count()}
+                  for mask, row in certified]
+    outputs = {"count": len(out_ideals), "ideals": out_ideals}
+    lines = []
+    if not args.json:
+        lines.append(f"type {g.rs.cartan_type}: {len(out_ideals)} balanced "
+                     "ideal(s)" + ("" if inv is None else
+                                   f" invariant under <{args.right_invariant}>"))
+        for pos, d in enumerate(out_ideals):
+            gens = ", ".join(_word_str(w) for w in d["generators"])
+            lines.append(f"  #{pos}: size {d['size']}, generators {gens}")
     _emit(args, "balanced", inputs, outputs, {}, lines, t0)
     return 0
 
@@ -205,13 +208,13 @@ def _cmd_betti(args, t0):
     ideal = _resolve_ideal(o, args.ideal)
     theta = _parse_gens(args.domain, g.rank)
     p = build_parabolic(g, theta)
-    cls = bruhat.classify(o, ideal)
+    perp = bruhat.orthogonal(o, ideal)
+    cls = bruhat._class_of(ideal, perp)
     if not is_right_invariant(ideal, p):
         raise InvalidInputError(
             "ideal is not right-invariant under the domain subgroup")
     inputs = {"type": args.type, "ideal": args.ideal,
               "domain": list(theta), "genus": args.genus}
-    perp = bruhat.orthogonal(o, ideal)
     outputs = {
         "ideal_size": ideal.size,
         "slim": cls.slim, "fat": cls.fat, "balanced": cls.balanced,
@@ -221,18 +224,18 @@ def _cmd_betti(args, t0):
     }
     verification = {"downward_closed": True,
                     "right_invariant": True,
-                    "splitting": topology.splitting_check(o, ideal, p)}
+                    "splitting": topology._splitting(ideal, perp, p)}
     lines = [f"ideal of size {ideal.size} in type {g.rs.cartan_type}; "
              f"slim={cls.slim} fat={cls.fat} balanced={cls.balanced}",
              "thickening ranks: "
              + ",".join(map(str, outputs["thickening_ranks"]))]
     if cls.slim:
-        omega = topology.omega_betti(o, ideal, p)
+        omega = topology._omega_betti(ideal, perp, p)
         outputs["omega_betti"] = omega.to_json()
         lines.append("domain Betti numbers: "
                      + ",".join(map(str, omega.to_json())))
         if cls.balanced:
-            chi = topology.euler_omega(o, ideal, p)
+            chi = topology._euler_omega(omega, ideal, p)
             outputs["euler"] = chi
             lines.append(f"Euler characteristic: {chi}")
         if args.genus is not None:

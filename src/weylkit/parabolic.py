@@ -5,13 +5,17 @@ complement.  Each left coset x W_P contains a unique element with no
 right descent into the subset, and it is the strictly shortest member;
 it is found by stripping descents.  Lengths add along the factorization
 x = rep * u with u in W_P, which build_parabolic checks for every
-element.
+element.  Invariance tests and graded ranks are whole-mask kernels:
+one gather per generator for the image x -> x s (or s x), and one
+popcount per quotient length against the masks of W^P.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from .bruhat import Gather, mask_bits
 from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
@@ -47,6 +51,30 @@ class ParabolicSubset:
 
     def to_json(self) -> list[int]:
         return list(self.theta)
+
+    # Built on first use, not fields: an instance keeps its own tables.
+
+    @cached_property
+    def length_masks(self) -> list[int]:
+        """length_masks[k] = mask of the W^P elements of length k."""
+        masks = [0] * (self.max_quotient_length + 1)
+        for x in self.min_reps:
+            masks[self.g.length[x]] |= 1 << x
+        return masks
+
+    @cached_property
+    def _right_gather(self) -> Gather:
+        """The images of a mask under x -> x s, for s in theta, end to end."""
+        g = self.g
+        return Gather([row[i] for i in self.theta for row in g.rmult],
+                      g.order)
+
+    @cached_property
+    def _left_gather(self) -> Gather:
+        """The images of a mask under x -> s x, for s in theta, end to end."""
+        g = self.g
+        return Gather([g.left_mult_gen(i, x)
+                       for i in self.theta for x in range(g.order)], g.order)
 
 
 def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
@@ -93,24 +121,21 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
                            coset_of=coset_of)
 
 
+def _invariant(mask: int, gather: Gather, p: ParabolicSubset) -> bool:
+    """Each image of mask under gather equals mask (each is a bijection)."""
+    n = p.g.order
+    copies = sum(1 << c * n for c in range(len(p.theta)))
+    return gather(mask_bits(mask, n)) == mask * copies
+
+
 def is_right_invariant(ideal, p: ParabolicSubset) -> bool:
-    """Membership constant on left cosets x W_P."""
-    g = p.g
-    for x in ideal.members():
-        for i in p.theta:
-            if not ideal.mask >> g.rmult[x][i] & 1:
-                return False
-    return True
+    """Membership constant on left cosets x W_P: I s = I for s in theta."""
+    return _invariant(ideal.mask, p._right_gather, p)
 
 
 def is_left_invariant(ideal, p: ParabolicSubset) -> bool:
-    """Membership constant on right cosets W_P x."""
-    g = p.g
-    for x in ideal.members():
-        for i in p.theta:
-            if not ideal.mask >> g.left_mult_gen(i, x) & 1:
-                return False
-    return True
+    """Membership constant on right cosets W_P x: s I = I for s in theta."""
+    return _invariant(ideal.mask, p._left_gather, p)
 
 
 def quotient_ideal(ideal, p: ParabolicSubset) -> list[tuple[int, int]]:

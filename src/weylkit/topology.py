@@ -2,8 +2,9 @@
 
 Everything here reduces to counting coset representatives by quotient
 length.  Thickenings have free even homology with rank r_k in degree 2k
-(r = length histogram of I/W_D); domains combine r(I) and r(I-perp);
-quotient manifolds tensor with the surface homology (1, 2g, 1).
+(r = length histogram of I/W_D, one popcount per length against the
+masks of W^D); domains combine r(I) and r(I-perp); quotient manifolds
+tensor with the surface homology (1, 2g, 1).
 
 The closed-form Poincare polynomials are exact integer products of
 t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .bruhat import BruhatOrder, Ideal, classify, orthogonal
 from .errors import BudgetExceededError, InvalidInputError, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
-from .parabolic import ParabolicSubset, build_parabolic, quotient_ideal
+from .parabolic import ParabolicSubset, build_parabolic, is_right_invariant
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,16 @@ def _at(hist, k: int) -> int:
     return hist[k] if 0 <= k < len(hist) else 0
 
 
-def _length_histogram(pairs) -> list[int]:
-    """Counts by quotient length from (rep, length) pairs."""
-    if not pairs:
-        return []
-    hist = [0] * (max(l for _, l in pairs) + 1)
-    for _, l in pairs:
-        hist[l] += 1
-    return hist
+def _ranks(ideal: Ideal, p: ParabolicSubset) -> list[int]:
+    """r_k(I) = |I & W^P of quotient length k|, k = 0..l(w0 W_P)."""
+    if not is_right_invariant(ideal, p):
+        raise InvalidInputError("ideal is not right-invariant under W_P")
+    return [(ideal.mask & m).bit_count() for m in p.length_masks]
 
 
 def thickening_ranks(ideal: Ideal, p: ParabolicSubset) -> GradedRanks:
     """Homology of the model thickening: rank r_k in degree 2k."""
-    hist = _length_histogram(quotient_ideal(ideal, p))
-    return GradedRanks.from_even(hist)
+    return GradedRanks.from_even(_ranks(ideal, p))
 
 
 def omega_betti(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> GradedRanks:
@@ -91,14 +88,18 @@ def omega_betti(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> GradedRanks
     g = o.g
     if p.g is not g or ideal.g is not g:
         raise InvalidInputError("ideal, parabolic, and order must share a group")
-    perp = orthogonal(o, ideal)
+    return _omega_betti(ideal, orthogonal(o, ideal), p)
+
+
+def _omega_betti(ideal: Ideal, perp: Ideal, p: ParabolicSubset) -> GradedRanks:
+    """omega_betti, given the orthogonal."""
     if ideal.mask & ~perp.mask:
         raise InvalidInputError("ideal is not slim")
-    # quotient_ideal refuses an ideal or orthogonal that is not invariant
-    r_i = _length_histogram(quotient_ideal(ideal, p))
-    r_p = _length_histogram(quotient_ideal(perp, p))
+    # _ranks refuses an ideal or orthogonal that is not invariant
+    r_i = _ranks(ideal, p)
+    r_p = _ranks(perp, p)
     n = p.max_quotient_length
-    even = [_at(r_i, n - 1 - k) + _at(r_p, k) for k in range(n)]
+    even = [r_i[n - 1 - k] + r_p[k] for k in range(n)]
     return GradedRanks.from_even(even)
 
 
@@ -108,11 +109,16 @@ def euler_omega(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> int:
     omega_betti refuses I unless slim, and a slim I (inside I^perp, of
     size |W| - |I|) is balanced exactly when 2|I| = |W|.
     """
-    total = omega_betti(o, ideal, p).total
-    if 2 * ideal.size != o.g.order:
+    return _euler_omega(omega_betti(o, ideal, p), ideal, p)
+
+
+def _euler_omega(omega: GradedRanks, ideal: Ideal,
+                 p: ParabolicSubset) -> int:
+    """euler_omega, given the domain Betti numbers of a slim I."""
+    if 2 * ideal.size != p.g.order:
         raise InvalidInputError("ideal is not balanced")
     chi = p.n_cosets
-    require(total == chi, "domain Betti numbers do not sum to |W/W_P|")
+    require(omega.total == chi, "domain Betti numbers do not sum to |W/W_P|")
     return chi
 
 
@@ -130,13 +136,16 @@ def quotient_homology(omega: GradedRanks, genus: int) -> GradedRanks:
 
 def splitting_check(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> bool:
     """Coset counts of W/W_P split as r_k(I) + r_{n-k}(I-perp)."""
-    g = o.g
-    r_i = _length_histogram(quotient_ideal(ideal, p))
-    r_p = _length_histogram(quotient_ideal(orthogonal(o, ideal), p))
-    full = _length_histogram([(x, g.length[x]) for x in p.min_reps])
+    return _splitting(ideal, orthogonal(o, ideal), p)
+
+
+def _splitting(ideal: Ideal, perp: Ideal, p: ParabolicSubset) -> bool:
+    """splitting_check, given the orthogonal."""
+    r_i = _ranks(ideal, p)
+    r_p = _ranks(perp, p)
     n = p.max_quotient_length
-    return all(_at(full, k) == _at(r_i, k) + _at(r_p, n - k)
-               for k in range(n + 1))
+    return all(m.bit_count() == r_i[k] + r_p[n - k]
+               for k, m in enumerate(p.length_masks))
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,7 @@ def hausdorff_bound(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset,
         raise InvalidInputError("limit curve dimension must lie in [0, 2]")
     if not classify(o, ideal).slim:
         raise InvalidInputError("ideal is not slim")
-    reps = quotient_ideal(ideal, p)
-    maxlen = max((l for _, l in reps), default=0)
+    maxlen = max((k for k, r in enumerate(_ranks(ideal, p)) if r), default=0)
     n = p.max_quotient_length
     bound = limit_curve_dim + 2 * maxlen
     return HausdorffReport(
@@ -295,11 +303,10 @@ def homotopy_distinction(j: int, verify: bool = True) -> DistinctionReport:
     b_half = omega_betti(o, half, p).get(2 * k)
     b_principal = omega_betti(o, principal, p).get(2 * k)
     # balanced + l(w0) odd make both values twice a middle length count
-    level = sum(1 for x in range(g.order) if g.length[x] == k)
-    require(b_half == 2 * level,
+    level = sum(1 << x for x in range(g.order) if g.length[x] == k)
+    require(b_half == 2 * level.bit_count(),
             "lower-half b_2k differs from twice the middle level count")
-    require(b_principal == 2 * sum(1 for x in principal.members()
-                                   if g.length[x] == k),
+    require(b_principal == 2 * (principal.mask & level).bit_count(),
             "principal b_2k differs from twice its middle level count")
     return DistinctionReport(j=j, n=n, k=k, b_lower_half=b_half,
                              b_principal=b_principal, strict=b_principal < b_half)

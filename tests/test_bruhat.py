@@ -6,7 +6,7 @@ import random
 import pytest
 
 from weylkit import bruhat
-from weylkit.bruhat import (_certify_balanced, build_order, classify,
+from weylkit.bruhat import (_certify_all, build_order, classify,
                             enumerate_balanced,
                             ideal_from_elements, ideal_from_json_dict,
                             ideal_to_json_dict, is_downward_closed, is_small,
@@ -266,7 +266,8 @@ def test_certification_rejects_each_broken_property():
     ideals = enumerate_balanced(o)
     ok = ideals[0].mask
     gens = minimal_generators(o, ideals[0])
-    assert _certify_balanced(o, ok, full ^ ok, None) == gens
+    gen_cols = _certify_all(o, [(ok, full ^ ok)], None)
+    assert [x for x, c in enumerate(gen_cols) if c] == gens
     top = 1 << g.w0
     shifted = (ok & ~1) | top           # the identity swapped for w0
 
@@ -280,10 +281,6 @@ def test_certification_rejects_each_broken_property():
 
     p = build_parabolic(g, (0,))
     moved = next(i.mask for i in ideals if not is_right_invariant(i, p))
-    cosets = {}
-    for x in range(g.order):
-        cosets[p.coset_of[x]] = cosets.get(p.coset_of[x], 0) | 1 << x
-    coset_masks = [cosets[p.coset_of[x]] for x in range(g.order)]
 
     # claim the identity covers one generator, so it drops out
     covers = list(o.covers)
@@ -295,31 +292,51 @@ def test_certification_rejects_each_broken_property():
         (o, ok | top, full, None, "half of W"),
         (o, shifted, full ^ shifted, None, "not downward closed"),
         (o, twice, full ^ twice, None, "orthogonal"),
-        (o, moved, full ^ moved, coset_masks, "union of cosets"),
+        (o, moved, full ^ moved, p, "union of cosets"),
         (forged, ok, full ^ ok, None, "regenerate"),
     ]
-    for order, in_mask, out_mask, masks, what in cases:
-        with pytest.raises(VerificationError, match=what):
-            _certify_balanced(order, in_mask, out_mask, masks)
+    def sound(order, inv):
+        """The enumerated results that pass alone on this order."""
+        out = []
+        for i in ideals:
+            try:
+                _certify_all(order, [(i.mask, full ^ i.mask)], inv)
+            except VerificationError:
+                continue
+            out.append((i.mask, full ^ i.mask))
+        return out
+
+    for order, in_mask, out_mask, inv, what in cases:
+        # alone, and in the middle of results that pass, if any do
+        others = sound(order, inv)
+        for results in ([(in_mask, out_mask)],
+                        others[:3] + [(in_mask, out_mask)] + others[3:]):
+            with pytest.raises(VerificationError, match=what):
+                _certify_all(order, results, inv)
 
 
 def test_enumeration_certifies_each_result_once(monkeypatch):
+    """One certification pass covers every result; no per-ideal checks."""
     calls = {"certify": 0, "other": 0}
+    seen = []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
             calls[name] += 1
+            if name == "certify":
+                seen.append(len(args[1]))
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(bruhat, "_certify_balanced",
-                        counting("certify", bruhat._certify_balanced))
+    monkeypatch.setattr(bruhat, "_certify_all",
+                        counting("certify", bruhat._certify_all))
     for fn in ("is_downward_closed", "classify", "orthogonal",
                "minimal_generators"):
         monkeypatch.setattr(bruhat, fn, counting("other", getattr(bruhat, fn)))
     g, o = make_order("B3")
     ideals = enumerate_balanced(o)
-    assert calls == {"certify": len(ideals), "other": 0}
+    assert calls == {"certify": 1, "other": 0}
+    assert seen == [len(ideals)] == [29]
 
 
 def test_balanced_budget():

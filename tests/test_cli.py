@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from weylkit import bruhat, cartan, cli, families, weyl
+from weylkit import bruhat, cartan, cli, families, topology, weyl
 from weylkit.cli import main
 
 
@@ -88,6 +88,31 @@ def test_betti_family_spec(capsys):
     assert doc["outputs"]["omega_betti"] == [1, 0, 4, 0, 1]
     assert doc["outputs"]["euler"] == 6
     assert doc["verification"]["splitting"] is True
+
+
+def test_betti_and_balanced_do_not_redo_work(capsys, monkeypatch):
+    """betti computes I^perp once; balanced reuses the certified
+    generators instead of recomputing them per ideal."""
+    calls = {"orthogonal": 0, "minimal_generators": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        orig = getattr(bruhat, name)
+        for mod in (bruhat, topology, cli):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counting(name, orig))
+    doc = run_json(capsys, ["betti", "A4", "--ideal", "family:incidence",
+                            "--domain", "2,3", "--genus", "2"])
+    assert doc["outputs"]["euler"] == 20
+    assert calls == {"orthogonal": 1, "minimal_generators": 0}
+    doc = run_json(capsys, ["balanced", "B3"])
+    assert doc["outputs"]["count"] == 29
+    assert calls == {"orthogonal": 1, "minimal_generators": 0}
 
 
 def test_poincare(capsys):

@@ -1,0 +1,160 @@
+"""Whole-mask kernels against the per-member loops they replace.
+
+Random product types of rank <= 3 and random ideals, generated from
+random element sets: the w0 image, the covered set, right and left
+invariance for every generator subset and the popcount graded ranks
+must equal plain loops over the members; orthogonal is an involution,
+the splitting identity holds, and ideal JSON round-trips.
+"""
+
+import functools
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylkit import bruhat, topology
+from weylkit.bruhat import (build_order, ideal_from_elements,
+                            ideal_from_json_dict, ideal_to_json_dict,
+                            orthogonal)
+from weylkit.cartan import build_root_system, parse_type
+from weylkit.errors import InvalidInputError
+from weylkit.parabolic import (build_parabolic, is_left_invariant,
+                               is_right_invariant)
+from weylkit.weyl import generate
+
+FACTORS = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A3": 3, "B3": 3, "C3": 3}
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def product_types(draw):
+    """A product of the FACTORS of total rank at most 3."""
+    parts, rank = [], 0
+    while rank < 3 and (not parts or draw(st.booleans())):
+        name = draw(st.sampled_from(
+            [f for f, r in FACTORS.items() if rank + r <= 3]))
+        parts.append(name)
+        rank += FACTORS[name]
+    return "x".join(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def order_of(spec):
+    return build_order(generate(build_root_system(parse_type(spec))))
+
+
+def thetas(rank):
+    for r in range(rank + 1):
+        yield from itertools.combinations(range(rank), r)
+
+
+@st.composite
+def ideals(draw):
+    """(order, ideal) with the ideal generated by a random element set."""
+    o = order_of(draw(product_types()))
+    xs = draw(st.lists(st.integers(0, o.g.order - 1), max_size=4))
+    return o, ideal_from_elements(o, xs)
+
+
+@st.composite
+def masks(draw):
+    """(order, mask) for an arbitrary subset of W."""
+    o = order_of(draw(product_types()))
+    return o, draw(st.integers(0, o.full_mask))
+
+
+def right_invariant_ideal(o, p, xs):
+    """The ideal of the coset maxima of xs: a union of cosets x W_P."""
+    g = o.g
+    top = p.longest_subgroup_element
+    return ideal_from_elements(
+        o, [g.multiply(p.coset_of[x], top) for x in xs])
+
+
+@SETTINGS
+@given(masks())
+def test_w0_image_and_covered_match_member_loops(case):
+    o, mask = case
+    g = o.g
+    members = [x for x in range(g.order) if mask >> x & 1]
+    assert bruhat._w0_image(o, mask) == sum(1 << g.w0_left(x)
+                                           for x in members)
+    below = 0
+    for y in members:
+        for x in o.covers[y]:
+            below |= 1 << x
+    assert bruhat._covered(o, mask) == below
+    assert bruhat.is_downward_closed(o, mask) == (below & ~mask == 0)
+
+
+@SETTINGS
+@given(ideals())
+def test_invariance_matches_member_loops_for_every_theta(case):
+    o, ideal = case
+    g = o.g
+    for theta in thetas(g.rank):
+        p = build_parabolic(g, theta)
+        right = all(ideal.mask >> g.rmult[y][i] & 1
+                    for y in ideal.members() for i in theta)
+        left = all(ideal.mask >> g.left_mult_gen(i, y) & 1
+                   for y in ideal.members() for i in theta)
+        assert is_right_invariant(ideal, p) == right
+        assert is_left_invariant(ideal, p) == left
+
+
+@SETTINGS
+@given(ideals(), st.data())
+def test_graded_ranks_and_splitting(case, data):
+    o, ideal = case
+    g = o.g
+    theta = data.draw(st.sampled_from(list(thetas(g.rank))))
+    p = build_parabolic(g, theta)
+    xs = [x for x in range(g.order) if ideal.mask >> x & 1][-4:]
+    inv = right_invariant_ideal(o, p, xs)
+    for i in (ideal, inv):
+        if not any(i.mask >> g.rmult[y][s] & 1 == 0
+                   for y in i.members() for s in theta):
+            hist = [0] * (p.max_quotient_length + 1)
+            for x in p.min_reps:
+                if i.mask >> x & 1:
+                    hist[g.length[x]] += 1
+            assert topology._ranks(i, p) == hist
+            assert topology.thickening_ranks(i, p) == \
+                topology.GradedRanks.from_even(hist)
+            assert topology.splitting_check(o, i, p)
+        else:
+            with pytest.raises(InvalidInputError):
+                topology.thickening_ranks(i, p)
+    assert not any(inv.mask >> g.rmult[y][s] & 1 == 0
+                   for y in inv.members() for s in theta)
+
+
+@SETTINGS
+@given(ideals())
+def test_orthogonal_is_an_involution(case):
+    o, ideal = case
+    perp = orthogonal(o, ideal)
+    assert perp.size + ideal.size == o.g.order
+    assert orthogonal(o, perp).mask == ideal.mask
+
+
+@SETTINGS
+@given(ideals())
+def test_ideal_json_round_trips(case):
+    o, ideal = case
+    text = json.dumps(ideal_to_json_dict(o, ideal))
+    assert ideal_from_json_dict(o, json.loads(text)).mask == ideal.mask
+
+
+def test_masks_outside_w_are_refused():
+    o = order_of("A2")
+    for mask in (1 << o.g.order, -1):
+        with pytest.raises(InvalidInputError):
+            bruhat.is_downward_closed(o, mask)
+        with pytest.raises(InvalidInputError):
+            bruhat.make_ideal(o, mask)
