@@ -550,9 +550,9 @@ def _certify_all(o: BruhatOrder, results: list[tuple[int, int]],
     """Certify the search results (in_mask, out_mask) all at once.
 
     Returns the generator columns G below.  Each result must decide
-    every element and hold half of W.  The rest runs on
-    columns: R[y] has bit r set when result r contains y, so each check
-    costs O(|W| + cover edges) big-int operations, whatever the count.
+    every element and hold half of W.  The rest runs on columns: R[y]
+    has bit r set when result r contains y, so each check costs
+    O(|W| + cover edges) big-int operations, whatever the count.
     Downward closed: every R[y] with y covering x lies inside R[x].
     Equal to its orthogonal: R[w0 y] = ALL ^ R[y].  Under invariance,
     a union of cosets: R[y] = R[y s] for s in theta.  The generators of
