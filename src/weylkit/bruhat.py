@@ -16,7 +16,9 @@ The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
 according to I contained in / containing / equal to I^perp.  Whole-mask
 kernels serve them: a mask is rendered once as a bit string, and one
 C-level gather gives its w0 image or the set of elements with an upper
-cover in it, so no check walks the members one by one.  Balanced
+cover in it, so no check walks the members one by one.  Each Ideal
+keeps what is derived from it, once per order or parabolic (_cached):
+its covered set, its orthogonal's mask and its graded ranks.  Balanced
 ideals are enumerated by backtracking over the pairs {x, w0 x}, seeded
 with the small elements (x <= w0 x), which every fat ideal contains,
 and propagated through down and w0 alone; all results are then
@@ -26,6 +28,7 @@ certified at once, on the transposed bit matrix.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -286,6 +289,30 @@ class Ideal:
         return _bit_positions(self.mask)
 
 
+def _cached(ideal: Ideal, name: str, owner, compute):
+    """compute(), kept on the ideal under name while owner is alive.
+
+    owner is the order or parabolic the value was derived with.  It is
+    held weakly, so the memo keeps no order alive, and matched by
+    identity, so a copy such as dataclasses.replace(o, covers=...) is a
+    different owner and computes afresh.  A raising compute stores
+    nothing.
+    """
+    hit = ideal.__dict__.get(name)
+    if hit is not None and hit[0]() is owner:
+        return hit[1]
+    value = compute()
+    # Ideal is frozen; the memo is not a field, so eq, hash and
+    # dataclasses.replace ignore it
+    ideal.__dict__[name] = (weakref.ref(owner), value)
+    return value
+
+
+def _ideal_covered(o: BruhatOrder, ideal: Ideal) -> int:
+    """_covered of the ideal's mask, once per order."""
+    return _cached(ideal, "_covered", o, lambda: _covered(o, ideal.mask))
+
+
 def _covered(o: BruhatOrder, mask: int) -> int:
     """Mask of the elements with an upper cover in mask."""
     n, (gather, width) = o.g.order, o._cover_gather
@@ -340,19 +367,40 @@ def ideal_from_elements(o: BruhatOrder, xs) -> Ideal:
 
 def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
     """Maximal elements of the ideal, sorted by id, so by (length, id)."""
-    below = _covered(o, ideal.mask)
+    below = _ideal_covered(o, ideal)
     if below & ~ideal.mask:
         raise InvalidInputError("not an ideal")
     return _maximal(o, ideal.mask, below)
 
 
 def orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal:
-    """I^perp = w0 (W \\ I); downward-closedness of the result is checked."""
-    if not is_downward_closed(o, ideal.mask):
+    """I^perp = w0 (W \\ I); downward-closedness of the result is checked.
+
+    The mask is computed once per (ideal, order).  A balanced ideal is
+    its own orthogonal and comes back as itself; any other result
+    starts with ideal.mask as its own orthogonal, as the map is an
+    involution.
+    """
+    m = _cached(ideal, "_perp", o, lambda: _perp_mask(o, ideal))
+    if m == ideal.mask:
+        return ideal
+    perp = Ideal(o.g, m)
+    _cached(perp, "_perp", o, lambda: ideal.mask)
+    return perp
+
+
+def _perp_mask(o: BruhatOrder, ideal: Ideal) -> int:
+    """The mask of I^perp, with the ideal and the result checked.
+
+    A result equal to the input needs no second check: the input check
+    tested the same mask against the same covers.
+    """
+    if _ideal_covered(o, ideal) & ~ideal.mask:
         raise InvalidInputError("not an ideal")
     m = _w0_image(o, ideal.mask ^ o.full_mask)
-    require(is_downward_closed(o, m), "orthogonal failed to be an ideal")
-    return Ideal(o.g, m)
+    require(m == ideal.mask or is_downward_closed(o, m),
+            "orthogonal failed to be an ideal")
+    return m
 
 
 @dataclass(frozen=True)
@@ -366,12 +414,7 @@ class IdealClass:
 
 
 def classify(o: BruhatOrder, ideal: Ideal) -> IdealClass:
-    return _class_of(ideal, orthogonal(o, ideal))
-
-
-def _class_of(ideal: Ideal, perp: Ideal) -> IdealClass:
-    """classify, given the orthogonal."""
-    m, p = ideal.mask, perp.mask
+    m, p = ideal.mask, orthogonal(o, ideal).mask
     return IdealClass(slim=(m & ~p) == 0, fat=(p & ~m) == 0)
 
 

@@ -208,8 +208,7 @@ def _cmd_betti(args, t0):
     ideal = _resolve_ideal(o, args.ideal)
     theta = _parse_gens(args.domain, g.rank)
     p = build_parabolic(g, theta)
-    perp = bruhat.orthogonal(o, ideal)
-    cls = bruhat._class_of(ideal, perp)
+    cls = bruhat.classify(o, ideal)
     if not is_right_invariant(ideal, p):
         raise InvalidInputError(
             "ideal is not right-invariant under the domain subgroup")
@@ -220,22 +219,23 @@ def _cmd_betti(args, t0):
         "slim": cls.slim, "fat": cls.fat, "balanced": cls.balanced,
         "thickening_ranks": topology.thickening_ranks(ideal, p).to_json(),
         "orthogonal_thickening_ranks":
-            topology.thickening_ranks(perp, p).to_json(),
+            topology.thickening_ranks(bruhat.orthogonal(o, ideal),
+                                      p).to_json(),
     }
     verification = {"downward_closed": True,
                     "right_invariant": True,
-                    "splitting": topology._splitting(ideal, perp, p)}
+                    "splitting": topology.splitting_check(o, ideal, p)}
     lines = [f"ideal of size {ideal.size} in type {g.rs.cartan_type}; "
              f"slim={cls.slim} fat={cls.fat} balanced={cls.balanced}",
              "thickening ranks: "
              + ",".join(map(str, outputs["thickening_ranks"]))]
     if cls.slim:
-        omega = topology._omega_betti(ideal, perp, p)
+        omega = topology.omega_betti(o, ideal, p)
         outputs["omega_betti"] = omega.to_json()
         lines.append("domain Betti numbers: "
                      + ",".join(map(str, omega.to_json())))
         if cls.balanced:
-            chi = topology._euler_omega(omega, ideal, p)
+            chi = topology.euler_omega(o, ideal, p)
             outputs["euler"] = chi
             lines.append(f"Euler characteristic: {chi}")
         if args.genus is not None:

@@ -2,12 +2,14 @@
 
 The input is the generator subset that generates W_P itself, not its
 complement.  Each left coset x W_P contains a unique element with no
-right descent into the subset, and it is the strictly shortest member;
-it is found by stripping descents.  Lengths add along the factorization
-x = rep * u with u in W_P, which build_parabolic checks for every
-element.  Invariance tests and graded ranks are whole-mask kernels:
-one gather per generator for the image x -> x s (or s x), and one
-popcount per quotient length against the masks of W^P.
+right descent into the subset, and it is the strictly shortest member.
+build_parabolic finds these representatives W^P by one length test per
+generator, then builds each coset as the orbit rep * W_P along one walk
+of W_P.  It checks, for every element, that it lies in exactly one
+orbit (the orbits cover W, and |W^P| |W_P| = |W|) and that lengths add
+along x = rep * u.  Invariance tests and graded ranks are whole-mask
+kernels: one gather per generator for the image x -> x s (or s x), and
+one popcount per quotient length against the masks of W^P.
 """
 
 from __future__ import annotations
@@ -78,44 +80,57 @@ class ParabolicSubset:
 
 
 def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
+    """W_P, W^P and each element's coset, by orbits of W^P under W_P.
+
+    W^P is the set of y that every s in theta lengthens.  W_P is walked
+    once from the identity, each member reached from an earlier one by
+    one letter; along the same walk, y u comes from one table lookup
+    per member u.  Every element must lie in one orbit with
+    l(y u) = l(y) + l(u), and |W^P| |W_P| must be |W|: the orbits then
+    cover W without overlap, so each x is rep * u with u in W_P, by
+    construction and length-additively.
+    """
     theta = tuple(sorted(set(theta)))
     for i in theta:
         if not 0 <= i < g.rank:
             raise InvalidInputError(f"generator index {i} out of range")
+    rmult, length = g.rmult, g.length
 
-    sub = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
+    # W_P in discovery order; member j > 0 is member k times s_i
+    walk, steps, seen = [0], [], {0}
+    for k, x in enumerate(walk):
         for i in theta:
-            y = g.rmult[x][i]
-            if y not in sub:
-                sub.add(y)
-                queue.append(y)
-    subgroup = sorted(sub)
+            y = rmult[x][i]
+            if y not in seen:
+                seen.add(y)
+                walk.append(y)
+                steps.append((k, i))
+    walk_len = [length[u] for u in walk]
+
+    min_reps = [y for y in range(g.order)
+                if all(length[rmult[y][i]] > length[y] for i in theta)]
+    require(len(min_reps) * len(walk) == g.order,
+            "coset count times |W_P| differs from |W|")
+    coset_of = [-1] * g.order
+    additive = True
+    for y in min_reps:
+        orbit = [y]
+        for k, i in steps:
+            orbit.append(rmult[orbit[k]][i])
+        ly = length[y]
+        additive = additive and all(
+            length[x] == ly + lu for x, lu in zip(orbit, walk_len))
+        for x in orbit:
+            coset_of[x] = y
+    require(additive,
+            "x = rep * u is not a length-additive factorization into W_P")
+    # the orbits hold |W| entries in all, so covering W leaves no overlap
+    require(-1 not in coset_of, "some element lies in no orbit of W^P")
+
+    subgroup = sorted(walk)
     mask = 0
     for x in subgroup:
         mask |= 1 << x
-    require(g.order % len(subgroup) == 0, "|W_P| does not divide |W|")
-
-    coset_of = [0] * g.order
-    for x in range(g.order):
-        y = x
-        while True:
-            act = g.acts[y]
-            i = next((i for i in theta if act[i] < 0), None)
-            if i is None:
-                break
-            y = g.rmult[y][i]
-        coset_of[x] = y
-        # length-additive factorization x = y * u, u in W_P
-        u = g.multiply(g.inverse[y], x)
-        require(mask >> u & 1 and g.length[x] == g.length[y] + g.length[u],
-                "x = rep * u is not a length-additive factorization into W_P")
-
-    min_reps = sorted(set(coset_of))
-    require(len(min_reps) * len(subgroup) == g.order,
-            "coset count times |W_P| differs from |W|")
     return ParabolicSubset(g=g, theta=theta, subgroup=subgroup,
                            subgroup_mask=mask, min_reps=min_reps,
                            coset_of=coset_of)

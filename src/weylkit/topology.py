@@ -4,7 +4,10 @@ Everything here reduces to counting coset representatives by quotient
 length.  Thickenings have free even homology with rank r_k in degree 2k
 (r = length histogram of I/W_D, one popcount per length against the
 masks of W^D); domains combine r(I) and r(I-perp); quotient manifolds
-tensor with the surface homology (1, 2g, 1).
+tensor with the surface homology (1, 2g, 1).  The ranks and the
+orthogonal are computed once per ideal and parabolic (or order) and
+kept on the Ideal, so the public functions below can each be called on
+one ideal without redoing the others' work.
 
 The closed-form Poincare polynomials are exact integer products of
 t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bruhat import BruhatOrder, Ideal, classify, orthogonal
+from .bruhat import BruhatOrder, Ideal, _cached, classify, orthogonal
 from .errors import BudgetExceededError, InvalidInputError, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
 from .parabolic import ParabolicSubset, build_parabolic, is_right_invariant
@@ -67,15 +70,29 @@ def _at(hist, k: int) -> int:
     return hist[k] if 0 <= k < len(hist) else 0
 
 
-def _ranks(ideal: Ideal, p: ParabolicSubset) -> list[int]:
-    """r_k(I) = |I & W^P of quotient length k|, k = 0..l(w0 W_P)."""
-    if not is_right_invariant(ideal, p):
-        raise InvalidInputError("ideal is not right-invariant under W_P")
-    return [(ideal.mask & m).bit_count() for m in p.length_masks]
+def _check_groups(ideal: Ideal, p: ParabolicSubset,
+                  o: BruhatOrder | None = None) -> None:
+    """Refuse an ideal, parabolic or order built on another group."""
+    if ideal.g is not p.g or (o is not None and o.g is not p.g):
+        raise InvalidInputError("ideal, parabolic, and order must share a group")
+
+
+def _ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
+    """r_k(I) = |I & W^P of quotient length k|, k = 0..l(w0 W_P).
+
+    Computed once per (ideal, p); an ideal that is not right-invariant
+    raises every time.
+    """
+    def compute():
+        if not is_right_invariant(ideal, p):
+            raise InvalidInputError("ideal is not right-invariant under W_P")
+        return tuple((ideal.mask & m).bit_count() for m in p.length_masks)
+    return _cached(ideal, "_ranks", p, compute)
 
 
 def thickening_ranks(ideal: Ideal, p: ParabolicSubset) -> GradedRanks:
     """Homology of the model thickening: rank r_k in degree 2k."""
+    _check_groups(ideal, p)
     return GradedRanks.from_even(_ranks(ideal, p))
 
 
@@ -85,14 +102,8 @@ def omega_betti(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> GradedRanks
     b_2k = r_{n-1-k}(I) + r_k(I-perp) with n the top quotient length;
     odd Betti numbers vanish.  For balanced I this is r_k + r_{n-1-k}.
     """
-    g = o.g
-    if p.g is not g or ideal.g is not g:
-        raise InvalidInputError("ideal, parabolic, and order must share a group")
-    return _omega_betti(ideal, orthogonal(o, ideal), p)
-
-
-def _omega_betti(ideal: Ideal, perp: Ideal, p: ParabolicSubset) -> GradedRanks:
-    """omega_betti, given the orthogonal."""
+    _check_groups(ideal, p, o)
+    perp = orthogonal(o, ideal)
     if ideal.mask & ~perp.mask:
         raise InvalidInputError("ideal is not slim")
     # _ranks refuses an ideal or orthogonal that is not invariant
@@ -109,12 +120,7 @@ def euler_omega(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> int:
     omega_betti refuses I unless slim, and a slim I (inside I^perp, of
     size |W| - |I|) is balanced exactly when 2|I| = |W|.
     """
-    return _euler_omega(omega_betti(o, ideal, p), ideal, p)
-
-
-def _euler_omega(omega: GradedRanks, ideal: Ideal,
-                 p: ParabolicSubset) -> int:
-    """euler_omega, given the domain Betti numbers of a slim I."""
+    omega = omega_betti(o, ideal, p)
     if 2 * ideal.size != p.g.order:
         raise InvalidInputError("ideal is not balanced")
     chi = p.n_cosets
@@ -136,11 +142,8 @@ def quotient_homology(omega: GradedRanks, genus: int) -> GradedRanks:
 
 def splitting_check(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> bool:
     """Coset counts of W/W_P split as r_k(I) + r_{n-k}(I-perp)."""
-    return _splitting(ideal, orthogonal(o, ideal), p)
-
-
-def _splitting(ideal: Ideal, perp: Ideal, p: ParabolicSubset) -> bool:
-    """splitting_check, given the orthogonal."""
+    _check_groups(ideal, p, o)
+    perp = orthogonal(o, ideal)
     r_i = _ranks(ideal, p)
     r_p = _ranks(perp, p)
     n = p.max_quotient_length
@@ -181,6 +184,7 @@ def hausdorff_bound(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset,
     """
     if not 0.0 <= limit_curve_dim <= 2.0:
         raise InvalidInputError("limit curve dimension must lie in [0, 2]")
+    _check_groups(ideal, p, o)
     if not classify(o, ideal).slim:
         raise InvalidInputError("ideal is not slim")
     maxlen = max((k for k, r in enumerate(_ranks(ideal, p)) if r), default=0)

@@ -91,9 +91,9 @@ def test_betti_family_spec(capsys):
 
 
 def test_betti_and_balanced_do_not_redo_work(capsys, monkeypatch):
-    """betti computes I^perp once; balanced reuses the certified
-    generators instead of recomputing them per ideal."""
-    calls = {"orthogonal": 0, "minimal_generators": 0}
+    """betti computes I^perp (its w0 gather) once; balanced reuses the
+    certified generators instead of recomputing them per ideal."""
+    calls = {"_w0_image": 0, "minimal_generators": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -109,10 +109,10 @@ def test_betti_and_balanced_do_not_redo_work(capsys, monkeypatch):
     doc = run_json(capsys, ["betti", "A4", "--ideal", "family:incidence",
                             "--domain", "2,3", "--genus", "2"])
     assert doc["outputs"]["euler"] == 20
-    assert calls == {"orthogonal": 1, "minimal_generators": 0}
+    assert calls == {"_w0_image": 1, "minimal_generators": 0}
     doc = run_json(capsys, ["balanced", "B3"])
     assert doc["outputs"]["count"] == 29
-    assert calls == {"orthogonal": 1, "minimal_generators": 0}
+    assert calls == {"_w0_image": 1, "minimal_generators": 0}
 
 
 def test_poincare(capsys):

@@ -4,23 +4,27 @@ Random product types of rank <= 3 and random ideals, generated from
 random element sets: the w0 image, the covered set, right and left
 invariance for every generator subset and the popcount graded ranks
 must equal plain loops over the members; orthogonal is an involution,
-the splitting identity holds, and ideal JSON round-trips.
+the splitting identity holds, and ideal JSON round-trips.  The facts an
+Ideal keeps about itself (covered set, orthogonal, graded ranks) give
+the same answers as a fresh Ideal, and do not hide a forged cover list.
 """
 
+import dataclasses
 import functools
 import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylkit import bruhat, topology
-from weylkit.bruhat import (build_order, ideal_from_elements,
-                            ideal_from_json_dict, ideal_to_json_dict,
+from weylkit.bruhat import (Ideal, build_order, enumerate_balanced,
+                            ideal_from_elements, ideal_from_json_dict,
+                            ideal_to_json_dict, minimal_generators,
                             orthogonal)
 from weylkit.cartan import build_root_system, parse_type
-from weylkit.errors import InvalidInputError
+from weylkit.errors import InvalidInputError, VerificationError
 from weylkit.parabolic import (build_parabolic, is_left_invariant,
                                is_right_invariant)
 from weylkit.weyl import generate
@@ -123,7 +127,7 @@ def test_graded_ranks_and_splitting(case, data):
             for x in p.min_reps:
                 if i.mask >> x & 1:
                     hist[g.length[x]] += 1
-            assert topology._ranks(i, p) == hist
+            assert topology._ranks(i, p) == tuple(hist)
             assert topology.thickening_ranks(i, p) == \
                 topology.GradedRanks.from_even(hist)
             assert topology.splitting_check(o, i, p)
@@ -158,3 +162,82 @@ def test_masks_outside_w_are_refused():
             bruhat.is_downward_closed(o, mask)
         with pytest.raises(InvalidInputError):
             bruhat.make_ideal(o, mask)
+
+
+@functools.lru_cache(maxsize=None)
+def balanced_of(spec):
+    return enumerate_balanced(order_of(spec))
+
+
+@st.composite
+def topology_cases(draw):
+    """(order, ideal, parabolic): a balanced, a right-invariant or a
+    random ideal, so that the topology calls both answer and refuse."""
+    spec = draw(product_types())
+    o = order_of(spec)
+    g = o.g
+    p = build_parabolic(g, draw(st.sampled_from(list(thetas(g.rank)))))
+    kind = draw(st.sampled_from(["balanced", "invariant", "random"]))
+    if kind == "balanced":
+        return o, draw(st.sampled_from(balanced_of(spec))), p
+    xs = draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    if kind == "invariant":
+        return o, right_invariant_ideal(o, p, xs), p
+    return o, ideal_from_elements(o, xs), p
+
+
+MEMO_CALLS = {
+    "orthogonal": lambda o, i, p: orthogonal(o, i).mask,
+    "orthogonal twice": lambda o, i, p: orthogonal(o, orthogonal(o, i)).mask,
+    "minimal_generators": lambda o, i, p: minimal_generators(o, i),
+    "thickening_ranks": lambda o, i, p: topology.thickening_ranks(i, p),
+    "omega_betti": topology.omega_betti,
+    "euler_omega": topology.euler_omega,
+    "splitting_check": topology.splitting_check,
+    "hausdorff_bound": topology.hausdorff_bound,
+    "ideal_to_json_dict": lambda o, i, p: ideal_to_json_dict(o, i),
+}
+
+
+def outcome(call, o, ideal, p):
+    """The call's value, or the refusal it raised."""
+    try:
+        return call(o, ideal, p)
+    except InvalidInputError as exc:
+        return ("refused", str(exc))
+
+
+@SETTINGS
+@given(topology_cases())
+def test_repeated_calls_match_a_fresh_ideal(case):
+    o, ideal, p = case
+    for _ in range(2):
+        for name, call in MEMO_CALLS.items():
+            fresh = Ideal(o.g, ideal.mask)
+            assert outcome(call, o, ideal, p) == outcome(call, o, fresh, p), \
+                name
+
+
+@SETTINGS
+@given(topology_cases(), st.data())
+def test_memo_does_not_hide_a_forged_cover(case, data):
+    """After every call on the true order, an order whose covers put an
+    element of I^perp above one outside it fails orthogonal's check."""
+    o, ideal, p = case
+    g = o.g
+    for call in MEMO_CALLS.values():
+        outcome(call, o, ideal, p)
+    perp = orthogonal(o, ideal).mask
+    # y covers x: I stays closed when y is outside I or x inside it.
+    # There is such an edge unless I is empty, all of W or balanced.
+    edges = [(y, x) for y in range(g.order) if perp >> y & 1
+             for x in range(g.order) if not perp >> x & 1
+             and (not ideal.mask >> y & 1 or ideal.mask >> x & 1)]
+    assume(edges)
+    y, x = data.draw(st.sampled_from(edges))
+    covers = [list(c) for c in o.covers]
+    covers[y].append(x)
+    forged = dataclasses.replace(o, covers=covers)
+    with pytest.raises(VerificationError):
+        orthogonal(forged, ideal)
+    assert orthogonal(o, ideal).mask == perp

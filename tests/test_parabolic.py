@@ -1,16 +1,20 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from weylkit.bruhat import build_order, principal_ideal
 from weylkit.cartan import build_root_system, parse_type
-from weylkit.errors import InvalidInputError
+from weylkit.errors import InvalidInputError, VerificationError
 from weylkit.parabolic import (build_parabolic, double_coset_min_rep,
                                is_left_invariant, is_right_invariant,
                                quotient_ideal)
 from weylkit.weyl import generate
 
 TYPES = ["A2", "B2", "A3"]
+# every simple type of rank <= 4, and two products
+REFERENCE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                   "D4", "F4", "G2", "A2xA2", "B2xA1"]
 
 
 def grp(spec):
@@ -44,6 +48,69 @@ def test_subgroup_and_cosets_exhaustive():
                 assert g.length[best] == g.length[rep]
                 assert sum(1 for z in coset
                            if g.length[z] == g.length[rep]) == 1
+
+
+def stripped_cosets(g, theta):
+    """(subgroup, min_reps, coset_of) by closure and descent stripping.
+
+    A reference that reads the root action, not the length table: s_i
+    is a right descent of y when y sends the simple root i negative.
+    """
+    sub, queue = {0}, [0]
+    while queue:
+        x = queue.pop()
+        for i in theta:
+            y = g.rmult[x][i]
+            if y not in sub:
+                sub.add(y)
+                queue.append(y)
+    coset_of = []
+    for x in range(g.order):
+        y = x
+        while (i := next((i for i in theta if g.acts[y][i] < 0),
+                         None)) is not None:
+            y = g.rmult[y][i]
+        coset_of.append(y)
+    return sorted(sub), sorted(set(coset_of)), coset_of
+
+
+@pytest.mark.parametrize("spec", REFERENCE_TYPES)
+def test_orbit_cosets_match_descent_stripping(spec):
+    g = grp(spec)
+    for theta in all_thetas(g.rank):
+        p = build_parabolic(g, theta)
+        assert (p.subgroup, p.min_reps, p.coset_of) == \
+            stripped_cosets(g, theta)
+
+
+def test_tampered_length_is_caught():
+    """Raising any one length by 1 breaks the orbit checks."""
+    g = grp("A3")
+    for theta in ((0,), (0, 2), (1, 2)):
+        build_parabolic(g, theta)
+        for x in range(g.order):
+            length = list(g.length)
+            length[x] += 1
+            bad = dataclasses.replace(g, length=length)
+            with pytest.raises(VerificationError):
+                build_parabolic(bad, theta)
+
+
+def test_tampered_rmult_is_caught():
+    """y s sent into another coset, with lengths still adding: the two
+    orbits overlap, and one coset is left out."""
+    g = grp("A3")
+    for i in range(g.rank):
+        p = build_parabolic(g, (i,))
+        for y in p.min_reps:
+            for z in p.min_reps:
+                if g.length[z] != g.length[y] + 1:
+                    continue
+                rmult = list(g.rmult)
+                rmult[y] = rmult[y][:i] + (z,) + rmult[y][i + 1:]
+                bad = dataclasses.replace(g, rmult=rmult)
+                with pytest.raises(VerificationError):
+                    build_parabolic(bad, (i,))
 
 
 def test_min_reps_have_no_theta_descent():

@@ -76,6 +76,31 @@ def test_euler_omega_requires_balanced():
         euler_omega(o, slim_not_balanced, p)
 
 
+SHARED_GROUP_CALLS = {
+    "thickening_ranks": lambda o, ideal, p: thickening_ranks(ideal, p),
+    "omega_betti": omega_betti,
+    "euler_omega": euler_omega,
+    "splitting_check": splitting_check,
+    "hausdorff_bound": hausdorff_bound,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_GROUP_CALLS))
+def test_parts_of_another_group_are_refused(name):
+    """An A2 ideal with a B3 parabolic, or with a B3 order, is refused
+    before any count is made of it."""
+    call = SHARED_GROUP_CALLS[name]
+    g, o = make_order("A2")
+    (ideal,) = enumerate_balanced(o)
+    g3, o3 = make_order("B3")
+    with pytest.raises(InvalidInputError, match="share a group"):
+        call(o, ideal, build_parabolic(g3, ()))
+    if name != "thickening_ranks":     # it takes no order
+        with pytest.raises(InvalidInputError, match="share a group"):
+            call(o3, ideal, build_parabolic(g, ()))
+    call(o, ideal, build_parabolic(g, ()))
+
+
 def test_splitting_exhaustive_small_types():
     # every downward-closed subset of A2 and B2, every compatible domain
     from weylkit.bruhat import is_downward_closed, make_ideal

@@ -60,12 +60,58 @@ print(__debug__, outcome(lambda: enumerate_balanced(forged)),
 """
 
 
-def test_checks_run_under_python_O():
+# Every per-ideal fact is computed first on the true order; the forged
+# copy must still fail orthogonal's check of its result.
+OPTIMIZED_MEMO = """
+import dataclasses
+from weylkit import (VerificationError, build_order, build_parabolic,
+                     build_root_system, generate, hausdorff_bound,
+                     ideal_from_elements, ideal_to_json_dict,
+                     minimal_generators, omega_betti, orthogonal, parse_type,
+                     splitting_check)
+
+
+def outcome(fn):
+    try:
+        fn()
+    except VerificationError:
+        return "VerificationError"
+    return "returned"
+
+
+o = build_order(generate(build_root_system(parse_type("A2"))))
+g = o.g
+p = build_parabolic(g, ())
+ideal = ideal_from_elements(o, [0])     # {e}; its orthogonal is W minus w0
+for fn in (omega_betti, splitting_check, hausdorff_bound):
+    fn(o, ideal, p)
+orthogonal(o, ideal)
+minimal_generators(o, ideal)
+ideal_to_json_dict(o, ideal)
+# one tampered cover list: a generator claims to cover w0
+covers = [list(c) for c in o.covers]
+covers[g.generators[0]].append(g.w0)
+forged = dataclasses.replace(o, covers=covers)
+print(__debug__, outcome(lambda: orthogonal(forged, ideal)),
+      outcome(lambda: orthogonal(o, ideal)))
+"""
+
+
+def _run_optimized(script):
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED],
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "VerificationError",
-                                   "VerificationError"]
+    return proc.stdout.split()
+
+
+def test_checks_run_under_python_O():
+    assert _run_optimized(OPTIMIZED) == ["False", "VerificationError",
+                                         "VerificationError"]
+
+
+def test_memo_checks_a_forged_order_under_python_O():
+    assert _run_optimized(OPTIMIZED_MEMO) == ["False", "VerificationError",
+                                              "returned"]
