@@ -470,8 +470,22 @@ def verify_short_small(t: CartanType, max_length: int) -> ShortSmallReport:
 # ---------------------------------------------------------------------------
 # Balanced-ideal enumeration
 
+def _coset_tops(p) -> list[int]:
+    """coset_top[x]: the longest member of the coset x W_P.
+
+    It is rep w0(P), and the coset is the interval below it: u <= w0(P)
+    for u in W_P, and lengths add along rep * u, so rep u is a subword
+    of rep w0(P).
+    """
+    length, top = p.g.length, {}
+    for x, rep in enumerate(p.coset_of):
+        if length[x] > length[top.get(rep, rep)]:
+            top[rep] = x
+    return [top.get(rep, rep) for rep in p.coset_of]
+
+
 def _propagate(o: BruhatOrder, in_mask: int, out_mask: int, todo: list[int],
-               coset_masks: list[int] | None) -> tuple[int, int] | None:
+               coset_top: list[int] | None) -> tuple[int, int] | None:
     """Force the pending elements into I and close under the rules.
 
     I is downward closed, so x joining I brings down[x].  Exactly one of
@@ -479,8 +493,10 @@ def _propagate(o: BruhatOrder, in_mask: int, out_mask: int, todo: list[int],
     bit w0 b of out_mask, which stays w0 * in_mask and, as w0 reverses
     the order, upward closed with no masks of its own.  Under invariance
     I is a union of cosets x W_P, and so is the out-set, as
-    w0 (x W_P) = (w0 x) W_P.  Returns None on contradiction, an element
-    both in and out.
+    w0 (x W_P) = (w0 x) W_P.  A coset is the interval below its longest
+    member coset_top[x], so b joining brings down[coset_top[b]]: one
+    push per coset, not one per member.  Returns None on contradiction,
+    an element both in and out.
     """
     down, w0 = o.down, o.g.w0_left
     while todo:
@@ -491,8 +507,8 @@ def _propagate(o: BruhatOrder, in_mask: int, out_mask: int, todo: list[int],
         # a few bits join per step: a loop beats a whole-mask gather here
         for b in _bit_positions(add):
             out_mask |= 1 << w0(b)
-            if coset_masks is not None:
-                todo.extend(_bit_positions(coset_masks[b] & ~in_mask))
+            if coset_top is not None and not in_mask >> coset_top[b] & 1:
+                todo.append(coset_top[b])
         if in_mask & out_mask:
             return None
     return in_mask, out_mask
@@ -527,17 +543,14 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     check_enumeration_budget(g.order, max_order)
     check_dense_masks(g.order, o.down is not None)
 
-    coset_masks = None
+    coset_top = None
     if invariance is not None:
         if invariance.g is not g:
             raise InvalidInputError("invariance parabolic built on another group")
-        groups: dict[int, int] = {}
-        for x, rep in enumerate(invariance.coset_of):
-            groups[rep] = groups.get(rep, 0) | 1 << x
-        coset_masks = [groups[rep] for rep in invariance.coset_of]
+        coset_top = _coset_tops(invariance)
 
     seeds = [x for x in range(g.order) if is_small(o, x)]
-    seeded = _propagate(o, 0, 0, seeds, coset_masks)
+    seeded = _propagate(o, 0, 0, seeds, coset_top)
     if seeded is None:
         return [], []
 
@@ -556,7 +569,7 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
             continue
         x = pairs[idx]
         for branch in (g.w0_left(x), x):  # x popped first: IN branch first
-            closed = _propagate(o, in_mask, out_mask, [branch], coset_masks)
+            closed = _propagate(o, in_mask, out_mask, [branch], coset_top)
             if closed is not None:
                 stack.append((closed[0], closed[1], idx))
 

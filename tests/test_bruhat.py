@@ -260,6 +260,55 @@ def test_right_invariant_enumeration_filters():
                 assert sorted(i.mask for i in got) == sorted(want)
 
 
+def _closure_by_members(o, p, pushed):
+    """Reference for _propagate from nothing: close under down and under
+    whole cosets, member by member; None if I meets w0 I."""
+    g, cosets = o.g, {}
+    for x, rep in enumerate(p.coset_of):
+        cosets[rep] = cosets.get(rep, 0) | 1 << x
+    m, done, todo = 0, set(), list(pushed)
+    while todo:
+        x = todo.pop()
+        if x not in done:
+            done.add(x)
+            m |= o.down[x] | cosets[p.coset_of[x]]
+            todo.extend(y for y in range(g.order) if m >> y & 1)
+    out = 0
+    for x in range(g.order):
+        if m >> x & 1:
+            out |= 1 << g.w0_left(x)
+    return None if m & out else (m, out)
+
+
+def test_coset_propagation_by_longest_member_matches_members():
+    for spec in ["A3", "B3", "G2", "A2xA1", "B2xA1", "D4"]:
+        g, o = make_order(spec)
+        for k in range(1, g.rank + 1):
+            for theta in itertools.combinations(range(g.rank), k):
+                p = build_parabolic(g, theta)
+                tops = bruhat._coset_tops(p)
+                for x, t in enumerate(tops):
+                    assert p.coset_of[t] == p.coset_of[x]
+                    assert o.down[t] >> x & 1
+                for _ in range(4):
+                    pushed = rng.sample(range(g.order), rng.randint(1, 3))
+                    got = bruhat._propagate(o, 0, 0, list(pushed), tops)
+                    assert got == _closure_by_members(o, p, pushed)
+
+
+def test_invariant_counts_agree_across_diagram_symmetry():
+    # labellings related by a diagram automorphism must give equal
+    # counts, however differently the search meets them
+    for spec, thetas, count in [("D4", [(0,), (2,), (3,)], 562),
+                                ("A5", [(0, 1, 2), (2, 3, 4)], 5),
+                                ("A6", [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5)], 0)]:
+        g, o = make_order(spec)
+        for theta in thetas:
+            p = build_parabolic(g, theta)
+            assert len(enumerate_balanced(o, invariance=p,
+                                          max_order=g.order)) == count
+
+
 def test_certification_rejects_each_broken_property():
     g, o = make_order("A3")
     full = o.full_mask
