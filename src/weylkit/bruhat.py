@@ -376,21 +376,18 @@ def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
 def orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal:
     """I^perp = w0 (W \\ I); downward-closedness of the result is checked.
 
-    The mask is computed once per (ideal, order).  A balanced ideal is
-    its own orthogonal and comes back as itself; any other result
-    starts with ideal.mask as its own orthogonal, as the map is an
-    involution.
+    The result is computed once per (ideal, order) and kept as an
+    object, so repeated calls share its memos.  A balanced ideal is its
+    own orthogonal and comes back as itself (memoized as None, so the
+    ideal holds no reference to itself); any other result starts with
+    the ideal as its own orthogonal, as the map is an involution.
     """
-    m = _cached(ideal, "_perp", o, lambda: _perp_mask(o, ideal))
-    if m == ideal.mask:
-        return ideal
-    perp = Ideal(o.g, m)
-    _cached(perp, "_perp", o, lambda: ideal.mask)
-    return perp
+    perp = _cached(ideal, "_perp", o, lambda: _orthogonal(o, ideal))
+    return ideal if perp is None else perp
 
 
-def _perp_mask(o: BruhatOrder, ideal: Ideal) -> int:
-    """The mask of I^perp, with the ideal and the result checked.
+def _orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal | None:
+    """I^perp, or None when it equals I; the ideal and the result are checked.
 
     A result equal to the input needs no second check: the input check
     tested the same mask against the same covers.
@@ -398,9 +395,12 @@ def _perp_mask(o: BruhatOrder, ideal: Ideal) -> int:
     if _ideal_covered(o, ideal) & ~ideal.mask:
         raise InvalidInputError("not an ideal")
     m = _w0_image(o, ideal.mask ^ o.full_mask)
-    require(m == ideal.mask or is_downward_closed(o, m),
-            "orthogonal failed to be an ideal")
-    return m
+    if m == ideal.mask:
+        return None
+    require(is_downward_closed(o, m), "orthogonal failed to be an ideal")
+    perp = Ideal(o.g, m)
+    _cached(perp, "_perp", o, lambda: ideal)
+    return perp
 
 
 @dataclass(frozen=True)
@@ -549,13 +549,15 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
             raise InvalidInputError("invariance parabolic built on another group")
         coset_top = _coset_tops(invariance)
 
-    seeds = [x for x in range(g.order) if is_small(o, x)]
+    # the small elements, x <= w0 x, read straight from the masks
+    down, w0 = o.down, g.w0_left
+    seeds = [x for x in range(g.order) if down[w0(x)] >> x & 1]
     seeded = _propagate(o, 0, 0, seeds, coset_top)
     if seeded is None:
         return [], []
 
     # the member of each pair {x, w0 x} that comes first by (length, id)
-    pairs = [x for x in range(g.order) if x < g.w0_left(x)]
+    pairs = [x for x in range(g.order) if x < w0(x)]
 
     results = []
     stack = [(seeded[0], seeded[1], 0)]
@@ -568,7 +570,7 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
             results.append((in_mask, out_mask))
             continue
         x = pairs[idx]
-        for branch in (g.w0_left(x), x):  # x popped first: IN branch first
+        for branch in (w0(x), x):  # x popped first: IN branch first
             closed = _propagate(o, in_mask, out_mask, [branch], coset_top)
             if closed is not None:
                 stack.append((closed[0], closed[1], idx))

@@ -29,7 +29,7 @@ from .bbw import bbw_cohomology, sheaf_cohomology_cases
 from .cartan import parse_type
 from .errors import (BudgetExceededError, InvalidInputError,
                      VerificationError, WeylkitError)
-from .parabolic import build_parabolic, is_right_invariant
+from .parabolic import build_parabolic
 from .weyl import WeylGroup, build_group
 
 
@@ -209,7 +209,7 @@ def _cmd_betti(args, t0):
     theta = _parse_gens(args.domain, g.rank)
     p = build_parabolic(g, theta)
     cls = bruhat.classify(o, ideal)
-    if not is_right_invariant(ideal, p):
+    if topology._invariant_ranks(ideal, p) is None:
         raise InvalidInputError(
             "ideal is not right-invariant under the domain subgroup")
     inputs = {"type": args.type, "ideal": args.ideal,

@@ -80,12 +80,22 @@ def _check_groups(ideal: Ideal, p: ParabolicSubset,
 def _ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
     """r_k(I) = |I & W^P of quotient length k|, k = 0..l(w0 W_P).
 
-    Computed once per (ideal, p); an ideal that is not right-invariant
-    raises every time.
+    An ideal that is not right-invariant raises every time.
+    """
+    ranks = _invariant_ranks(ideal, p)
+    if ranks is None:
+        raise InvalidInputError("ideal is not right-invariant under W_P")
+    return ranks
+
+
+def _invariant_ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...] | None:
+    """The ranks r_k(I), or None when I is not right-invariant.
+
+    Computed once per (ideal, p), the invariance check included.
     """
     def compute():
         if not is_right_invariant(ideal, p):
-            raise InvalidInputError("ideal is not right-invariant under W_P")
+            return None
         return tuple((ideal.mask & m).bit_count() for m in p.length_masks)
     return _cached(ideal, "_ranks", p, compute)
 

@@ -10,8 +10,13 @@ multiplication by the simple reflections, so an element's BFS depth is
 its length; the build cross-checks that against the root-inversion count.
 Only the generator-multiplication columns are cached (memory |W| x rank);
 general products are composed letter by letter.  The build composes
-actions only at C level (one ``itemgetter`` call per table entry); the
-inverses and the w0 table are walks through those columns.
+only ascents, x s_i with x(alpha_i) > 0, and fills the descent slot of
+y = x s_i from the same product: i is a descent of y, and x is y s_i.
+Since l(x s_i) = l(x) +- 1, every descent slot is filled this way
+(Bjorner-Brenti, Sec. 1.4), so half the products are never composed.
+Each composition is one C-level ``itemgetter`` gather, and a new
+element's extended action is gathered from its parent's.  The inverses
+and the w0 table are walks through the finished columns.
 """
 
 from __future__ import annotations
@@ -154,11 +159,17 @@ def generate(rs: RootSystem) -> WeylGroup:
     Element identity is the signed root action; lengths are BFS depths,
     cross-checked against inversion counts.  Element ids are BFS
     discovery order, hence never decrease in length: sorting ids sorts
-    by (length, id).  Refuses tables larger than the entry budget.
+    by (length, id).  Only ascents are composed: when x is read, each i
+    with x(alpha_i) > 0 gives y = x s_i, one longer, and sets both
+    rmult[x][i] and rmult[y][i].  A descent i of x has x s_i one shorter,
+    read earlier with i as an ascent, so its slot is already set; the
+    build requires that no slot is left unset.  Descents discover no
+    element, so ids match those of the full product table.  Refuses
+    tables larger than the entry budget.
     """
     check_table_budget(rs.cartan_type)
     order = rs.cartan_type.weyl_order()
-    npos = rs.n_positive
+    npos, rank = rs.n_positive, rs.rank
 
     root_index = {r: k for k, r in enumerate(rs.positive_roots)}
     gen_acts = []
@@ -173,25 +184,34 @@ def generate(rs: RootSystem) -> WeylGroup:
                 act.append(-(root_index[opposite] + 1))
         gen_acts.append(tuple(act))
 
-    # ext = (0,) + ax + (-ax reversed) has ext[v] = +-ax[|v| - 1] for
-    # v = +-(k + 1), so reading a generator's action as indices into ext
-    # gives the action of x s_i; a one-index itemgetter returns a scalar
+    # ext(x) = (0,) + ax + (-ax reversed) has ext[v] = +-ax[|v| - 1] for
+    # v = +-(k + 1), so reading a generator's action as indices into
+    # ext(x) gives the action of x s_i, and reading the generator's own
+    # ext gives ext(x s_i); a one-index itemgetter returns a scalar
+    ident = tuple(range(1, npos + 1))
+    ext_ident = (0,) + ident + tuple(map(neg, reversed(ident)))
     getters = [itemgetter(*a) if npos > 1 else lambda e, k=a[0]: (e[k],)
                for a in gen_acts]
+    ext_getters = [itemgetter(0, *a, *map(neg, reversed(a))) for a in gen_acts]
+    steps = list(zip(range(1, rank + 1), range(rank), getters, ext_getters))
 
-    ident = tuple(range(1, npos + 1))
     acts = [ident]
     id_of = {ident: 0}
     length = [0]
     parent = [0]
     letter = [-1]
-    rmult: list[tuple[int, ...]] = []
+    exts: list[tuple[int, ...] | None] = [ext_ident]   # None once read
+    rmult: list = [[-1] * rank]
 
-    # acts grows while it is read: breadth-first, rows complete in order
-    for x, ax in enumerate(acts):
-        ext = (0,) + ax + tuple(map(neg, reversed(ax)))
-        row = []
-        for i, get in enumerate(getters):
+    # exts grows while it is read: breadth-first.  Rows of unread
+    # elements are lists that their shorter neighbours fill; a row
+    # becomes a tuple, and its ext is dropped, once the element is read.
+    for x, ext in enumerate(exts):
+        exts[x] = None
+        row = rmult[x]
+        for k, i, get, get_ext in steps:
+            if ext[k] < 0:          # x(alpha_i) < 0: a descent
+                continue
             t = get(ext)
             y = id_of.get(t)
             if y is None:
@@ -201,11 +221,15 @@ def generate(rs: RootSystem) -> WeylGroup:
                 length.append(length[x] + 1)
                 parent.append(x)
                 letter.append(i)
-            row.append(y)
-        rmult.append(tuple(row))
+                exts.append(get_ext(ext))
+                rmult.append([-1] * rank)
+            row[i] = y
+            rmult[y][i] = x
+        rmult[x] = tuple(row)
 
     require(len(acts) == order,
             f"BFS found {len(acts)} elements, order formula says {order}")
+    require(min(map(min, rmult)) >= 0, "a descent slot was left unset")
     for x, a in enumerate(acts):
         require(sum(1 for v in a if v < 0) == length[x],
                 "BFS depth differs from the inversion count")

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -194,6 +196,32 @@ def test_orthogonal_involution_swaps_slim_fat():
             assert orthogonal(o, p).mask == i.mask
             ci, cp = classify(o, i), classify(o, p)
             assert ci.slim == cp.fat and ci.fat == cp.slim
+
+
+def test_orthogonal_returns_one_object_per_order():
+    g, o = make_order("A3")
+    for x in range(g.order):
+        i = principal_ideal(o, x)
+        p = orthogonal(o, i)
+        assert orthogonal(o, i) is p
+        assert orthogonal(o, p) is i
+        assert (p is i) == classify(o, i).balanced
+    # the memo holds its order weakly: a copy is another owner
+    other = dataclasses.replace(o)
+    i = principal_ideal(o, 1)
+    p = orthogonal(o, i)
+    q = orthogonal(other, i)
+    assert q is not p and q.mask == p.mask
+
+
+def test_orthogonal_memo_keeps_no_order_alive():
+    g, o = make_order("A2")
+    ideals = [principal_ideal(o, x) for x in range(g.order)]
+    perps = [orthogonal(o, i) for i in ideals]
+    ref = weakref.ref(o)
+    del o
+    gc.collect()
+    assert ref() is None and len(perps) == g.order
 
 
 def test_small_elements_sit_in_every_fat_ideal():

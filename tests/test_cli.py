@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from weylkit import bruhat, cartan, cli, families, topology, weyl
+from weylkit import bruhat, cartan, cli, families, parabolic, topology, weyl
 from weylkit.cli import main
 
 
@@ -235,6 +235,27 @@ def test_console_script_byte_identical():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_betti_checks_invariance_once_per_ideal(capsys, monkeypatch,
+                                                tmp_path):
+    """<s1> in A3 is slim, not balanced, and invariant under s1: the
+    command gathers once for it and once for its orthogonal."""
+    calls = []
+    real = parabolic.is_right_invariant
+
+    def counted(ideal, p):
+        calls.append(ideal.mask)
+        return real(ideal, p)
+    for module in (cli, topology, parabolic):
+        monkeypatch.setattr(module, "is_right_invariant", counted,
+                            raising=False)
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps({"type": "A3", "generators": [[0]]}))
+    doc = run_json(capsys, ["betti", "A3", "--ideal", str(path),
+                            "--domain", "1"])
+    assert doc["outputs"]["slim"] and not doc["outputs"]["balanced"]
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 def test_ideal_not_invariant_is_usage_error(capsys):

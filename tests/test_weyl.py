@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylkit.cartan import build_root_system, parse_type
+from weylkit.cartan import CartanType, build_root_system, parse_type
 from weylkit.errors import BudgetExceededError, InvalidInputError
 from weylkit.weyl import bipartite_w0_word, default_bipartition, generate
 
@@ -100,6 +100,77 @@ def test_inverse_and_w0_left_match_signed_actions():
             w0x = tuple(w0_act[v - 1] if v > 0 else -w0_act[-v - 1]
                         for v in a)
             assert g.w0_left(x) == id_of[w0x]
+
+
+def full_table_oracle(rs):
+    """The group table by composing every product x s_i, descents too.
+
+    Element identity is the signed root action; inverses walk the BFS
+    letters back up the parent chain.
+    """
+    root_index = {r: k for k, r in enumerate(rs.positive_roots)}
+    gen_acts = []
+    for i in range(rs.rank):
+        act = []
+        for r in rs.positive_roots:
+            img = rs.reflect(i, r)
+            if img in root_index:
+                act.append(root_index[img] + 1)
+            else:
+                act.append(-(root_index[tuple(-c for c in img)] + 1))
+        gen_acts.append(act)
+    ident = tuple(range(1, rs.n_positive + 1))
+    acts, id_of = [ident], {ident: 0}
+    length, parent, letter, rmult = [0], [0], [-1], []
+    for x, ax in enumerate(acts):
+        row = []
+        for i, gen in enumerate(gen_acts):
+            t = tuple(ax[v - 1] if v > 0 else -ax[-v - 1] for v in gen)
+            if t not in id_of:
+                id_of[t] = len(acts)
+                acts.append(t)
+                length.append(length[x] + 1)
+                parent.append(x)
+                letter.append(i)
+            row.append(id_of[t])
+        rmult.append(tuple(row))
+    inverse = []
+    for x in range(len(acts)):
+        cur = 0
+        while x:
+            cur = rmult[cur][letter[x]]
+            x = parent[x]
+        inverse.append(cur)
+    return dict(acts=acts, length=length, rmult=rmult, bfs_parent=parent,
+                bfs_letter=letter, inverse=inverse,
+                w0=length.index(rs.n_positive),
+                generators=[id_of[tuple(a)] for a in gen_acts])
+
+
+def single_types(max_rank):
+    """Every simple type of rank <= max_rank, B1, C1, D2 and D3 included."""
+    for fam in "ABCDEFG":
+        for n in range(1, max_rank + 1):
+            try:
+                yield str(CartanType(((fam, n),)))
+            except InvalidInputError:
+                pass
+
+
+ORACLE_SPECS = [*single_types(4), "B2xA1", "A2xA2", "B5"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_ascent_only_table_matches_full_table(spec):
+    rs = build_root_system(parse_type(spec))
+    g = generate(rs)
+    assert {name: getattr(g, name) for name in
+            ["acts", "length", "rmult", "bfs_parent", "bfs_letter",
+             "inverse", "w0", "generators"]} == full_table_oracle(rs)
+    assert all(type(row) is tuple for row in g.rmult)
+    for x in range(g.order):
+        for i in range(g.rank):
+            assert g.rmult[g.rmult[x][i]][i] == x
 
 
 def test_default_bipartition_is_proper():
