@@ -21,8 +21,9 @@ keeps what is derived from it, once per order or parabolic (_cached):
 its covered set, its orthogonal's mask and its graded ranks.  Balanced
 ideals are enumerated by backtracking over the pairs {x, w0 x}, seeded
 with the small elements (x <= w0 x), which every fat ideal contains,
-and propagated through down and w0 alone; all results are then
-certified at once, on the transposed bit matrix.
+and propagated through down and w0 alone, with right-invariance
+folded into down beforehand; all results are then certified at once,
+on the transposed bit matrix.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ ENUM_BUDGET_DEFAULT = 1152
 CERTIFY_BLOCK = 4096        # search results per bit-sliced block
 
 
-def check_enumeration_budget(order: int, max_order: int | None = None) -> None:
-    """Refuse |W| above max_order, else WEYLKIT_MAX_ORDER, else 1152."""
+def check_enumeration_budget(t: CartanType,
+                             max_order: int | None = None) -> int:
+    """|W| of t, refused above max_order, else WEYLKIT_MAX_ORDER, else 1152."""
     budget = max_order
     if budget is None:
         env = os.environ.get("WEYLKIT_MAX_ORDER", str(ENUM_BUDGET_DEFAULT))
@@ -52,18 +54,16 @@ def check_enumeration_budget(order: int, max_order: int | None = None) -> None:
         except ValueError as exc:
             raise InvalidInputError(
                 f"WEYLKIT_MAX_ORDER must be an integer, got {env!r}") from exc
-    if order > budget:
+    order = t.weyl_order_at_most(budget)
+    if order is None:
         raise BudgetExceededError(
-            f"|W| = {order} exceeds enumeration budget {budget}")
+            f"|W| of {t} exceeds enumeration budget {budget}")
+    return order
 
 
 def check_dense_masks(order: int, has_masks: bool | None = None) -> None:
-    """Refuse enumeration without the dense order masks.
-
-    has_masks says whether a built order has them.  Left out, it is
-    decided from |W| as build_order decides at its default dense limit,
-    so a caller can refuse from the type before building anything.
-    """
+    """Refuse enumeration without the dense order masks: has_masks of a
+    built order, else decided from |W| at the default dense limit."""
     if has_masks is None:
         has_masks = order <= DENSE_LIMIT_DEFAULT
     if not has_masks:
@@ -327,19 +327,6 @@ def _w0_image(o: BruhatOrder, mask: int) -> int:
     return o._w0_gather(mask_bits(mask, o.g.order))
 
 
-def _maximal(o: BruhatOrder, mask: int, below: int) -> list[int]:
-    """Members of an ideal that no member covers, sorted by id.
-
-    below is _covered of the ideal.  In a downward-closed set a member
-    lies below another member exactly when some member covers it, so
-    these are the maximal members; they must regenerate the ideal.
-    """
-    gens = _bit_positions(mask & ~below)
-    require(ideal_from_elements(o, gens).mask == mask,
-            "maximal elements do not regenerate the ideal")
-    return gens
-
-
 def is_downward_closed(o: BruhatOrder, mask: int) -> bool:
     return _covered(o, mask) & ~mask == 0
 
@@ -366,11 +353,19 @@ def ideal_from_elements(o: BruhatOrder, xs) -> Ideal:
 
 
 def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
-    """Maximal elements of the ideal, sorted by id, so by (length, id)."""
+    """Maximal elements of the ideal, sorted by id, so by (length, id).
+
+    In a downward-closed set a member lies below another member exactly
+    when some member covers it, so these are the members no member
+    covers; they must regenerate the ideal.
+    """
     below = _ideal_covered(o, ideal)
     if below & ~ideal.mask:
         raise InvalidInputError("not an ideal")
-    return _maximal(o, ideal.mask, below)
+    gens = _bit_positions(ideal.mask & ~below)
+    require(ideal_from_elements(o, gens).mask == ideal.mask,
+            "maximal elements do not regenerate the ideal")
+    return gens
 
 
 def orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal:
@@ -470,35 +465,16 @@ def verify_short_small(t: CartanType, max_length: int) -> ShortSmallReport:
 # ---------------------------------------------------------------------------
 # Balanced-ideal enumeration
 
-def _coset_tops(p) -> list[int]:
-    """coset_top[x]: the longest member of the coset x W_P.
-
-    It is rep w0(P), and the coset is the interval below it: u <= w0(P)
-    for u in W_P, and lengths add along rep * u, so rep u is a subword
-    of rep w0(P).
-    """
-    length, top = p.g.length, {}
-    for x, rep in enumerate(p.coset_of):
-        if length[x] > length[top.get(rep, rep)]:
-            top[rep] = x
-    return [top.get(rep, rep) for rep in p.coset_of]
-
-
-def _propagate(o: BruhatOrder, in_mask: int, out_mask: int, todo: list[int],
-               coset_top: list[int] | None) -> tuple[int, int] | None:
+def _propagate(down: list[int], w0, in_mask: int, out_mask: int,
+               todo: list[int]) -> tuple[int, int] | None:
     """Force the pending elements into I and close under the rules.
 
     I is downward closed, so x joining I brings down[x].  Exactly one of
     {x, w0 x} is in I, so "x out" means "w0 x in": each b that joins sets
     bit w0 b of out_mask, which stays w0 * in_mask and, as w0 reverses
-    the order, upward closed with no masks of its own.  Under invariance
-    I is a union of cosets x W_P, and so is the out-set, as
-    w0 (x W_P) = (w0 x) W_P.  A coset is the interval below its longest
-    member coset_top[x], so b joining brings down[coset_top[b]]: one
-    push per coset, not one per member.  Returns None on contradiction,
-    an element both in and out.
+    the order, upward closed with no masks of its own.  Returns None on
+    contradiction, an element both in and out.
     """
-    down, w0 = o.down, o.g.w0_left
     while todo:
         add = down[todo.pop()] & ~in_mask
         if not add:
@@ -507,8 +483,6 @@ def _propagate(o: BruhatOrder, in_mask: int, out_mask: int, todo: list[int],
         # a few bits join per step: a loop beats a whole-mask gather here
         for b in _bit_positions(add):
             out_mask |= 1 << w0(b)
-            if coset_top is not None and not in_mask >> coset_top[b] & 1:
-                todo.append(coset_top[b])
         if in_mask & out_mask:
             return None
     return in_mask, out_mask
@@ -516,14 +490,11 @@ def _propagate(o: BruhatOrder, in_mask: int, out_mask: int, todo: list[int],
 
 def enumerate_balanced(o: BruhatOrder, invariance=None,
                        max_order: int | None = None) -> list[Ideal]:
-    """All balanced (optionally right-invariant) ideals, canonically sorted.
+    """All balanced (optionally right-invariant) ideals, sorted by
+    (generator count, generator word list).
 
     Backtracking over the pairs {x, w0 x} in increasing length of the
-    shorter member; the branches of x are "w0 x in" and "x in".  Seeds:
-    every small element is forced into I (balanced ideals are fat, and
-    fat ideals contain all small elements).  All results are certified
-    together by _certify_all.  Output order: (generator count, generator
-    word list).
+    shorter member; the branches of x are "w0 x in" and "x in".
     """
     _, certified = _enumerate_certified(o, invariance, max_order)
     return [Ideal(o.g, mask) for mask, _ in certified]
@@ -538,21 +509,28 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     generates some result, in canonical word order, and byte j of row
     is 1 when used[j] generates the ideal, so compress(used, row) lists
     its generators in word order.
+
+    Under invariance, down[x] becomes the union of down over x's coset
+    x W_P, the principal ideal of its longest member t.  That is a union
+    of cosets, as each s in theta is a descent of t and so u <= t gives
+    u s <= t (lifting, Bjorner-Brenti, Prop. 2.2.7); so are the out-sets,
+    as w0 (x W_P) = (w0 x) W_P, and _propagate needs no coset rule.
     """
     g = o.g
-    check_enumeration_budget(g.order, max_order)
+    check_enumeration_budget(g.rs.cartan_type, max_order)
     check_dense_masks(g.order, o.down is not None)
-
-    coset_top = None
-    if invariance is not None:
-        if invariance.g is not g:
-            raise InvalidInputError("invariance parabolic built on another group")
-        coset_top = _coset_tops(invariance)
+    if invariance is not None and invariance.g is not g:
+        raise InvalidInputError("invariance parabolic built on another group")
 
     # the small elements, x <= w0 x, read straight from the masks
     down, w0 = o.down, g.w0_left
     seeds = [x for x in range(g.order) if down[w0(x)] >> x & 1]
-    seeded = _propagate(o, 0, 0, seeds, coset_top)
+    if invariance is not None:
+        fold: dict[int, int] = {}
+        for x, rep in enumerate(invariance.coset_of):
+            fold[rep] = fold.get(rep, 0) | down[x]
+        down = [fold[rep] for rep in invariance.coset_of]
+    seeded = _propagate(down, w0, 0, 0, seeds)
     if seeded is None:
         return [], []
 
@@ -571,7 +549,7 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
             continue
         x = pairs[idx]
         for branch in (w0(x), x):  # x popped first: IN branch first
-            closed = _propagate(o, in_mask, out_mask, [branch], coset_top)
+            closed = _propagate(down, w0, in_mask, out_mask, [branch])
             if closed is not None:
                 stack.append((closed[0], closed[1], idx))
 

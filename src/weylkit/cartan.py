@@ -73,6 +73,14 @@ class CartanType:
         """|W|, from the classical per-family order formulas."""
         return prod(_COUNTS[fam](n)[0] for fam, n in self.factors)
 
+    def weyl_order_at_most(self, cap: int) -> int | None:
+        """|W| if at most cap, else None; as |W| >= 2^rank, a rank of
+        cap.bit_length() or more gives None with no factorial taken."""
+        if self.rank >= cap.bit_length():
+            return None
+        order = self.weyl_order()
+        return order if order <= cap else None
+
     @property
     def n_positive(self) -> int:
         """|Sigma^+| = l(w0), from the per-family closed forms."""
@@ -95,7 +103,11 @@ def parse_type(spec: str) -> CartanType:
         m = _FACTOR_RE.fullmatch(part.strip())
         if m is None:
             raise InvalidInputError(f"malformed type factor {part!r} in {spec!r}")
-        factors.append((m.group(1).upper(), int(m.group(2))))
+        try:
+            rank = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise InvalidInputError(f"rank of {m.group(1)} factor too large")
+        factors.append((m.group(1).upper(), rank))
     return CartanType(tuple(factors))
 
 
@@ -222,10 +234,9 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
             if wt not in found and all(c >= 0 for c in wt):
                 found.add(wt)
                 queue.append(wt)
-    extra = sorted(v for v in found if v not in set(simple))
     # simple roots first, then by (height, coords): deterministic layout
-    extra.sort(key=lambda v: (sum(v), v))
-    return simple + extra
+    found.difference_update(simple)
+    return simple + sorted(found, key=lambda v: (sum(v), v))
 
 
 def build_root_system(t: CartanType) -> RootSystem:

@@ -95,11 +95,11 @@ def _resolve_ideal(o: bruhat.BruhatOrder, spec: str) -> bruhat.Ideal:
             raise InvalidInputError(f"unknown family {name!r}")
         return _FAMILIES[name](o, verify=False)
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read ideal file {spec!r}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"ideal file {spec!r} is not JSON: {exc}")
     return bruhat.ideal_from_json_dict(o, data)
 
@@ -137,8 +137,8 @@ def _cmd_group(args, t0):
 
 
 def _cmd_balanced(args, t0):
-    order = parse_type(args.type).weyl_order()
-    bruhat.check_enumeration_budget(order, args.max_order)
+    order = bruhat.check_enumeration_budget(parse_type(args.type),
+                                            args.max_order)
     bruhat.check_dense_masks(order)
     g, o = _build(args.type)
     inputs = {"type": args.type, "right_invariant": args.right_invariant,
@@ -185,9 +185,12 @@ def _cmd_family(args, t0):
     cls = bruhat.classify(o, ideal)
     data = bruhat.ideal_to_json_dict(o, ideal)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+                fh.write("\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.out!r}: {exc}")
     inputs = {"family": args.name, "n": args.n, "verify": verify,
               "select": args.select}
     outputs = {"ideal": data, "size": ideal.size,

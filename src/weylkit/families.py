@@ -18,7 +18,7 @@ from bisect import insort
 
 from .bruhat import (BruhatOrder, Ideal, build_order, classify,
                      is_downward_closed, minimal_generators, principal_ideal)
-from .cartan import parse_type
+from .cartan import CartanType
 from .errors import InvalidInputError, require
 from .parabolic import build_parabolic, is_right_invariant
 from .weyl import WeylGroup, build_group
@@ -112,7 +112,7 @@ def build_symmetric(n: int) -> tuple[WeylGroup, BruhatOrder]:
     """Group and order for S_n (type A_{n-1}); n >= 2."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
-    g = build_group(parse_type(f"A{n - 1}"))
+    g = build_group(CartanType((("A", n - 1),)))
     return g, build_order(g)
 
 

@@ -65,11 +65,6 @@ def _trim(ranks) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _at(hist, k: int) -> int:
-    """hist[k], read as 0 outside the list."""
-    return hist[k] if 0 <= k < len(hist) else 0
-
-
 def _check_groups(ideal: Ideal, p: ParabolicSubset,
                   o: BruhatOrder | None = None) -> None:
     """Refuse an ideal, parabolic or order built on another group."""
@@ -218,11 +213,11 @@ def _times_t2_integer(a: list[int], i: int) -> list[int]:
     """a * [i], where [i] = 1 + t^2 + ... + t^(2i-2).
 
     [i] (1 - t^2) = 1 - t^(2i), so out[k] = a[k] + out[k-2] - a[k-2i],
-    with a read as 0 outside its range.
+    with a read as 0 below its range.
     """
     out = a + [0] * (2 * i - 2)
     for k in range(2, len(out)):
-        out[k] += out[k - 2] - _at(a, k - 2 * i)
+        out[k] += out[k - 2] - (a[k - 2 * i] if k >= 2 * i else 0)
     return out
 
 
@@ -233,8 +228,8 @@ POINCARE_MAX_DEGREE = 200 * 199
 def _check_degree(degree: int) -> None:
     """Refuse a closed form above POINCARE_MAX_DEGREE before building it."""
     if degree > POINCARE_MAX_DEGREE:
-        raise BudgetExceededError(f"Poincare polynomial of degree {degree} "
-                                  f"exceeds budget {POINCARE_MAX_DEGREE}")
+        raise BudgetExceededError(f"Poincare polynomial degree exceeds "
+                                  f"budget {POINCARE_MAX_DEGREE}")
 
 
 def flag_poincare(m: int) -> GradedRanks:

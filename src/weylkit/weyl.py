@@ -21,7 +21,8 @@ and the w0 table are walks through the finished columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter, neg
 
 from .cartan import (CartanType, RootSystem, build_root_system,
@@ -45,8 +46,6 @@ class WeylGroup:
     generators: list[int]           # ids of the simple reflections
     inverse: list[int]
     w0: int
-    _w0_left: list[int] | None = None
-    _words: dict[int, Word] = field(default_factory=dict)
 
     @property
     def order(self) -> int:
@@ -91,18 +90,23 @@ class WeylGroup:
         return cur
 
     def w0_left(self, x: int) -> int:
-        """w0 * x, from a lazily built table.
-
-        With x = p s for p its BFS parent, w0 x = (w0 p) s: one lookup
-        per element, parents first.
-        """
-        if self._w0_left is None:
-            table = [self.w0]
-            for y in range(1, self.order):
-                table.append(
-                    self.rmult[table[self.bfs_parent[y]]][self.bfs_letter[y]])
-            self._w0_left = table
+        """w0 * x, from a table built on first use."""
         return self._w0_left[x]
+
+    # memos, not fields: a dataclasses.replace copy builds its own
+
+    @cached_property
+    def _w0_left(self) -> list[int]:
+        """With x = p s for p its BFS parent, w0 x = (w0 p) s."""
+        table = [self.w0]
+        for y in range(1, self.order):
+            table.append(
+                self.rmult[table[self.bfs_parent[y]]][self.bfs_letter[y]])
+        return table
+
+    @cached_property
+    def _words(self) -> dict[int, Word]:
+        return {}
 
     # -- descents and words -------------------------------------------------
 
@@ -140,8 +144,16 @@ class WeylGroup:
 
 
 def check_table_budget(t: CartanType) -> None:
-    """Refuse, from the type alone, a table larger than the entry budget."""
-    entries = t.weyl_order() * (t.n_positive + t.rank)
+    """Refuse, from the type alone, a table larger than the entry budget.
+
+    Each element takes an entry, so |W| is bounded first; that refusal
+    does not name the type, whose rank may be too long for str().
+    """
+    order = t.weyl_order_at_most(DEFAULT_MAX_TABLE_ENTRIES)
+    if order is None:
+        raise BudgetExceededError(
+            f"|W| alone exceeds table budget {DEFAULT_MAX_TABLE_ENTRIES}")
+    entries = order * (t.n_positive + t.rank)
     if entries > DEFAULT_MAX_TABLE_ENTRIES:
         raise BudgetExceededError(f"{t}: table needs {entries} entries > "
                                   f"budget {DEFAULT_MAX_TABLE_ENTRIES}")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -173,7 +174,16 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(text)
         bad_ideals.append(["betti", "A2", "--ideal", str(path)])
+    # not UTF-8, and nested past the decoder's recursion limit
+    for name, data in [("bom", b"\xff\xfe"),
+                       ("deep", b"[" * 200000 + b"]" * 200000)]:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        bad_ideals.append(["betti", "A2", "--ideal", str(path)])
     for argv in bad_ideals + [["group", "Z9"],
+                 ["group", "A" + "9" * 4400],
+                 ["family", "lower-half", "3",
+                  "--out", str(tmp_path / "missing" / "x.json")],
                  ["balanced", "A2", "--right-invariant", "7"],
                  ["betti", "A2", "--ideal", "family:nope"],
                  ["betti", "A2", "--ideal", "/no/such/file.json"],
@@ -196,7 +206,16 @@ def test_budget_exit_3(capsys, monkeypatch):
         for name in ("build_root_system", "generate", "build_order"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
-    for argv in [["balanced", "F4", "--max-order", "100"],
+    for argv in [["group", "A2000"],
+                 ["balanced", "A2000"],
+                 ["small", "B3000", "--max-len", "1"],
+                 ["bbw", "A2000", "--weight", "1"],
+                 ["family", "incidence", "3000"],
+                 ["distinct", "1000"],
+                 ["group", "A99999999999999999999"],
+                 ["balanced", "A300000"],
+                 ["poincare", "flag", "1" + "0" * 4000],
+                 ["balanced", "F4", "--max-order", "100"],
                  ["balanced", "E6"],
                  ["balanced", "A7"],
                  ["group", "A12"],
@@ -209,7 +228,10 @@ def test_budget_exit_3(capsys, monkeypatch):
                  ["poincare", "flag", "201"],
                  ["poincare", "omega2n", "101"],
                  ["poincare", "flag", "1000000"]]:
+        start = time.perf_counter()
         code, out, err = run(capsys, argv)
+        # refused from a bound on the rank, not from |W| itself
+        assert time.perf_counter() - start < 0.5, argv
         assert code == 3, (argv, err)
         assert "budget" in err
 
@@ -318,6 +340,10 @@ GOLDEN = [
      "9dea14d541f4984efa868d6eaa7bd766de60a325e93f01ef5a256cab91fb6b28"),
     (["distinct", "1"],
      "77f7711adf9a24d72769161b0dcbc92bc4add701c640d71478054b0b561c83d7"),
+    # 17,221 ideals, 3.9 MB; recorded while the search still pushed each
+    # invariant coset through its longest member
+    (["balanced", "B4", "--right-invariant", "2"],
+     "6abe4df1053e8b22a3733ab3ad72811c9de4fb386ff6a7ff9995328aae99cc0a"),
 ]
 
 

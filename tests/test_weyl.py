@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -84,6 +85,15 @@ def test_w0_left_reverses_length():
             px = g.w0_left(x)
             assert g.w0_left(px) == x
             assert g.length[px] == g.n_positive - g.length[x]
+
+
+def test_copies_keep_their_own_memos():
+    g = grp("A3")
+    g.reduced_word(g.w0)
+    assert g.w0_left(0) == g.w0
+    copy = dataclasses.replace(g, w0=0)
+    assert copy.w0_left(0) == 0 and g.w0_left(0) == g.w0
+    assert dataclasses.replace(g)._words is not g._words
 
 
 def test_inverse_and_w0_left_match_signed_actions():
