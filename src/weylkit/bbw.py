@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import positive_coroots
 from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
@@ -85,7 +84,7 @@ def weyl_dimension(g: WeylGroup, mu) -> int:
     if any(c < 0 for c in mu):
         raise InvalidInputError("highest weight must be dominant")
     num = den = 1
-    for coroot in positive_coroots(g.rs):
+    for coroot in g.rs.coroots:
         num *= sum(d * (m + 1) for d, m in zip(coroot, mu))
         den *= sum(coroot)
     q, r = divmod(num, den)

@@ -171,8 +171,7 @@ def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatO
     """
     reflections = _reflection_elements(g)
     root_of = {}
-    for t in reflections:
-        act = g.acts[t]
+    for t, act in zip(reflections, g.actions(reflections)):
         sent = [j for j, v in enumerate(act) if v == -(j + 1)]
         require(len(sent) == 1, "reflection must negate exactly its own root")
         root_of[sent[0]] = t
@@ -524,6 +523,9 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
 
     # the small elements, x <= w0 x, read straight from the masks
     down, w0 = o.down, g.w0_left
+    # a branch is decided only if down[x] holds x; else it never ends
+    require(all(m >> x & 1 for x, m in enumerate(down)),
+            "down[x] must contain x")
     seeds = [x for x in range(g.order) if down[w0(x)] >> x & 1]
     if invariance is not None:
         fold: dict[int, int] = {}

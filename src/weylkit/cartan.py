@@ -16,6 +16,7 @@ block-diagonally, so the Weyl group of a product is the direct product.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import factorial, prod
 import re
 
@@ -167,7 +168,8 @@ class RootSystem:
     basis, the first ``rank`` entries being the simple roots themselves.
     coxeter_numbers has one entry per factor of the input type; components
     lists the connected Dynkin-diagram components (the true simple factors,
-    which for D2 differ from the input factors).
+    which for D2 differ from the input factors).  The simple actions and
+    the coroots are computed once per root system, on first use.
     """
 
     cartan_type: CartanType
@@ -191,6 +193,37 @@ class RootSystem:
         out = list(v)
         out[i] -= pairing
         return tuple(out)
+
+    # memos, not fields: frozen, eq and dataclasses.replace ignore them
+
+    @cached_property
+    def simple_actions(self) -> tuple[tuple[int, ...], ...]:
+        """Entry j of row i is +-(k + 1) when s_i sends positive root j
+        to +- positive root k."""
+        root_index = {r: k for k, r in enumerate(self.positive_roots)}
+        rows = []
+        for i in range(self.rank):
+            row = []
+            for r in self.positive_roots:
+                img = self.reflect(i, r)
+                k = root_index.get(img)
+                row.append(k + 1 if k is not None
+                           else -(root_index[tuple(-c for c in img)] + 1))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def coroots(self) -> tuple[tuple[int, ...], ...]:
+        """Positive coroots in simple-coroot coordinates.
+
+        These are the positive roots of the dual system, whose Cartan
+        matrix is the transpose; the count matches the root count.
+        """
+        coroots = _positive_roots([list(col) for col in
+                                   zip(*self.cartan_matrix)])
+        require(len(coroots) == self.n_positive,
+                "coroot count differs from root count")
+        return tuple(coroots)
 
 
 def _dynkin_components(cartan: list[list[int]]) -> list[tuple[int, ...]]:
@@ -268,18 +301,8 @@ def build_root_system(t: CartanType) -> RootSystem:
 
 
 def positive_coroots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """Positive coroots in simple-coroot coordinates.
-
-    These are the positive roots of the dual system, whose Cartan
-    matrix is the transpose; the count matches the root count.
-    """
-    rank = rs.rank
-    transposed = [[rs.cartan_matrix[j][i] for j in range(rank)]
-                  for i in range(rank)]
-    coroots = _positive_roots(transposed)
-    require(len(coroots) == len(rs.positive_roots),
-            "coroot count differs from root count")
-    return tuple(coroots)
+    """Positive coroots in simple-coroot coordinates (RootSystem.coroots)."""
+    return rs.coroots
 
 
 def coxeter_number(t: CartanType, factor_index: int) -> int:

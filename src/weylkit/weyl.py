@@ -1,22 +1,20 @@
 """The finite Weyl group as an explicit table.
 
-An element is identified with its signed action on the list of positive
-roots: entry j of the action tuple is ``+-(k+1)`` when the element sends
-positive root j to ``+-`` positive root k.  This gives exact equality
-testing and O(|Sigma^+|) products without any irrational arithmetic.
+An element is keyed by its images of the simple roots, as signed
+indices into the list of positive roots (``+-(k+1)`` for ``+-`` positive
+root k): the simple roots are a basis, so these images fix the element.
+Equality testing is exact, with no irrational arithmetic.
 
 The table is built breadth-first from the identity over right
 multiplication by the simple reflections, so an element's BFS depth is
-its length; the build cross-checks that against the root-inversion count.
-Only the generator-multiplication columns are cached (memory |W| x rank);
-general products are composed letter by letter.  The build composes
-only ascents, x s_i with x(alpha_i) > 0, and fills the descent slot of
-y = x s_i from the same product: i is a descent of y, and x is y s_i.
-Since l(x s_i) = l(x) +- 1, every descent slot is filled this way
-(Bjorner-Brenti, Sec. 1.4), so half the products are never composed.
-Each composition is one C-level ``itemgetter`` gather, and a new
-element's extended action is gathered from its parent's.  The inverses
-and the w0 table are walks through the finished columns.
+its length; the build cross-checks that against the root-inversion count
+of the element's full signed action, which it holds only for the BFS
+frontier.  Only the generator-multiplication columns are kept (memory
+|W| x rank); general products are composed letter by letter, and the
+full action of every element (``acts``) is built on first use.  The
+build composes only ascents, x s_i with x(alpha_i) > 0, and fills the
+descent slot of x s_i from the same product (Bjorner-Brenti, Sec. 1.4).
+The inverses and the w0 table are walks through the finished columns.
 """
 
 from __future__ import annotations
@@ -31,14 +29,31 @@ from .errors import BudgetExceededError, InvalidInputError, require
 
 Word = tuple[int, ...]
 
-# the table design is memory-bound: |W| * (|Sigma^+| + rank) small ints
+# the table design is memory-bound: |W| * (|Sigma^+| + rank) small ints.
+# The stored table holds only the |W| * rank part, but acts, built on
+# first use, costs the |W| * |Sigma^+| part again; a budget on the stored
+# part alone would admit A8 and B7.
 DEFAULT_MAX_TABLE_ENTRIES = 10**7
+
+
+def _ext_getters(rs: RootSystem) -> list[itemgetter]:
+    """Gathers that turn ext(x) into ext(x s_i), one per generator.
+
+    ext(x) = (0,) + ax + (-ax reversed), for ax the signed action of x,
+    has ext[v] = +-ax[|v| - 1] for v = +-(k + 1), so reading the
+    generator's own ext as indices into ext(x) gives ext(x s_i).
+    """
+    return [itemgetter(0, *a, *map(neg, reversed(a)))
+            for a in rs.simple_actions]
+
+
+def _ext_identity(npos: int) -> tuple[int, ...]:
+    return (0, *range(1, npos + 1), *range(-npos, 0))
 
 
 @dataclass
 class WeylGroup:
     rs: RootSystem
-    acts: list[tuple[int, ...]]
     length: list[int]
     rmult: list[tuple[int, ...]]    # rmult[x][i] = id of x * s_i
     bfs_parent: list[int]
@@ -49,7 +64,7 @@ class WeylGroup:
 
     @property
     def order(self) -> int:
-        return len(self.acts)
+        return len(self.length)
 
     @property
     def rank(self) -> int:
@@ -108,12 +123,37 @@ class WeylGroup:
     def _words(self) -> dict[int, Word]:
         return {}
 
+    @cached_property
+    def acts(self) -> list[tuple[int, ...]]:
+        """acts[x][j] = +-(k + 1) when x sends positive root j to +-
+        positive root k.  Built on first use; the table keeps no copy."""
+        return self.actions(range(self.order))
+
+    def actions(self, xs) -> list[tuple[int, ...]]:
+        """acts[x] for each x in xs, without building acts: one gather
+        per element on the union of their BFS paths."""
+        npos, get = self.n_positive, _ext_getters(self.rs)
+        parent, letter = self.bfs_parent, self.bfs_letter
+        ext_of = {0: _ext_identity(npos)}
+        out = []
+        for x in xs:
+            self._check_id(x)
+            path = []
+            while x not in ext_of:
+                path.append(x)
+                x = parent[x]
+            ext = ext_of[x]
+            for y in reversed(path):
+                ext = ext_of[y] = get[letter[y]](ext)
+            out.append(ext[1:npos + 1])
+        return out
+
     # -- descents and words -------------------------------------------------
 
     def right_descents(self, x: int) -> list[int]:
-        """Generators s with l(xs) < l(x): simple roots sent negative."""
-        act = self.acts[x]
-        return [i for i in range(self.rank) if act[i] < 0]
+        """Generators s with l(xs) < l(x)."""
+        row, length = self.rmult[x], self.length
+        return [i for i in range(self.rank) if length[row[i]] < length[x]]
 
     def left_descents(self, x: int) -> list[int]:
         return self.right_descents(self.inverse[x])
@@ -168,51 +208,32 @@ def build_group(t: CartanType) -> WeylGroup:
 def generate(rs: RootSystem) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
 
-    Element identity is the signed root action; lengths are BFS depths,
-    cross-checked against inversion counts.  Element ids are BFS
-    discovery order, hence never decrease in length: sorting ids sorts
-    by (length, id).  Only ascents are composed: when x is read, each i
-    with x(alpha_i) > 0 gives y = x s_i, one longer, and sets both
-    rmult[x][i] and rmult[y][i].  A descent i of x has x s_i one shorter,
-    read earlier with i as an ascent, so its slot is already set; the
-    build requires that no slot is left unset.  Descents discover no
-    element, so ids match those of the full product table.  Refuses
-    tables larger than the entry budget.
+    Elements are keyed by their images of the simple roots; lengths are
+    BFS depths, cross-checked against inversion counts.  Element ids are
+    BFS discovery order, hence never decrease in length: sorting ids
+    sorts by (length, id).  Only ascents x s_i with x(alpha_i) > 0 are
+    composed, each setting both rmult[x][i] and rmult[x s_i][i]; as
+    l(x s_i) = l(x) +- 1 (Bjorner-Brenti, Sec. 1.4) that fills every
+    slot, which the build requires, and the ids are those of the full
+    product table.  Refuses tables larger than the entry budget.
     """
     check_table_budget(rs.cartan_type)
     order = rs.cartan_type.weyl_order()
     npos, rank = rs.n_positive, rs.rank
 
-    root_index = {r: k for k, r in enumerate(rs.positive_roots)}
-    gen_acts = []
-    for i in range(rs.rank):
-        act = []
-        for r in rs.positive_roots:
-            img = rs.reflect(i, r)
-            if img in root_index:
-                act.append(root_index[img] + 1)
-            else:
-                opposite = tuple(-c for c in img)
-                act.append(-(root_index[opposite] + 1))
-        gen_acts.append(tuple(act))
+    # reading entries 1..rank of a generator's own ext as indices into
+    # ext(x) gives the key of x s_i; a one-index itemgetter returns a
+    # scalar, so rank 1 gets a tuple-making getter
+    keys = [itemgetter(*a[:rank]) if rank > 1 else lambda e, k=a[0]: (e[k],)
+            for a in rs.simple_actions]
+    steps = list(zip(range(1, rank + 1), range(rank), keys, _ext_getters(rs)))
+    negative = (0).__gt__
 
-    # ext(x) = (0,) + ax + (-ax reversed) has ext[v] = +-ax[|v| - 1] for
-    # v = +-(k + 1), so reading a generator's action as indices into
-    # ext(x) gives the action of x s_i, and reading the generator's own
-    # ext gives ext(x s_i); a one-index itemgetter returns a scalar
-    ident = tuple(range(1, npos + 1))
-    ext_ident = (0,) + ident + tuple(map(neg, reversed(ident)))
-    getters = [itemgetter(*a) if npos > 1 else lambda e, k=a[0]: (e[k],)
-               for a in gen_acts]
-    ext_getters = [itemgetter(0, *a, *map(neg, reversed(a))) for a in gen_acts]
-    steps = list(zip(range(1, rank + 1), range(rank), getters, ext_getters))
-
-    acts = [ident]
-    id_of = {ident: 0}
+    id_of = {tuple(range(1, rank + 1)): 0}
     length = [0]
     parent = [0]
     letter = [-1]
-    exts: list[tuple[int, ...] | None] = [ext_ident]   # None once read
+    exts: list[tuple[int, ...] | None] = [_ext_identity(npos)]  # None once read
     rmult: list = [[-1] * rank]
 
     # exts grows while it is read: breadth-first.  Rows of unread
@@ -221,35 +242,34 @@ def generate(rs: RootSystem) -> WeylGroup:
     for x, ext in enumerate(exts):
         exts[x] = None
         row = rmult[x]
-        for k, i, get, get_ext in steps:
+        for k, i, key_of, get_ext in steps:
             if ext[k] < 0:          # x(alpha_i) < 0: a descent
                 continue
-            t = get(ext)
-            y = id_of.get(t)
+            key = key_of(ext)
+            y = id_of.get(key)
             if y is None:
-                y = len(acts)
-                id_of[t] = y
-                acts.append(t)
+                y = len(length)
+                id_of[key] = y
+                new = get_ext(ext)
+                require(sum(map(negative, new[1:npos + 1])) == length[x] + 1,
+                        "BFS depth differs from the inversion count")
                 length.append(length[x] + 1)
                 parent.append(x)
                 letter.append(i)
-                exts.append(get_ext(ext))
+                exts.append(new)
                 rmult.append([-1] * rank)
             row[i] = y
             rmult[y][i] = x
         rmult[x] = tuple(row)
 
-    require(len(acts) == order,
-            f"BFS found {len(acts)} elements, order formula says {order}")
+    require(len(length) == order,
+            f"BFS found {len(length)} elements, order formula says {order}")
     require(min(map(min, rmult)) >= 0, "a descent slot was left unset")
-    for x, a in enumerate(acts):
-        require(sum(1 for v in a if v < 0) == length[x],
-                "BFS depth differs from the inversion count")
 
     # x = s_1 ... s_k along its BFS word, so x^-1 = s_k ... s_1: read the
     # letters back up the parent chain, multiplying on the right
     inverse = []
-    for x in range(len(acts)):
+    for x in range(order):
         cur = 0
         while x:
             cur = rmult[cur][letter[x]]
@@ -259,18 +279,17 @@ def generate(rs: RootSystem) -> WeylGroup:
             "inverse is not an involution")
 
     maxlen = max(length)
-    longest = [x for x in range(len(acts)) if length[x] == maxlen]
+    longest = [x for x in range(order) if length[x] == maxlen]
     require(maxlen == npos and len(longest) == 1,
             "longest element is not unique of length |Sigma^+|")
 
     return WeylGroup(
         rs=rs,
-        acts=acts,
         length=length,
         rmult=rmult,
         bfs_parent=parent,
         bfs_letter=letter,
-        generators=[id_of[g] for g in gen_acts],
+        generators=list(rmult[0]),
         inverse=inverse,
         w0=longest[0],
     )

@@ -5,6 +5,7 @@ import pytest
 
 from weylkit.bbw import (bbw_cohomology, classify_weight, reflect_weight,
                          sheaf_cohomology_cases, weyl_act, weyl_dimension)
+from weylkit import cartan
 from weylkit.cartan import build_root_system, parse_type
 from weylkit.errors import InvalidInputError
 from weylkit.weyl import generate
@@ -184,3 +185,20 @@ def test_sheaf_cases_validates_input():
         bbw_cohomology(g, (1,))
     with pytest.raises(InvalidInputError):
         bbw_cohomology(g, (True, 1))
+
+
+def test_weyl_dimension_closes_coroots_once(monkeypatch):
+    """The positive coroots are one closure per root system, not one per
+    weyl_dimension call."""
+    calls = []
+    real = cartan._positive_roots
+
+    def counted(matrix):
+        calls.append(matrix)
+        return real(matrix)
+    g = grp("B4")
+    monkeypatch.setattr(cartan, "_positive_roots", counted)
+    dims = [weyl_dimension(g, (a % 2, 0, a % 3, 0)) for a in range(50)]
+    assert len(calls) <= 1
+    # so(9): the trivial and the vector representation
+    assert dims[0] == 1 and weyl_dimension(g, (1, 0, 0, 0)) == 9

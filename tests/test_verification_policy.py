@@ -97,11 +97,29 @@ print(__debug__, outcome(lambda: orthogonal(forged, ideal)),
 """
 
 
-def _run_optimized(script):
+# A mask that lacks its own element never decides that branch; the
+# search must refuse it instead of pushing the same state forever.
+OPTIMIZED_DOWN = """
+import dataclasses
+from weylkit import (VerificationError, build_order, build_root_system,
+                     enumerate_balanced, generate, parse_type)
+
+o = build_order(generate(build_root_system(parse_type("A2"))))
+down = list(o.down)
+down[1] &= ~(1 << 1)
+try:
+    enumerate_balanced(dataclasses.replace(o, down=down))
+    print(__debug__, "returned")
+except VerificationError:
+    print(__debug__, "VerificationError")
+"""
+
+
+def _run_optimized(script, timeout=120):
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=120,
+                          capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -115,3 +133,8 @@ def test_checks_run_under_python_O():
 def test_memo_checks_a_forged_order_under_python_O():
     assert _run_optimized(OPTIMIZED_MEMO) == ["False", "VerificationError",
                                               "returned"]
+
+
+def test_forged_down_without_its_element_is_refused_under_python_O():
+    assert _run_optimized(OPTIMIZED_DOWN, timeout=30) == [
+        "False", "VerificationError"]

@@ -96,6 +96,28 @@ def test_copies_keep_their_own_memos():
     assert dataclasses.replace(g)._words is not g._words
 
 
+def test_acts_stays_unbuilt():
+    """The table keeps no signed actions: nothing on the query and order
+    paths builds acts, and a copy builds its own."""
+    from weylkit.bbw import (bbw_cohomology, sheaf_cohomology_cases,
+                             weyl_dimension)
+    from weylkit.bruhat import build_order
+    g = grp("D5")
+    assert "acts" not in vars(g)
+    build_order(g)
+    g.reduced_word(g.w0)
+    lam = (-1, 2, 0, 3, -2)
+    bbw_cohomology(g, lam)
+    sheaf_cohomology_cases(g, lam, 4, cd=1)
+    weyl_dimension(g, (1, 0, 2, 0, 1))
+    assert "acts" not in vars(g)
+    xs = [rng.randrange(g.order) for _ in range(50)] + [0, g.w0]
+    assert g.actions(xs) == [g.acts[x] for x in xs]
+    assert "acts" not in vars(dataclasses.replace(g))
+    with pytest.raises(InvalidInputError):
+        g.actions([-1])
+
+
 def test_inverse_and_w0_left_match_signed_actions():
     for spec in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2",
                  "F4", "A1xA1", "A2xA1", "B2xA2", "D5"]:
