@@ -41,6 +41,7 @@ from .weyl import Word, WeylGroup, build_group
 DENSE_LIMIT_DEFAULT = 50000
 ENUM_BUDGET_DEFAULT = 1152
 CERTIFY_BLOCK = 4096        # search results per bit-sliced block
+LIST_BUDGET = 250_000       # balanced ideals one enumeration may list
 
 
 def check_enumeration_budget(t: CartanType,
@@ -100,6 +101,17 @@ class Gather:
         return int("".join(self._get(bits)), 2)
 
 
+def mask_of(xs, n: int) -> int:
+    """The mask of the ids xs, each in range(n), in one linear pass.
+
+    For ids the program made itself: xs is not checked.
+    """
+    bits = bytearray(b"0") * n
+    for x in xs:
+        bits[x] = 49                    # ord("1")
+    return int(bits[::-1], 2)
+
+
 def _bit_positions(mask: int) -> list[int]:
     """Set bits of mask in ascending order, by a C-level scan."""
     bits, out = bin(mask)[:1:-1], []   # bits[i] is bit i
@@ -113,7 +125,6 @@ def _bit_positions(mask: int) -> list[int]:
 @dataclass
 class BruhatOrder:
     g: WeylGroup
-    reflections: list[int]            # element ids, indexed by positive root
     covers: list[list[int]]           # covers[y] = ids covered by y
     down: list[int] | None            # down[y] = bitmask of {x : x <= y}
     # no upward masks: {y : y >= x} is w0 down[w0 x].  Kept as None for
@@ -153,32 +164,13 @@ class BruhatOrder:
 def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatOrder:
     """Covers by descent recursion, then reachability masks by rank propagation.
 
-    Let y = p s with p = bfs_parent[y] and s = bfs_letter[y], so s is a
-    right descent of y.  Then
+    With y = p s for p = bfs_parent[y] and s = bfs_letter[y],
 
-        covers(y) = {p} | {z s : z in covers(p), l(z s) > l(z)}.
+        covers(y) = {p} | {z s : z in covers(p), l(z s) > l(z)},
 
-    Lifting (Bjorner-Brenti, Prop. 2.2.7): if u < w and s is a right
-    descent of w but not of u, then u s <= w and u <= w s.  Take x
-    covered by y with x != p.  If s were not a descent of x, lifting
-    would give x <= p, and l(x) = l(p) would force x = p; so s is a
-    descent of x, and lifting applied to x s < y gives x s <= p with
-    l(x s) = l(p) - 1: x = z s for a cover z of p with l(z s) > l(z).
-    Conversely, for z covered by p with l(z s) > l(z), lifting applied
-    to z < y gives z s <= y with l(z s) = l(y) - 1.  The map z -> z s is
-    injective and never gives p, so the union has no repeats.  Parents
-    have smaller ids, so the lists are built in id order.
+    without repeats, by the lifting property (Bjorner-Brenti, Prop.
+    2.2.7).  Parents have smaller ids, so the lists are built in id order.
     """
-    reflections = _reflection_elements(g)
-    root_of = {}
-    for t, act in zip(reflections, g.actions(reflections)):
-        sent = [j for j, v in enumerate(act) if v == -(j + 1)]
-        require(len(sent) == 1, "reflection must negate exactly its own root")
-        root_of[sent[0]] = t
-    require(len(root_of) == g.n_positive,
-            "reflections and positive roots do not match one to one")
-    refl_by_root = [root_of[j] for j in range(g.n_positive)]
-
     rmult, length = g.rmult, g.length
     covers: list[list[int]] = [[]]
     for p, s in zip(g.bfs_parent[1:], g.bfs_letter[1:]):
@@ -200,23 +192,7 @@ def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatO
                 m |= down[z]
             down[y] = m
 
-    return BruhatOrder(g=g, reflections=refl_by_root, covers=covers,
-                       down=down)
-
-
-def _reflection_elements(g: WeylGroup) -> list[int]:
-    """Closure of the generators under conjugation: all reflections."""
-    found = set(g.generators)
-    queue = list(g.generators)
-    while queue:
-        t = queue.pop()
-        for i in range(g.rank):
-            u = g.left_mult_gen(i, g.rmult[t][i])  # s_i t s_i
-            if u not in found:
-                found.add(u)
-                queue.append(u)
-    require(len(found) == g.n_positive, "reflection count differs from |Sigma^+|")
-    return sorted(found)
+    return BruhatOrder(g=g, covers=covers, down=down)
 
 
 def leq(o: BruhatOrder, x: int, y: int) -> bool:
@@ -260,10 +236,7 @@ def subword_ideal_mask(o: BruhatOrder, y: int) -> int:
     reach = {0}
     for i in g.reduced_word(y):
         reach |= {g.rmult[x][i] for x in reach}
-    m = 0
-    for x in reach:
-        m |= 1 << x
-    return m
+    return mask_of(reach, g.order)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +466,9 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     (generator count, generator word list).
 
     Backtracking over the pairs {x, w0 x} in increasing length of the
-    shorter member; the branches of x are "w0 x in" and "x in".
+    shorter member; the branches of x are "w0 x in" and "x in".  A search
+    that finds more than LIST_BUDGET ideals is refused before any is
+    certified.
     """
     _, certified = _enumerate_certified(o, invariance, max_order)
     return [Ideal(o.g, mask) for mask, _ in certified]
@@ -547,6 +522,9 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
         while idx < len(pairs) and decided >> pairs[idx] & 1:
             idx += 1
         if idx == len(pairs):
+            if len(results) == LIST_BUDGET:
+                raise BudgetExceededError(
+                    f"more than {LIST_BUDGET} balanced ideals to list")
             results.append((in_mask, out_mask))
             continue
         x = pairs[idx]

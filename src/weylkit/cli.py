@@ -48,10 +48,7 @@ def _parse_gens(text: str | None, rank: int) -> tuple[int, ...]:
     """Comma-separated 1-based generator indices; empty means none."""
     if not text:
         return ()
-    try:
-        idx = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
-    except ValueError:
-        raise InvalidInputError(f"bad generator list {text!r}")
+    idx = _parse_ints(text, "generator list")
     for i in idx:
         if not 1 <= i <= rank:
             raise InvalidInputError(f"generator index {i} out of 1..{rank}")

@@ -17,7 +17,8 @@ from __future__ import annotations
 from bisect import insort
 
 from .bruhat import (BruhatOrder, Ideal, build_order, classify,
-                     is_downward_closed, minimal_generators, principal_ideal)
+                     is_downward_closed, mask_of, minimal_generators,
+                     principal_ideal)
 from .cartan import CartanType
 from .errors import InvalidInputError, require
 from .parabolic import build_parabolic, is_right_invariant
@@ -126,10 +127,7 @@ def lower_half_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
     if not odd:
         raise InvalidInputError(
             f"l(w0) = {g.n_positive} is even; use lower_half_with_selection")
-    m = 0
-    for x in range(g.order):
-        if g.length[x] <= half:
-            m |= 1 << x
+    m = mask_of((x for x in range(g.order) if g.length[x] <= half), g.order)
     ideal = Ideal(g, m)
     if verify:
         require(is_downward_closed(o, m), "lower half not downward closed")
@@ -161,10 +159,8 @@ def lower_half_with_selection(o: BruhatOrder, selection,
         if (x in chosen) == (g.w0_left(x) in chosen):
             raise InvalidInputError(
                 "selection must contain exactly one of each middle pair")
-    m = 0
-    for x in range(g.order):
-        if g.length[x] < k or x in chosen:
-            m |= 1 << x
+    m = mask_of((x for x in range(g.order)
+                 if g.length[x] < k or x in chosen), g.order)
     ideal = Ideal(g, m)
     if verify:
         require(is_downward_closed(o, m), "selection ideal not downward closed")
@@ -212,10 +208,7 @@ def incidence_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
     g = o.g
     n = symmetric_n(g)
     table = perm_table(g)
-    m = 0
-    for x in range(g.order):
-        if table[x][0] < table[x][-1]:
-            m |= 1 << x
+    m = mask_of((x for x, p in enumerate(table) if p[0] < p[-1]), g.order)
     ideal = Ideal(g, m)
     if verify:
         require(is_downward_closed(o, m), "incidence set not downward closed")
@@ -250,10 +243,7 @@ def principal_2n_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
     if odd:
         raise InvalidInputError(f"S_{size} has odd degree; need S_2n")
     table = perm_table(g)
-    m = 0
-    for x in range(g.order):
-        if table[x][-1] > n:
-            m |= 1 << x
+    m = mask_of((x for x, p in enumerate(table) if p[-1] > n), g.order)
     ideal = Ideal(g, m)
     lam = perm_to_element(g, principal_generator_perm(n))
     if verify:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bruhat import Gather, mask_bits
+from .bruhat import Gather, mask_bits, mask_of
 from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
@@ -51,18 +51,15 @@ class ParabolicSubset:
     def quotient_length(self, x: int) -> int:
         return self.g.length[self.coset_of[x]]
 
-    def to_json(self) -> list[int]:
-        return list(self.theta)
-
     # Built on first use, not fields: an instance keeps its own tables.
 
     @cached_property
     def length_masks(self) -> list[int]:
         """length_masks[k] = mask of the W^P elements of length k."""
-        masks = [0] * (self.max_quotient_length + 1)
+        levels = [[] for _ in range(self.max_quotient_length + 1)]
         for x in self.min_reps:
-            masks[self.g.length[x]] |= 1 << x
-        return masks
+            levels[self.g.length[x]].append(x)
+        return [mask_of(xs, self.g.order) for xs in levels]
 
     @cached_property
     def _right_gather(self) -> Gather:
@@ -127,13 +124,9 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
     # the orbits hold |W| entries in all, so covering W leaves no overlap
     require(-1 not in coset_of, "some element lies in no orbit of W^P")
 
-    subgroup = sorted(walk)
-    mask = 0
-    for x in subgroup:
-        mask |= 1 << x
-    return ParabolicSubset(g=g, theta=theta, subgroup=subgroup,
-                           subgroup_mask=mask, min_reps=min_reps,
-                           coset_of=coset_of)
+    return ParabolicSubset(g=g, theta=theta, subgroup=sorted(walk),
+                           subgroup_mask=mask_of(walk, g.order),
+                           min_reps=min_reps, coset_of=coset_of)
 
 
 def _invariant(mask: int, gather: Gather, p: ParabolicSubset) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bruhat import BruhatOrder, Ideal, _cached, classify, orthogonal
+from .bruhat import BruhatOrder, Ideal, _cached, classify, mask_of, orthogonal
 from .errors import BudgetExceededError, InvalidInputError, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
 from .parabolic import ParabolicSubset, build_parabolic, is_right_invariant
@@ -312,7 +312,7 @@ def homotopy_distinction(j: int, verify: bool = True) -> DistinctionReport:
     b_half = omega_betti(o, half, p).get(2 * k)
     b_principal = omega_betti(o, principal, p).get(2 * k)
     # balanced + l(w0) odd make both values twice a middle length count
-    level = sum(1 << x for x in range(g.order) if g.length[x] == k)
+    level = mask_of((x for x in range(g.order) if g.length[x] == k), g.order)
     require(b_half == 2 * level.bit_count(),
             "lower-half b_2k differs from twice the middle level count")
     require(b_principal == 2 * (principal.mask & level).bit_count(),

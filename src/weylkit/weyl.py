@@ -126,27 +126,13 @@ class WeylGroup:
     @cached_property
     def acts(self) -> list[tuple[int, ...]]:
         """acts[x][j] = +-(k + 1) when x sends positive root j to +-
-        positive root k.  Built on first use; the table keeps no copy."""
-        return self.actions(range(self.order))
-
-    def actions(self, xs) -> list[tuple[int, ...]]:
-        """acts[x] for each x in xs, without building acts: one gather
-        per element on the union of their BFS paths."""
+        positive root k.  Built on first use, one gather per element
+        from its BFS parent's extended action; the table keeps no copy."""
         npos, get = self.n_positive, _ext_getters(self.rs)
-        parent, letter = self.bfs_parent, self.bfs_letter
-        ext_of = {0: _ext_identity(npos)}
-        out = []
-        for x in xs:
-            self._check_id(x)
-            path = []
-            while x not in ext_of:
-                path.append(x)
-                x = parent[x]
-            ext = ext_of[x]
-            for y in reversed(path):
-                ext = ext_of[y] = get[letter[y]](ext)
-            out.append(ext[1:npos + 1])
-        return out
+        exts = [_ext_identity(npos)]
+        for p, s in zip(self.bfs_parent[1:], self.bfs_letter[1:]):
+            exts.append(get[s](exts[p]))
+        return [ext[1:npos + 1] for ext in exts]
 
     # -- descents and words -------------------------------------------------
 

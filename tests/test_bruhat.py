@@ -44,11 +44,34 @@ def test_covers_drop_length_by_one():
         assert o.down[g.w0] == o.full_mask
 
 
-def reflection_covers(g, o):
+def reflection_covers(g):
     """Covers by composing signed actions: for each positive root j that
-    y sends negative, y t_j is covered by y when it is one shorter."""
+    y sends negative, y t_j is covered by y when it is one shorter.
+
+    The reflections t_j are the closure of the generators under
+    conjugation, |Sigma^+| involutions other than e, each matched to the
+    one positive root it negates.
+    """
+    refls, queue = set(g.generators), list(g.generators)
+    while queue:
+        t = queue.pop()
+        for i in range(g.rank):
+            u = g.left_mult_gen(i, g.rmult[t][i])  # s_i t s_i
+            if u not in refls:
+                refls.add(u)
+                queue.append(u)
+    assert len(refls) == g.n_positive
+    root_of = {}
+    for t in refls:
+        assert t != 0 and g.multiply(t, t) == 0
+        sent = [j for j, v in enumerate(g.acts[t]) if v == -(j + 1)]
+        assert len(sent) == 1, "reflection must negate exactly its own root"
+        root_of[sent[0]] = t
+    assert sorted(root_of) == list(range(g.n_positive)), \
+        "reflections and positive roots do not match one to one"
+    refl_acts = [g.acts[root_of[j]] for j in range(g.n_positive)]
+
     id_of = {a: x for x, a in enumerate(g.acts)}
-    refl_acts = [g.acts[t] for t in o.reflections]
     covers = []
     for y, ay in enumerate(g.acts):
         found = []
@@ -69,9 +92,10 @@ COVER_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2",
 def test_descent_recursion_covers_match_reflection_covers():
     for spec in COVER_TYPES:
         g = generate(build_root_system(parse_type(spec)))
+        want = reflection_covers(g)
         for limit in (bruhat.DENSE_LIMIT_DEFAULT, 0):
             o = build_order(g, dense_limit=limit)
-            assert o.covers == reflection_covers(g, o), (spec, limit)
+            assert o.covers == want, (spec, limit)
 
 
 def test_ids_are_the_length_id_order():
@@ -116,6 +140,19 @@ def test_members_match_bit_loop():
             assert bruhat.Ideal(g, mask).members() == bit_loop(mask)
 
 
+def test_mask_of_matches_shift_loop():
+    draw = random.Random(1301)      # leaves the shared rng's draws alone
+    for n in (1, 2, 5, 64, 65, 1000, 5040):
+        for density in (0.0, 0.01, 0.5, 1.0):
+            xs = [x for x in range(n) if draw.random() < density]
+            draw.shuffle(xs)
+            m = 0
+            for x in xs:
+                m |= 1 << x
+            assert bruhat.mask_of(xs, n) == m
+            assert bruhat.mask_of(xs + xs[:3], n) == m   # repeats
+
+
 def test_leq_is_a_partial_order_graded_by_length():
     g, o = make_order("A3")
     for x in range(g.order):
@@ -156,14 +193,6 @@ def test_lifting_recursion_matches_masks():
         assert vars(o2) == state, spec   # the walk keeps no state
 
 
-def test_reflection_inventory():
-    for spec in ["A3", "B3", "G2"]:
-        g, o = make_order(spec)
-        assert len(o.reflections) == g.n_positive
-        for t in o.reflections:
-            assert g.multiply(t, t) == 0 and t != 0
-
-
 def test_principal_ideal_and_generators():
     g, o = make_order("B2")
     for x in range(g.order):
@@ -184,6 +213,26 @@ def test_ideal_from_elements_closes_downward():
             assert s in i
         gens = minimal_generators(o, i)
         assert ideal_from_elements(o, gens).mask == i.mask
+
+
+def test_mask_free_ideals_match_dense():
+    """Without the down masks a principal ideal comes from the subword
+    criterion; every ideal built from elements must agree."""
+    draw = random.Random(1302)      # leaves the shared rng's draws alone
+    for spec in COVER_TYPES:
+        g = generate(build_root_system(parse_type(spec)))
+        dense, bare = build_order(g), build_order(g, dense_limit=0)
+        assert bare.down is None
+        for x in [0, g.w0] + [draw.randrange(g.order) for _ in range(6)]:
+            assert principal_ideal(bare, x) == principal_ideal(dense, x), spec
+        for _ in range(3):
+            seeds = [draw.randrange(g.order) for _ in range(3)]
+            ideal = ideal_from_elements(bare, seeds)
+            assert ideal == ideal_from_elements(dense, seeds), spec
+            gens = minimal_generators(bare, ideal)
+            assert gens == minimal_generators(dense, ideal), spec
+            data = ideal_to_json_dict(dense, ideal)
+            assert ideal_from_json_dict(bare, data) == ideal, spec
 
 
 def test_orthogonal_involution_swaps_slim_fat():

@@ -65,6 +65,21 @@ def test_coxeter_numbers():
     assert coxeter_number(parse_type("B33"), 0) == 66
 
 
+def test_e_types():
+    from weylkit.bbw import weyl_dimension
+    from weylkit.weyl import build_group
+    for spec, npos, h in [("E6", 36, 12), ("E7", 63, 18), ("E8", 120, 30)]:
+        t = parse_type(spec)
+        rs = build_root_system(t)
+        assert len(rs.positive_roots) == t.n_positive == npos
+        assert coxeter_number(t, 0) == h
+    # Bourbaki numbering: omega_1 is the 27-dimensional minuscule
+    # representation, omega_2 the adjoint one
+    g = build_group(parse_type("E6"))
+    assert weyl_dimension(g, (1, 0, 0, 0, 0, 0)) == 27
+    assert weyl_dimension(g, (0, 1, 0, 0, 0, 0)) == 78
+
+
 def test_components_partition_generators():
     rs = build_root_system(parse_type("A1xB2xA2"))
     seen = sorted(i for comp in rs.components for i in comp)

@@ -57,6 +57,30 @@ def test_balanced_right_invariant(capsys):
     doc = run_json(capsys, ["balanced", "A3", "--right-invariant", "1"])
     plain = run_json(capsys, ["balanced", "A3"])
     assert 0 < doc["outputs"]["count"] < plain["outputs"]["count"]
+    code, out, _ = run(capsys, ["balanced", "A3", "--right-invariant", "1"])
+    assert code == 0
+    assert (f"type A3: {doc['outputs']['count']} balanced ideal(s) "
+            "invariant under <1>") in out
+
+
+def test_balanced_listing_budget(capsys, monkeypatch):
+    """A listing larger than LIST_BUDGET is refused before certification."""
+    def refuse(*args, **kwargs):
+        pytest.fail("certified past the listing budget")
+
+    monkeypatch.setattr(bruhat, "_certify_all", refuse)
+    monkeypatch.setattr(bruhat, "LIST_BUDGET", 9)
+    code, out, err = run(capsys, ["balanced", "A3"])
+    assert code == 3, err
+    assert "more than 9 balanced ideals to list" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(bruhat, "LIST_BUDGET", 10)
+    assert run_json(capsys, ["balanced", "A3"])["outputs"]["count"] == 10
+    monkeypatch.undo()
+    # 49,404,510 ideals; |W| = 384 passes the enumeration budget
+    code, out, err = run(capsys, ["balanced", "B4"])
+    assert code == 3, err
+    assert "more than 250000 balanced ideals to list" in err
 
 
 def test_family_round_trip_through_file(capsys, tmp_path):
@@ -74,6 +98,14 @@ def test_family_round_trip_through_file(capsys, tmp_path):
 def test_family_lower_half_j_default_selection(capsys):
     doc = run_json(capsys, ["family", "lower-half-J", "4", "--verify"])
     assert doc["outputs"]["size"] == 12
+    # the same selection, given explicitly
+    g, _ = families.build_symmetric(4)
+    table = families.perm_table(g)
+    select = ";".join(",".join(map(str, table[a]))
+                      for a, _ in families.middle_level_pairs(g))
+    chosen = run_json(capsys, ["family", "lower-half-J", "4", "--verify",
+                               "--select", select])
+    assert chosen["outputs"] == doc["outputs"]
 
 
 def test_family_principal(capsys):
@@ -195,6 +227,8 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 1, (argv, err)
         assert err.startswith("error:"), (argv, err)
+    code, out, err = run(capsys, ["balanced", "A2", "--right-invariant", "1,x"])
+    assert (code, err) == (1, "error: bad generator list '1,x'\n")
 
 
 def test_budget_exit_3(capsys, monkeypatch):
