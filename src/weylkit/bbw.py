@@ -41,7 +41,6 @@ def reflect_weight(g: WeylGroup, i: int, lam: IntegralWeight) -> IntegralWeight:
 def weyl_act(g: WeylGroup, w: int, lam) -> IntegralWeight:
     """w(lam), applying the reduced word right to left."""
     lam = _check_weight(g, lam)
-    g._check_id(w)
     for i in reversed(g.reduced_word(w)):
         lam = reflect_weight(g, i, lam)
     return lam
@@ -64,16 +63,17 @@ def classify_weight(g: WeylGroup, lam) -> WeightClass:
     unique w with w(lam) strictly dominant.
     """
     lam = _check_weight(g, lam)
-    v = lam
-    w = 0
+    v, letters = lam, []
     while True:
         i = next((i for i in range(g.rank) if v[i] < 0), None)
         if i is None:
             break
         v = reflect_weight(g, i, v)
-        w = g.left_mult_gen(i, w)
+        letters.append(i)
     if any(c == 0 for c in v):
         return WeightClass(regular=False, w=None, dominant_form=v)
+    # w = s_ik ... s_i1 for the letters i1, ..., ik in walk order
+    w = g.word_to_id(letters[::-1])
     require(weyl_act(g, w, lam) == v, "w(lam) is not the dominant form")
     return WeightClass(regular=True, w=w, dominant_form=v)
 

@@ -55,6 +55,9 @@ def check_enumeration_budget(t: CartanType,
         except ValueError as exc:
             raise InvalidInputError(
                 f"WEYLKIT_MAX_ORDER must be an integer, got {env!r}") from exc
+    if budget < 1:
+        raise InvalidInputError(
+            f"enumeration budget must be at least 1, got {budget}")
     order = t.weyl_order_at_most(budget)
     if order is None:
         raise BudgetExceededError(
@@ -228,9 +231,9 @@ def _leq_walk(g: WeylGroup, x: int, y: int) -> bool:
 def subword_ideal_mask(o: BruhatOrder, y: int) -> int:
     """{products of subwords of a reduced word for y} as a mask.
 
-    By the subword criterion this is the principal ideal of y; it is
-    computed without the covers/mask machinery, so it serves as an
-    independent oracle for leq.
+    By the subword property (Bjorner-Brenti, Thm. 2.2.2) any reduced word
+    of y, the BFS word included, gives the principal ideal of y; reading
+    neither covers nor masks, it is an oracle for leq independent by method.
     """
     g = o.g
     reach = {0}

@@ -15,7 +15,7 @@ block-diagonally, so the Weyl group of a product is the direct product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
 import re
@@ -166,16 +166,15 @@ class RootSystem:
 
     positive_roots holds integer coordinate vectors in the simple-root
     basis, the first ``rank`` entries being the simple roots themselves.
-    coxeter_numbers has one entry per factor of the input type; components
-    lists the connected Dynkin-diagram components (the true simple factors,
-    which for D2 differ from the input factors).  The simple actions and
-    the coroots are computed once per root system, on first use.
+    components lists the connected Dynkin-diagram components (the true
+    simple factors, which for D2 differ from the input factors).  The
+    simple actions, the coroots and the Coxeter numbers are computed once
+    per root system, on first use.
     """
 
     cartan_type: CartanType
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    coxeter_numbers: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
     @property
@@ -224,6 +223,16 @@ class RootSystem:
         require(len(coroots) == self.n_positive,
                 "coroot count differs from root count")
         return tuple(coroots)
+
+    @cached_property
+    def coxeter_numbers(self) -> tuple[int, ...]:
+        """One Coxeter number per factor of the input type."""
+        numbers, offset = [], 0
+        for _, n in self.cartan_type.factors:
+            numbers.append(component_coxeter_number(
+                self, tuple(range(offset, offset + n))))
+            offset += n
+        return tuple(numbers)
 
 
 def _dynkin_components(cartan: list[list[int]]) -> list[tuple[int, ...]]:
@@ -277,27 +286,22 @@ def build_root_system(t: CartanType) -> RootSystem:
     rank = t.rank
     cartan = [[0] * rank for _ in range(rank)]
     offset = 0
-    factor_blocks = []
     for fam, n in t.factors:
         block = _simple_cartan_matrix(fam, n)
         for i in range(n):
             for j in range(n):
                 cartan[offset + i][offset + j] = block[i][j]
-        factor_blocks.append(tuple(range(offset, offset + n)))
         offset += n
 
     roots = _positive_roots(cartan)
     require(len(roots) == t.n_positive,
             "positive-root closure differs from the closed-form count")
-    rs = RootSystem(
+    return RootSystem(
         cartan_type=t,
         cartan_matrix=tuple(tuple(row) for row in cartan),
         positive_roots=tuple(roots),
-        coxeter_numbers=(),
         components=tuple(_dynkin_components(cartan)),
     )
-    return replace(rs, coxeter_numbers=tuple(
-        component_coxeter_number(rs, blk) for blk in factor_blocks))
 
 
 def positive_coroots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:

@@ -409,7 +409,8 @@ def _build_parser() -> _Parser:
                        help="line-bundle cohomology of a weight")
     p.add_argument("type")
     p.add_argument("--weight", required=True,
-                   help="comma-separated fundamental coordinates")
+                   help="comma-separated fundamental coordinates; "
+                   "a leading minus needs the = form, --weight=-1,2")
     p.add_argument("--k", type=int, default=None,
                    help="degree window bound for the quotient cases")
     p.add_argument("--cd", type=int, default=None,

@@ -14,7 +14,10 @@ frontier.  Only the generator-multiplication columns are kept (memory
 full action of every element (``acts``) is built on first use.  The
 build composes only ascents, x s_i with x(alpha_i) > 0, and fills the
 descent slot of x s_i from the same product (Bjorner-Brenti, Sec. 1.4).
-The inverses and the w0 table are walks through the finished columns.
+Ids are read in order and letters tried in increasing order, so the BFS
+word is the shortlex normal form, the lex-first reduced word
+(Bjorner-Brenti, Ch. 3): the canonical word.  The inverses and the w0
+table are walks through the finished columns, built on first use.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ class WeylGroup:
     bfs_parent: list[int]
     bfs_letter: list[int]
     generators: list[int]           # ids of the simple reflections
-    inverse: list[int]
     w0: int
 
     @property
@@ -77,7 +79,7 @@ class WeylGroup:
     # -- products ----------------------------------------------------------
 
     def bfs_word(self, x: int) -> Word:
-        """Some reduced word for x (the BFS discovery word)."""
+        """The BFS discovery word of x, unchecked (see reduced_word)."""
         letters = []
         while x != 0:
             letters.append(self.bfs_letter[x])
@@ -88,7 +90,7 @@ class WeylGroup:
         """Product xy, composed along a reduced word of y."""
         self._check_id(x)
         cur = x
-        for i in self.bfs_word(y):
+        for i in self.reduced_word(y):
             cur = self.rmult[cur][i]
         return cur
 
@@ -120,8 +122,20 @@ class WeylGroup:
         return table
 
     @cached_property
-    def _words(self) -> dict[int, Word]:
-        return {}
+    def inverse(self) -> list[int]:
+        """x = s_1 ... s_k along its BFS word, so x^-1 = s_k ... s_1: read
+        the letters back up the parent chain, multiplying on the right."""
+        rmult, parent, letter = self.rmult, self.bfs_parent, self.bfs_letter
+        inverse = []
+        for x in range(self.order):
+            cur = 0
+            while x:
+                cur = rmult[cur][letter[x]]
+                x = parent[x]
+            inverse.append(cur)
+        require(all(inverse[y] == x for x, y in enumerate(inverse)),
+                "inverse is not an involution")
+        return inverse
 
     @cached_property
     def acts(self) -> list[tuple[int, ...]]:
@@ -145,24 +159,13 @@ class WeylGroup:
         return self.right_descents(self.inverse[x])
 
     def reduced_word(self, x: int) -> Word:
-        """Canonical reduced word: greedy smallest left descent.
-
-        Stripping the smallest left descent first yields the
-        lexicographically smallest reduced word.
-        """
+        """Canonical reduced word: the BFS word, which is the shortlex
+        normal form, the lex-first reduced word (Bjorner-Brenti, Ch. 3).
+        The build reaches y first as x s_i for the least id x, then the
+        least i, so by induction on length ids within a length follow
+        lex order and lexfirst(y) = lexfirst(x) + (i)."""
         self._check_id(x)
-        cached = self._words.get(x)
-        if cached is not None:
-            return cached
-        letters = []
-        cur = x
-        while cur != 0:
-            i = min(self.left_descents(cur))
-            letters.append(i)
-            cur = self.left_mult_gen(i, cur)
-        word = tuple(letters)
-        self._words[x] = word
-        return word
+        return self.bfs_word(x)
 
     def _check_id(self, x: int) -> None:
         if not 0 <= x < self.order:
@@ -252,18 +255,6 @@ def generate(rs: RootSystem) -> WeylGroup:
             f"BFS found {len(length)} elements, order formula says {order}")
     require(min(map(min, rmult)) >= 0, "a descent slot was left unset")
 
-    # x = s_1 ... s_k along its BFS word, so x^-1 = s_k ... s_1: read the
-    # letters back up the parent chain, multiplying on the right
-    inverse = []
-    for x in range(order):
-        cur = 0
-        while x:
-            cur = rmult[cur][letter[x]]
-            x = parent[x]
-        inverse.append(cur)
-    require(all(inverse[y] == x for x, y in enumerate(inverse)),
-            "inverse is not an involution")
-
     maxlen = max(length)
     longest = [x for x in range(order) if length[x] == maxlen]
     require(maxlen == npos and len(longest) == 1,
@@ -276,7 +267,6 @@ def generate(rs: RootSystem) -> WeylGroup:
         bfs_parent=parent,
         bfs_letter=letter,
         generators=list(rmult[0]),
-        inverse=inverse,
         w0=longest[0],
     )
 

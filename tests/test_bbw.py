@@ -29,6 +29,9 @@ def test_weyl_act_is_a_group_action():
         # w0 negates the dominant chamber: delta goes to -delta
         ones = tuple([1] * g.rank)
         assert weyl_act(g, g.w0, ones) == tuple([-1] * g.rank)
+        for w in (-1, g.order):
+            with pytest.raises(InvalidInputError):
+                weyl_act(g, w, ones)
 
 
 def test_reflect_weight_is_an_involution():

@@ -164,6 +164,10 @@ def test_bbw_command(capsys):
     doc = run_json(capsys, ["bbw", "A2", "--weight", "0,2", "--k", "3"])
     assert doc["outputs"]["all_vanish"] is True
     assert doc["outputs"]["sheaf"]["case"] == "i"
+    # a leading minus needs the = form, or argparse reads an option
+    doc = run_json(capsys, ["bbw", "A2", "--weight=-1,2"])
+    assert doc["outputs"]["degree"] == 1
+    assert doc["outputs"]["highest_weight"] == [0, 0]
 
 
 def test_small_exit_codes(capsys):
@@ -197,7 +201,7 @@ def test_distinct_default_and_verify(capsys):
     assert "verification failed" in err
 
 
-def test_usage_errors_exit_1(capsys, tmp_path):
+def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
     bad_ideals = []
     for name, text in [("no_generators", '{"type":"A2"}'),
                        ("list", "[1,2]"),
@@ -221,6 +225,8 @@ def test_usage_errors_exit_1(capsys, tmp_path):
                  ["betti", "A2", "--ideal", "/no/such/file.json"],
                  ["bbw", "A2", "--weight", "1"],
                  ["bbw", "A2", "--weight", "x,y"],
+                 ["balanced", "A2", "--max-order", "-5"],
+                 ["balanced", "A2", "--max-order", "0"],
                  ["family", "lower-half", "4"],
                  ["poincare", "flag", "0"],
                  ["nonsense"]]:
@@ -229,6 +235,10 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         assert err.startswith("error:"), (argv, err)
     code, out, err = run(capsys, ["balanced", "A2", "--right-invariant", "1,x"])
     assert (code, err) == (1, "error: bad generator list '1,x'\n")
+    monkeypatch.setenv("WEYLKIT_MAX_ORDER", "0")
+    code, out, err = run(capsys, ["balanced", "A2"])
+    assert (code, err) == (
+        1, "error: enumeration budget must be at least 1, got 0\n")
 
 
 def test_budget_exit_3(capsys, monkeypatch):

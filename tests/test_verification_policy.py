@@ -115,6 +115,29 @@ except VerificationError:
 """
 
 
+# The inverses are walked on first use, so a copy with a forged table
+# walks its own and must refuse a result that is not an involution.
+OPTIMIZED_INVERSE = """
+import dataclasses
+from weylkit import VerificationError, build_root_system, generate, parse_type
+
+
+def outcome(g):
+    try:
+        g.inverse
+    except VerificationError:
+        return "VerificationError"
+    return "returned"
+
+
+g = generate(build_root_system(parse_type("A2")))
+rmult = list(g.rmult)
+rmult[0] = (rmult[0][0], rmult[0][0])   # both generators lead to s1
+forged = dataclasses.replace(g, rmult=rmult)
+print(__debug__, outcome(forged), outcome(g))
+"""
+
+
 def _run_optimized(script, timeout=120):
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
@@ -138,3 +161,8 @@ def test_memo_checks_a_forged_order_under_python_O():
 def test_forged_down_without_its_element_is_refused_under_python_O():
     assert _run_optimized(OPTIMIZED_DOWN, timeout=30) == [
         "False", "VerificationError"]
+
+
+def test_forged_table_with_no_involutive_inverse_is_refused_under_python_O():
+    assert _run_optimized(OPTIMIZED_INVERSE, timeout=30) == [
+        "False", "VerificationError", "returned"]

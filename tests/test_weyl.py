@@ -93,25 +93,40 @@ def test_copies_keep_their_own_memos():
     assert g.w0_left(0) == g.w0
     copy = dataclasses.replace(g, w0=0)
     assert copy.w0_left(0) == 0 and g.w0_left(0) == g.w0
-    assert dataclasses.replace(g)._words is not g._words
 
 
 def test_acts_stays_unbuilt():
-    """The table keeps no signed actions: nothing on the query and order
-    paths builds acts, and a copy builds its own."""
+    """The table keeps no signed actions and no inverses: nothing on the
+    query, order and enumeration paths builds them, and a copy builds
+    its own."""
     from weylkit.bbw import (bbw_cohomology, sheaf_cohomology_cases,
                              weyl_dimension)
-    from weylkit.bruhat import build_order
+    from weylkit.bruhat import build_order, enumerate_balanced
+    from weylkit.parabolic import build_parabolic
     g = grp("D5")
-    assert "acts" not in vars(g)
+    assert "acts" not in vars(g) and "inverse" not in vars(g)
     build_order(g)
     g.reduced_word(g.w0)
     lam = (-1, 2, 0, 3, -2)
     bbw_cohomology(g, lam)
     sheaf_cohomology_cases(g, lam, 4, cd=1)
     weyl_dimension(g, (1, 0, 2, 0, 1))
-    assert "acts" not in vars(g)
+    assert "acts" not in vars(g) and "inverse" not in vars(g)
     assert "acts" not in vars(dataclasses.replace(g))
+    small = grp("A3")
+    o = build_order(small)
+    assert enumerate_balanced(o)
+    assert enumerate_balanced(o, build_parabolic(small, (0,)))
+    assert "inverse" not in vars(small)
+    copy = dataclasses.replace(g)
+    assert copy.inverse == g.inverse and copy.inverse is not g.inverse
+
+
+def test_multiply_checks_both_ids():
+    g = grp("A2")
+    for x, y in [(0, -1), (0, 99), (-1, 0), (6, 0)]:
+        with pytest.raises(InvalidInputError):
+            g.multiply(x, y)
 
 
 def test_inverse_and_w0_left_match_signed_actions():
@@ -199,6 +214,26 @@ def test_ascent_only_table_matches_full_table(spec):
     for x in range(g.order):
         for i in range(g.rank):
             assert g.rmult[g.rmult[x][i]][i] == x
+
+
+def lex_first_word(g, x):
+    """The greedy word: strip the smallest left descent first, which
+    yields the lexicographically first reduced word."""
+    letters = []
+    while x != 0:
+        i = min(i for i in range(g.rank)
+                if g.length[g.left_mult_gen(i, x)] < g.length[x])
+        letters.append(i)
+        x = g.left_mult_gen(i, x)
+    return tuple(letters)
+
+
+@pytest.mark.parametrize("spec", [*single_types(4), "A1xA1", "A2xA1",
+                                  "B2xA1", "A1xB2", "D5"])
+def test_reduced_word_is_lex_first(spec):
+    g = grp(spec)
+    assert [g.reduced_word(x) for x in range(g.order)] == \
+        [lex_first_word(g, x) for x in range(g.order)]
 
 
 def test_default_bipartition_is_proper():
