@@ -14,8 +14,6 @@ rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
@@ -46,11 +44,15 @@ def weyl_act(g: WeylGroup, w: int, lam) -> IntegralWeight:
     return lam
 
 
-@dataclass(frozen=True)
 class WeightClass:
-    regular: bool
-    w: int | None                    # element with w(lam) strictly dominant
-    dominant_form: IntegralWeight    # the dominant orbit representative
+    def __init__(self, regular: bool, w: int | None,
+                 dominant_form: IntegralWeight) -> None:
+        self.regular = regular
+        self.w = w                    # element with w(lam) strictly dominant
+        self.dominant_form = dominant_form    # the dominant orbit rep
+
+    def __eq__(self, other) -> bool:
+        return type(other) is WeightClass and vars(other) == vars(self)
 
 
 def classify_weight(g: WeylGroup, lam) -> WeightClass:
@@ -92,15 +94,20 @@ def weyl_dimension(g: WeylGroup, mu) -> int:
     return q
 
 
-@dataclass(frozen=True)
 class BBWReport:
     """Cohomology of one equivariant line bundle on G/B."""
 
-    lam: IntegralWeight
-    all_vanish: bool
-    degree: int | None               # the single non-vanishing degree
-    highest_weight: IntegralWeight | None
-    dimension: int | None
+    def __init__(self, lam: IntegralWeight, all_vanish: bool,
+                 degree: int | None, highest_weight: IntegralWeight | None,
+                 dimension: int | None) -> None:
+        self.lam = lam
+        self.all_vanish = all_vanish
+        self.degree = degree          # the single non-vanishing degree
+        self.highest_weight = highest_weight
+        self.dimension = dimension
+
+    def __eq__(self, other) -> bool:
+        return type(other) is BBWReport and vars(other) == vars(self)
 
     def to_json(self) -> dict:
         return {
@@ -130,7 +137,6 @@ def bbw_cohomology(g: WeylGroup, lam) -> BBWReport:
                      highest_weight=mu, dimension=weyl_dimension(g, mu))
 
 
-@dataclass(frozen=True)
 class SheafCaseReport:
     """Case analysis for line-bundle cohomology of a quotient manifold.
 
@@ -142,13 +148,20 @@ class SheafCaseReport:
     cohomological dimension of Gamma, where that cohomology is zero.
     """
 
-    case: str                        # "i", "ii", "iii", or "iv"
-    k: int
-    cd: int | None
-    degree: int | None               # l(w) for regular weights
-    zero_below: int
-    group_window: tuple[int, int] | None
-    vanishing_window: tuple[int, int] | None
+    def __init__(self, case: str, k: int, cd: int | None,
+                 degree: int | None, zero_below: int,
+                 group_window: tuple[int, int] | None,
+                 vanishing_window: tuple[int, int] | None) -> None:
+        self.case = case              # "i", "ii", "iii", or "iv"
+        self.k = k
+        self.cd = cd
+        self.degree = degree          # l(w) for regular weights
+        self.zero_below = zero_below
+        self.group_window = group_window
+        self.vanishing_window = vanishing_window
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SheafCaseReport and vars(other) == vars(self)
 
     def to_json(self) -> dict:
         return {

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -125,21 +124,25 @@ def _bit_positions(mask: int) -> list[int]:
     return out
 
 
-@dataclass
 class BruhatOrder:
-    g: WeylGroup
-    covers: list[list[int]]           # covers[y] = ids covered by y
-    down: list[int] | None            # down[y] = bitmask of {x : x <= y}
+    """Covers and dense masks of one group's order; equality is identity."""
+
     # no upward masks: {y : y >= x} is w0 down[w0 x].  Kept as None for
     # perfbench/tracing.py, which adds up the bytes of down and up.
     up = None
+
+    def __init__(self, g: WeylGroup, covers: list[list[int]],
+                 down: list[int] | None) -> None:
+        self.g = g
+        self.covers = covers          # covers[y] = ids covered by y
+        self.down = down              # down[y] = bitmask of {x : x <= y}
 
     @property
     def full_mask(self) -> int:
         return (1 << self.g.order) - 1
 
-    # Gather tables, built on first use from this order's own covers;
-    # not fields, so dataclasses.replace starts a copy without them.
+    # Gather tables, built on first use from this order's own covers, so
+    # a copy built through __init__ starts without them.
 
     @cached_property
     def _upper(self) -> list[list[int]]:
@@ -245,12 +248,17 @@ def subword_ideal_mask(o: BruhatOrder, y: int) -> int:
 # ---------------------------------------------------------------------------
 # Ideals
 
-@dataclass(frozen=True)
 class Ideal:
-    """A downward-closed subset of W as a membership bitmask."""
+    """A downward-closed subset of W as a membership bitmask; two ideals
+    are equal when they have the same group and mask."""
 
-    g: WeylGroup
-    mask: int
+    def __init__(self, g: WeylGroup, mask: int) -> None:
+        self.g = g
+        self.mask = mask
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is Ideal and other.g is self.g
+                and other.mask == self.mask)
 
     @property
     def size(self) -> int:
@@ -269,16 +277,15 @@ def _cached(ideal: Ideal, name: str, owner, compute):
 
     owner is the order or parabolic the value was derived with.  It is
     held weakly, so the memo keeps no order alive, and matched by
-    identity, so a copy such as dataclasses.replace(o, covers=...) is a
-    different owner and computes afresh.  A raising compute stores
-    nothing.
+    identity, so a copy such as BruhatOrder(o.g, forged_covers, o.down)
+    is a different owner and computes afresh.  A raising compute stores
+    nothing.  Ideal equality reads only g and mask, so memos do not
+    count.
     """
     hit = ideal.__dict__.get(name)
     if hit is not None and hit[0]() is owner:
         return hit[1]
     value = compute()
-    # Ideal is frozen; the memo is not a field, so eq, hash and
-    # dataclasses.replace ignore it
     ideal.__dict__[name] = (weakref.ref(owner), value)
     return value
 
@@ -373,10 +380,13 @@ def _orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal | None:
     return perp
 
 
-@dataclass(frozen=True)
 class IdealClass:
-    slim: bool
-    fat: bool
+    def __init__(self, slim: bool, fat: bool) -> None:
+        self.slim = slim
+        self.fat = fat
+
+    def __eq__(self, other) -> bool:
+        return type(other) is IdealClass and vars(other) == vars(self)
 
     @property
     def balanced(self) -> bool:
@@ -396,13 +406,19 @@ def is_small(o: BruhatOrder, x: int) -> bool:
     return leq(o, x, o.g.w0_left(x))
 
 
-@dataclass(frozen=True)
 class ShortSmallReport:
-    cartan_type: CartanType
-    max_length: int
-    all_small: bool
-    witnesses: tuple[Word, ...]      # non-small elements as canonical words
-    expected_all_small: bool         # what the length<=L theorem predicts
+    def __init__(self, cartan_type: CartanType, max_length: int,
+                 all_small: bool, witnesses: tuple[Word, ...],
+                 expected_all_small: bool) -> None:
+        self.cartan_type = cartan_type
+        self.max_length = max_length
+        self.all_small = all_small
+        self.witnesses = witnesses    # non-small elements as canonical words
+        # what the length<=L theorem predicts
+        self.expected_all_small = expected_all_small
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ShortSmallReport and vars(other) == vars(self)
 
 
 def short_small_expected(rs: RootSystem, max_length: int) -> bool:

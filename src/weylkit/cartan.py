@@ -15,7 +15,6 @@ block-diagonally, so the Weyl group of a product is the direct product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, prod
 import re
@@ -51,20 +50,25 @@ _COUNTS = {
 }
 
 
-@dataclass(frozen=True)
 class CartanType:
-    """An ordered product of (family, rank) factors."""
+    """An ordered product of (family, rank) factors; a value, usable as a
+    dict key."""
 
-    factors: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple[tuple[str, int], ...]) -> None:
+        if not factors:
             raise InvalidInputError("empty Cartan type")
-        for fam, rank in self.factors:
+        for fam, rank in factors:
             if fam not in _RANK_OK:
                 raise InvalidInputError(f"unknown family {fam!r}")
             if not _RANK_OK[fam](rank):
                 raise InvalidInputError(f"invalid rank {rank} for family {fam}")
+        self.factors = factors
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CartanType and other.factors == self.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
 
     @property
     def rank(self) -> int:
@@ -160,7 +164,6 @@ def _simple_cartan_matrix(fam: str, n: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Root systems
 
-@dataclass(frozen=True)
 class RootSystem:
     """Positive roots and Cartan data for a (product) type.
 
@@ -169,13 +172,17 @@ class RootSystem:
     components lists the connected Dynkin-diagram components (the true
     simple factors, which for D2 differ from the input factors).  The
     simple actions, the coroots and the Coxeter numbers are computed once
-    per root system, on first use.
+    per root system, on first use.  Equality is identity.
     """
 
-    cartan_type: CartanType
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
-    components: tuple[tuple[int, ...], ...]
+    def __init__(self, cartan_type: CartanType,
+                 cartan_matrix: tuple[tuple[int, ...], ...],
+                 positive_roots: tuple[tuple[int, ...], ...],
+                 components: tuple[tuple[int, ...], ...]) -> None:
+        self.cartan_type = cartan_type
+        self.cartan_matrix = cartan_matrix
+        self.positive_roots = positive_roots
+        self.components = components
 
     @property
     def rank(self) -> int:
@@ -192,8 +199,6 @@ class RootSystem:
         out = list(v)
         out[i] -= pairing
         return tuple(out)
-
-    # memos, not fields: frozen, eq and dataclasses.replace ignore them
 
     @cached_property
     def simple_actions(self) -> tuple[tuple[int, ...], ...]:

@@ -37,6 +37,9 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through the exit-code map."""
 
     def error(self, message):
+        if message == "argument --weight: expected one argument":
+            # argparse reads a negative value after a space as an option
+            message += "; a leading minus needs the = form, --weight=-1,2"
         raise InvalidInputError(message)
 
 

@@ -14,7 +14,6 @@ one popcount per quotient length against the masks of W^P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .bruhat import Gather, mask_bits, mask_of
@@ -22,14 +21,18 @@ from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
 
-@dataclass
 class ParabolicSubset:
-    g: WeylGroup
-    theta: tuple[int, ...]            # generator indices of W_P, sorted
-    subgroup: list[int]               # element ids of W_P, sorted
-    subgroup_mask: int
-    min_reps: list[int]               # W^P, sorted by id, so by (length, id)
-    coset_of: list[int]               # element id -> its representative id
+    """W_P, W^P and the coset map of one group; equality is identity."""
+
+    def __init__(self, g: WeylGroup, theta: tuple[int, ...],
+                 subgroup: list[int], subgroup_mask: int,
+                 min_reps: list[int], coset_of: list[int]) -> None:
+        self.g = g
+        self.theta = theta            # generator indices of W_P, sorted
+        self.subgroup = subgroup      # element ids of W_P, sorted
+        self.subgroup_mask = subgroup_mask
+        self.min_reps = min_reps      # W^P, sorted by id, so by (length, id)
+        self.coset_of = coset_of      # element id -> its representative id
 
     @property
     def order(self) -> int:
@@ -51,7 +54,7 @@ class ParabolicSubset:
     def quotient_length(self, x: int) -> int:
         return self.g.length[self.coset_of[x]]
 
-    # Built on first use, not fields: an instance keeps its own tables.
+    # Built on first use: an instance keeps its own tables.
 
     @cached_property
     def length_masks(self) -> list[int]:

@@ -15,23 +15,22 @@ t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bruhat import BruhatOrder, Ideal, _cached, classify, mask_of, orthogonal
 from .errors import BudgetExceededError, InvalidInputError, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
 from .parabolic import ParabolicSubset, build_parabolic, is_right_invariant
 
 
-@dataclass(frozen=True)
 class GradedRanks:
     """Ranks of a graded abelian group, indexed by real degree."""
 
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(r < 0 for r in self.ranks):
+    def __init__(self, ranks: tuple[int, ...]) -> None:
+        if any(r < 0 for r in ranks):
             raise InvalidInputError("negative rank")
+        self.ranks = ranks
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GradedRanks and other.ranks == self.ranks
 
     @staticmethod
     def from_even(even) -> "GradedRanks":
@@ -156,15 +155,21 @@ def splitting_check(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> bool:
                for k, m in enumerate(p.length_masks))
 
 
-@dataclass(frozen=True)
 class HausdorffReport:
-    bound: float                     # limit curve dim + 2 * max length
-    limit_curve_dim: float
-    max_quotient_length: int
-    n: int                           # complex dimension of G/P_D
-    domain_nonempty: bool            # bound < 2n
-    measure_2n_minus_2_vanishes: bool
-    measure_2n_minus_4_vanishes: bool
+    def __init__(self, bound: float, limit_curve_dim: float,
+                 max_quotient_length: int, n: int, domain_nonempty: bool,
+                 measure_2n_minus_2_vanishes: bool,
+                 measure_2n_minus_4_vanishes: bool) -> None:
+        self.bound = bound            # limit curve dim + 2 * max length
+        self.limit_curve_dim = limit_curve_dim
+        self.max_quotient_length = max_quotient_length
+        self.n = n                    # complex dimension of G/P_D
+        self.domain_nonempty = domain_nonempty    # bound < 2n
+        self.measure_2n_minus_2_vanishes = measure_2n_minus_2_vanishes
+        self.measure_2n_minus_4_vanishes = measure_2n_minus_4_vanishes
+
+    def __eq__(self, other) -> bool:
+        return type(other) is HausdorffReport and vars(other) == vars(self)
 
     def to_json(self) -> dict:
         return {
@@ -273,14 +278,18 @@ def incidence_betti(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Homotopy distinction of the two named families
 
-@dataclass(frozen=True)
 class DistinctionReport:
-    j: int
-    n: int                           # = 2j + 1; the group is S_2n
-    k: int                           # middle length (l(w0) = 2k + 1)
-    b_lower_half: int                # b_2k of the lower-half domain
-    b_principal: int                 # b_2k of the principal-family domain
-    strict: bool
+    def __init__(self, j: int, n: int, k: int, b_lower_half: int,
+                 b_principal: int, strict: bool) -> None:
+        self.j = j
+        self.n = n                    # = 2j + 1; the group is S_2n
+        self.k = k                    # middle length (l(w0) = 2k + 1)
+        self.b_lower_half = b_lower_half    # b_2k of the lower-half domain
+        self.b_principal = b_principal      # b_2k of the principal domain
+        self.strict = strict
+
+    def __eq__(self, other) -> bool:
+        return type(other) is DistinctionReport and vars(other) == vars(self)
 
     def to_json(self) -> dict:
         return {

@@ -22,7 +22,6 @@ table are walks through the finished columns, built on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, neg
 
@@ -54,15 +53,20 @@ def _ext_identity(npos: int) -> tuple[int, ...]:
     return (0, *range(1, npos + 1), *range(-npos, 0))
 
 
-@dataclass
 class WeylGroup:
-    rs: RootSystem
-    length: list[int]
-    rmult: list[tuple[int, ...]]    # rmult[x][i] = id of x * s_i
-    bfs_parent: list[int]
-    bfs_letter: list[int]
-    generators: list[int]           # ids of the simple reflections
-    w0: int
+    """The group table; equality is identity."""
+
+    def __init__(self, rs: RootSystem, length: list[int],
+                 rmult: list[tuple[int, ...]], bfs_parent: list[int],
+                 bfs_letter: list[int], generators: list[int],
+                 w0: int) -> None:
+        self.rs = rs
+        self.length = length
+        self.rmult = rmult              # rmult[x][i] = id of x * s_i
+        self.bfs_parent = bfs_parent
+        self.bfs_letter = bfs_letter
+        self.generators = generators    # ids of the simple reflections
+        self.w0 = w0
 
     @property
     def order(self) -> int:
@@ -110,7 +114,7 @@ class WeylGroup:
         """w0 * x, from a table built on first use."""
         return self._w0_left[x]
 
-    # memos, not fields: a dataclasses.replace copy builds its own
+    # memos: a copy built through __init__ builds its own
 
     @cached_property
     def _w0_left(self) -> list[int]:

@@ -1,11 +1,28 @@
-"""Echo the acceptance-suite result lines after the terminal summary.
+"""Shared test helpers.
 
 The acceptance checks print one pass/fail line each, but pytest's
 default capture grabs the file descriptor, so passing tests would stay
-silent.  The lines are recorded in the test module and replayed here.
+silent.  The lines are recorded in the test module and replayed after
+the terminal summary.  forge builds a tampered copy of a table.
 """
 
 import sys
+
+_FIELDS = {
+    "WeylGroup": ("rs", "length", "rmult", "bfs_parent", "bfs_letter",
+                  "generators", "w0"),
+    "BruhatOrder": ("g", "covers", "down"),
+}
+
+
+def forge(table, **changes):
+    """A copy of a WeylGroup or BruhatOrder with some fields replaced,
+    built through __init__, so it inherits no memo (acts, inverse,
+    _w0_left, the gathers)."""
+    names = _FIELDS[type(table).__name__]
+    assert set(changes) <= set(names), changes
+    return type(table)(**{n: changes.get(n, getattr(table, n))
+                          for n in names})
 
 
 def pytest_terminal_summary(terminalreporter):

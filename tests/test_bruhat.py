@@ -1,5 +1,3 @@
-import copy
-import dataclasses
 import gc
 import itertools
 import random
@@ -7,6 +5,7 @@ import weakref
 
 import pytest
 
+from conftest import forge
 from weylkit import bruhat
 from weylkit.bruhat import (_certify_all, build_order, classify,
                             enumerate_balanced,
@@ -187,10 +186,15 @@ def test_lifting_recursion_matches_masks():
         else:
             pairs = [(rng.randrange(g.order), rng.randrange(g.order))
                      for _ in range(n_pairs)]
-        state = {k: copy.copy(v) for k, v in vars(o2).items()}
+
+        def state():     # o2's and g2's attributes, lists copied a level
+            return [{k: list(v) if isinstance(v, list) else v
+                     for k, v in vars(t).items()} for t in (o2, g2)]
+
+        before = state()
         for x, y in pairs:
             assert leq(o2, x, y) == bool(o.down[y] >> x & 1), (spec, x, y)
-        assert vars(o2) == state, spec   # the walk keeps no state
+        assert state() == before, spec   # the walk keeps no state
 
 
 def test_principal_ideal_and_generators():
@@ -256,7 +260,7 @@ def test_orthogonal_returns_one_object_per_order():
         assert orthogonal(o, p) is i
         assert (p is i) == classify(o, i).balanced
     # the memo holds its order weakly: a copy is another owner
-    other = dataclasses.replace(o)
+    other = forge(o)
     i = principal_ideal(o, 1)
     p = orthogonal(o, i)
     q = orthogonal(other, i)
@@ -421,7 +425,7 @@ def test_certification_rejects_each_broken_property():
     # claim the identity covers one generator, so it drops out
     covers = list(o.covers)
     covers[0] = [gens[-1]]
-    forged = dataclasses.replace(o, covers=covers)
+    forged = forge(o, covers=covers)
 
     cases = [
         (o, ok, full ^ ok ^ top, None, "undecided"),
@@ -543,6 +547,19 @@ def test_short_small_needs_no_order(monkeypatch):
         assert verify_short_small(t, max_len) == bruhat.ShortSmallReport(
             cartan_type=t, max_length=max_len, all_small=all_small,
             witnesses=witnesses, expected_all_small=all_small)
+
+
+def test_ideals_and_reports_compare_by_value():
+    g, o = make_order("A3")
+    m = o.down[5]
+    assert bruhat.Ideal(g, m) == bruhat.Ideal(g=g, mask=m)
+    assert bruhat.Ideal(g, m) == principal_ideal(o, 5)
+    assert bruhat.Ideal(g, m) != bruhat.Ideal(g, o.down[6])
+    assert classify(o, principal_ideal(o, 0)) == bruhat.IdealClass(
+        slim=True, fat=False)
+    report = verify_short_small(parse_type("A2xA1"), 1)
+    assert report == verify_short_small(parse_type("a2xa1"), 1)
+    assert report != verify_short_small(parse_type("A2xA1"), 2)
 
 
 def test_short_small_rejects_bad_length():

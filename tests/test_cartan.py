@@ -1,7 +1,8 @@
 import pytest
 
-from weylkit.cartan import (build_root_system, component_coxeter_number,
-                            coxeter_number, parse_type, positive_coroots)
+from weylkit.cartan import (CartanType, build_root_system,
+                            component_coxeter_number, coxeter_number,
+                            parse_type, positive_coroots)
 from weylkit.errors import InvalidInputError
 
 
@@ -14,6 +15,21 @@ def test_parse_and_str_round_trip():
 
 def test_parse_keeps_factor_order():
     assert str(parse_type("B2xA1")) == "B2xA1"
+
+
+def test_cartan_type_is_a_value():
+    t = parse_type("A2xB3")
+    assert t == parse_type("a2 x b3") and t is not parse_type("A2xB3")
+    assert hash(t) == hash(parse_type("A2xB3"))
+    assert {t: 1}[parse_type("A2xB3")] == 1
+    assert t != parse_type("B3xA2") and t != "A2xB3"
+    assert CartanType(factors=(("A", 2), ("B", 3))) == t
+
+
+def test_cartan_type_checks_its_factors():
+    for factors in [(), (("H", 3),), (("A", 0),), (("D", 1),), (("E", 9),)]:
+        with pytest.raises(InvalidInputError):
+            CartanType(factors)
 
 
 def test_parse_rejects_garbage():

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit import bruhat, cartan, cli, families, parabolic, topology, weyl
 from weylkit.cli import main
@@ -235,6 +240,10 @@ def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
         assert err.startswith("error:"), (argv, err)
     code, out, err = run(capsys, ["balanced", "A2", "--right-invariant", "1,x"])
     assert (code, err) == (1, "error: bad generator list '1,x'\n")
+    code, out, err = run(capsys, ["bbw", "A2", "--weight", "-1,2"])
+    assert (code, out, err) == (
+        1, "", "error: argument --weight: expected one argument; a leading "
+        "minus needs the = form, --weight=-1,2\n")
     monkeypatch.setenv("WEYLKIT_MAX_ORDER", "0")
     code, out, err = run(capsys, ["balanced", "A2"])
     assert (code, err) == (
@@ -301,6 +310,34 @@ def test_console_script_byte_identical():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# Runs the CLI as `python -m` would, then names the start-up modules it
+# pulled in on stderr.
+CLEAN_RUN = """
+import runpy, sys
+try:
+    runpy.run_module("weylkit.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, sorted({"dataclasses", "inspect"} & set(sys.modules)),
+          file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "A3", "--json"],
+    ["betti", "A3", "--ideal", "family:incidence", "--domain", "2", "--json"],
+])
+def test_cli_process_imports_no_dataclasses(capsys, argv):
+    """Cold start: a CLI process imports neither dataclasses nor inspect.
+    -S and a bare environment keep site's .pth imports from hiding one."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", CLEAN_RUN, *argv],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)})
+    assert proc.stderr == "0 []\n"
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and proc.stdout == out
 
 
 def test_betti_checks_invariance_once_per_ideal(capsys, monkeypatch,
@@ -396,3 +433,57 @@ def test_json_output_matches_golden_hashes(capsys):
         code, out, err = run(capsys, argv + ["--json"])
         assert (code, err) == (0, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+# integer lists most of the time, so that some runs get past parsing
+TOKENS = (st.lists(st.integers(-2, 4), max_size=4).map(
+    lambda xs: ",".join(map(str, xs))) | st.text("0123456789,- x", max_size=6))
+
+
+@st.composite
+def fuzzed_run(draw):
+    """argv with the ideal file as "@", and the bytes of that file."""
+    kind = draw(st.sampled_from(["betti", "hausdorff", "bbw", "balanced"]))
+    t = "A2" if kind == "hausdorff" else draw(st.sampled_from(["A2", "A3"]))
+    if kind == "bbw":
+        return [kind, t, "--weight=" + draw(TOKENS)], b""
+    if kind == "balanced":
+        return [kind, t, "--right-invariant", draw(TOKENS)], b""
+    argv = [kind, t, "--ideal", "@"]
+    if draw(st.booleans()):
+        argv += ["--domain", draw(TOKENS)]
+    # mostly well-formed files of the right type, so some runs pass
+    shape = draw(st.sampled_from(["ideal"] * 4 + ["json", "bytes"]))
+    if shape == "bytes":
+        return argv, draw(st.binary(max_size=40))
+    value = draw(JSON_VALUES) if shape == "json" else {
+        "type": draw(st.sampled_from([t] * 4 + ["B2", "a2"]) | JSON_VALUES),
+        "generators": draw(st.lists(st.lists(st.integers(-1, 3), max_size=4),
+                                    max_size=3) | JSON_VALUES)}
+    return argv, json.dumps(value).encode()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(run=fuzzed_run())
+def test_fuzzed_ideal_files_and_arguments_exit_with_a_code(tmp_path_factory,
+                                                           run):
+    """Any ideal file and any argument token ends in exit 0-3, never a
+    traceback; exit 0 prints one JSON document, any other one line."""
+    argv, content = run
+    path = tmp_path_factory.getbasetemp() / "fuzzed_ideal.json"
+    path.write_bytes(content)
+    argv = [str(path) if a == "@" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"])
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        assert json.loads(out.getvalue())["schema"] == 1
+    else:
+        assert err.getvalue().count("\n") == 1, err.getvalue()

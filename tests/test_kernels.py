@@ -9,7 +9,6 @@ Ideal keeps about itself (covered set, orthogonal, graded ranks) give
 the same answers as a fresh Ideal, and do not hide a forged cover list.
 """
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -18,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import forge
 from weylkit import bruhat, topology
 from weylkit.bruhat import (Ideal, build_order, enumerate_balanced,
                             ideal_from_elements, ideal_from_json_dict,
@@ -237,7 +237,7 @@ def test_memo_does_not_hide_a_forged_cover(case, data):
     y, x = data.draw(st.sampled_from(edges))
     covers = [list(c) for c in o.covers]
     covers[y].append(x)
-    forged = dataclasses.replace(o, covers=covers)
+    forged = forge(o, covers=covers)
     with pytest.raises(VerificationError):
         orthogonal(forged, ideal)
     assert orthogonal(o, ideal).mask == perp

@@ -1,8 +1,8 @@
-import dataclasses
 import itertools
 
 import pytest
 
+from conftest import forge
 from weylkit.bruhat import build_order, principal_ideal
 from weylkit.cartan import build_root_system, parse_type
 from weylkit.errors import InvalidInputError, VerificationError
@@ -91,7 +91,7 @@ def test_tampered_length_is_caught():
         for x in range(g.order):
             length = list(g.length)
             length[x] += 1
-            bad = dataclasses.replace(g, length=length)
+            bad = forge(g, length=length)
             with pytest.raises(VerificationError):
                 build_parabolic(bad, theta)
 
@@ -108,7 +108,7 @@ def test_tampered_rmult_is_caught():
                     continue
                 rmult = list(g.rmult)
                 rmult[y] = rmult[y][:i] + (z,) + rmult[y][i + 1:]
-                bad = dataclasses.replace(g, rmult=rmult)
+                bad = forge(g, rmult=rmult)
                 with pytest.raises(VerificationError):
                     build_parabolic(bad, (i,))
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from weylkit.bbw import BBWReport, bbw_cohomology
 from weylkit.bruhat import (build_order, enumerate_balanced,
                             ideal_from_elements, orthogonal)
 from weylkit.cartan import build_root_system, parse_type
@@ -33,6 +34,21 @@ def test_graded_ranks_basics():
     assert r.get(2) == 4 and r.get(99) == 0
     with pytest.raises(InvalidInputError):
         GradedRanks((1, -1))
+
+
+def test_records_compare_by_value():
+    assert GradedRanks((1, 0, 2)) == GradedRanks(ranks=(1, 0, 2))
+    assert GradedRanks((1, 0, 2)) != GradedRanks((1, 0, 3))
+    assert GradedRanks.from_even((1, 1)) == flag_poincare(2)
+    with pytest.raises(InvalidInputError):
+        GradedRanks(ranks=(0, -2))
+    g = generate(build_root_system(parse_type("A2")))
+    report = bbw_cohomology(g, (-1, 2))
+    assert report == bbw_cohomology(g, (-1, 2))
+    assert report != bbw_cohomology(g, (2, -1))
+    assert bbw_cohomology(g, (0, 1)) == BBWReport(
+        lam=(0, 1), all_vanish=True, degree=None, highest_weight=None,
+        dimension=None)
 
 
 def test_a2_lower_half_chain():

@@ -35,10 +35,10 @@ def test_package_has_no_assert_or_debug():
 
 # Runs under -O, so it reports through stdout rather than assert.
 OPTIMIZED = """
-import dataclasses
-from weylkit import (VerificationError, build_order, build_root_system,
-                     distinction_witness_mu, enumerate_balanced, generate,
-                     minimal_generators, parse_type)
+from weylkit import (BruhatOrder, VerificationError, build_order,
+                     build_root_system, distinction_witness_mu,
+                     enumerate_balanced, generate, minimal_generators,
+                     parse_type)
 
 
 def outcome(fn):
@@ -54,7 +54,7 @@ o = build_order(generate(build_root_system(parse_type("A2"))))
 # one tampered cover list: the identity claims to cover a generator
 covers = list(o.covers)
 covers[0] = [minimal_generators(o, ideal)[0]]
-forged = dataclasses.replace(o, covers=covers)
+forged = BruhatOrder(g=o.g, covers=covers, down=o.down)
 print(__debug__, outcome(lambda: enumerate_balanced(forged)),
       outcome(lambda: distinction_witness_mu(1)))
 """
@@ -63,12 +63,11 @@ print(__debug__, outcome(lambda: enumerate_balanced(forged)),
 # Every per-ideal fact is computed first on the true order; the forged
 # copy must still fail orthogonal's check of its result.
 OPTIMIZED_MEMO = """
-import dataclasses
-from weylkit import (VerificationError, build_order, build_parabolic,
-                     build_root_system, generate, hausdorff_bound,
-                     ideal_from_elements, ideal_to_json_dict,
-                     minimal_generators, omega_betti, orthogonal, parse_type,
-                     splitting_check)
+from weylkit import (BruhatOrder, VerificationError, build_order,
+                     build_parabolic, build_root_system, generate,
+                     hausdorff_bound, ideal_from_elements,
+                     ideal_to_json_dict, minimal_generators, omega_betti,
+                     orthogonal, parse_type, splitting_check)
 
 
 def outcome(fn):
@@ -91,7 +90,7 @@ ideal_to_json_dict(o, ideal)
 # one tampered cover list: a generator claims to cover w0
 covers = [list(c) for c in o.covers]
 covers[g.generators[0]].append(g.w0)
-forged = dataclasses.replace(o, covers=covers)
+forged = BruhatOrder(g=g, covers=covers, down=o.down)
 print(__debug__, outcome(lambda: orthogonal(forged, ideal)),
       outcome(lambda: orthogonal(o, ideal)))
 """
@@ -100,15 +99,15 @@ print(__debug__, outcome(lambda: orthogonal(forged, ideal)),
 # A mask that lacks its own element never decides that branch; the
 # search must refuse it instead of pushing the same state forever.
 OPTIMIZED_DOWN = """
-import dataclasses
-from weylkit import (VerificationError, build_order, build_root_system,
-                     enumerate_balanced, generate, parse_type)
+from weylkit import (BruhatOrder, VerificationError, build_order,
+                     build_root_system, enumerate_balanced, generate,
+                     parse_type)
 
 o = build_order(generate(build_root_system(parse_type("A2"))))
 down = list(o.down)
 down[1] &= ~(1 << 1)
 try:
-    enumerate_balanced(dataclasses.replace(o, down=down))
+    enumerate_balanced(BruhatOrder(g=o.g, covers=o.covers, down=down))
     print(__debug__, "returned")
 except VerificationError:
     print(__debug__, "VerificationError")
@@ -118,8 +117,8 @@ except VerificationError:
 # The inverses are walked on first use, so a copy with a forged table
 # walks its own and must refuse a result that is not an involution.
 OPTIMIZED_INVERSE = """
-import dataclasses
-from weylkit import VerificationError, build_root_system, generate, parse_type
+from weylkit import (VerificationError, WeylGroup, build_root_system,
+                     generate, parse_type)
 
 
 def outcome(g):
@@ -133,7 +132,9 @@ def outcome(g):
 g = generate(build_root_system(parse_type("A2")))
 rmult = list(g.rmult)
 rmult[0] = (rmult[0][0], rmult[0][0])   # both generators lead to s1
-forged = dataclasses.replace(g, rmult=rmult)
+forged = WeylGroup(rs=g.rs, length=g.length, rmult=rmult,
+                   bfs_parent=g.bfs_parent, bfs_letter=g.bfs_letter,
+                   generators=g.generators, w0=g.w0)
 print(__debug__, outcome(forged), outcome(g))
 """
 
