@@ -671,8 +671,11 @@ def ideal_from_json_dict(o: BruhatOrder, data) -> Ideal:
     if not isinstance(data, dict):
         raise InvalidInputError("ideal must be a JSON object")
     if str(o.g.rs.cartan_type) != data.get("type"):
+        shown = str(data.get("type"))   # clipped: the file may be huge
+        if len(shown) > 60:
+            shown = shown[:60] + "..."
         raise InvalidInputError(
-            f"ideal is for type {data.get('type')}, order is for {o.g.rs.cartan_type}")
+            f"ideal is for type {shown}, order is for {o.g.rs.cartan_type}")
     words = data.get("generators")
     if not isinstance(words, list) or not all(
             isinstance(w, list) and all(type(i) is int for i in w)

@@ -1,23 +1,24 @@
 """The finite Weyl group as an explicit table.
 
-An element is keyed by its images of the simple roots, as signed
-indices into the list of positive roots (``+-(k+1)`` for ``+-`` positive
-root k): the simple roots are a basis, so these images fix the element.
-Equality testing is exact, with no irrational arithmetic.
-
 The table is built breadth-first from the identity over right
 multiplication by the simple reflections, so an element's BFS depth is
-its length; the build cross-checks that against the root-inversion count
-of the element's full signed action, which it holds only for the BFS
-frontier.  Only the generator-multiplication columns are kept (memory
-|W| x rank); general products are composed letter by letter, and the
-full action of every element (``acts``) is built on first use.  The
-build composes only ascents, x s_i with x(alpha_i) > 0, and fills the
-descent slot of x s_i from the same product (Bjorner-Brenti, Sec. 1.4).
-Ids are read in order and letters tried in increasing order, so the BFS
-word is the shortlex normal form, the lex-first reduced word
-(Bjorner-Brenti, Ch. 3): the canonical word.  The inverses and the w0
-table are walks through the finished columns, built on first use.
+its length.  An element x is keyed by the signed action of x^-1 on the
+positive roots, a bytes of one root code per positive root (k for
+beta_k, |Sigma^+| + k for -beta_k): the action fixes the element, and
+equality testing is exact, with no irrational arithmetic.  As
+(x s_i)^-1 = s_i x^-1, each product is one C-level bytes.translate of
+x's key through a code table of s_i; the build checks each new depth
+against the key's count of negative codes, an inversion count that it
+computes independently of the BFS.  Only the generator-multiplication
+columns are kept (memory |W| x rank); general products are composed
+letter by letter, and the full action of every element (``acts``) is
+built on first use.  The build composes only ascents, x s_i with
+x(alpha_i) > 0, and fills the descent slot of x s_i from the same
+product (Bjorner-Brenti, Sec. 1.4).  Ids are read in order and letters
+tried in increasing order, so the BFS word is the shortlex normal form,
+the lex-first reduced word (Bjorner-Brenti, Ch. 3): the canonical word.
+The inverses and the w0 table are walks through the finished columns,
+built on first use.
 """
 
 from __future__ import annotations
@@ -201,56 +202,70 @@ def build_group(t: CartanType) -> WeylGroup:
 def generate(rs: RootSystem) -> WeylGroup:
     """Breadth-first closure of the simple reflections.
 
-    Elements are keyed by their images of the simple roots; lengths are
-    BFS depths, cross-checked against inversion counts.  Element ids are
-    BFS discovery order, hence never decrease in length: sorting ids
-    sorts by (length, id).  Only ascents x s_i with x(alpha_i) > 0 are
-    composed, each setting both rmult[x][i] and rmult[x s_i][i]; as
-    l(x s_i) = l(x) +- 1 (Bjorner-Brenti, Sec. 1.4) that fills every
-    slot, which the build requires, and the ids are those of the full
-    product table.  Refuses tables larger than the entry budget.
+    Element x is keyed by the signed action of x^-1 on the positive
+    roots, a bytes of root codes: k for beta_k, |Sigma^+| + k for
+    -beta_k.  As (x s_i)^-1 = s_i x^-1, the key of x s_i is x's key
+    mapped through s_i's code table, one bytes.translate; x(alpha_i) > 0,
+    an ascent, iff the code i occurs in x's key.  Lengths are BFS
+    depths, each checked against its key's count of negative codes,
+    l((x s_i)^-1) = l(x s_i).  Element ids are BFS discovery order,
+    hence never decrease in length: sorting ids sorts by (length, id).
+    Only ascents x s_i are composed, each setting both rmult[x][i] and
+    rmult[x s_i][i]; as l(x s_i) = l(x) +- 1 (Bjorner-Brenti, Sec. 1.4)
+    that fills every slot, which the build requires, and the ids are
+    those of the full product table.  Refuses tables larger than the
+    entry budget, and stops as soon as it finds more than |W| elements.
     """
     check_table_budget(rs.cartan_type)
     order = rs.cartan_type.weyl_order()
     npos, rank = rs.n_positive, rs.rank
+    require(2 * npos <= 256, f"{npos} positive roots need more than "
+                             "256 byte codes")
 
-    # reading entries 1..rank of a generator's own ext as indices into
-    # ext(x) gives the key of x s_i; a one-index itemgetter returns a
-    # scalar, so rank 1 gets a tuple-making getter
-    keys = [itemgetter(*a[:rank]) if rank > 1 else lambda e, k=a[0]: (e[k],)
-            for a in rs.simple_actions]
-    steps = list(zip(range(1, rank + 1), range(rank), keys, _ext_getters(rs)))
-    negative = (0).__gt__
+    # tables[i][c] is the code of s_i applied to the root of code c
+    tables = []
+    for a in rs.simple_actions:
+        require(sorted(map(abs, a)) == list(range(1, npos + 1)),
+                "a simple action is not a signed permutation")
+        image = [v - 1 if v > 0 else npos - v - 1 for v in a]
+        negated = [(c + npos) % (2 * npos) for c in image]
+        tables.append(bytes(image + negated + list(range(2 * npos, 256))))
+    steps = list(enumerate(tables))
+    positive = bytes(range(npos))
+    too_many = (f"BFS found more than {order} elements, order formula "
+                f"says {order}")
 
-    id_of = {tuple(range(1, rank + 1)): 0}
+    keys = [positive]               # the identity's key
+    id_of = {positive: 0}
     length = [0]
     parent = [0]
     letter = [-1]
-    exts: list[tuple[int, ...] | None] = [_ext_identity(npos)]  # None once read
     rmult: list = [[-1] * rank]
 
-    # exts grows while it is read: breadth-first.  Rows of unread
+    # keys grows while it is read: breadth-first.  Rows of unread
     # elements are lists that their shorter neighbours fill; a row
-    # becomes a tuple, and its ext is dropped, once the element is read.
-    for x, ext in enumerate(exts):
-        exts[x] = None
+    # becomes a tuple once the element is read.
+    for x, key in enumerate(keys):
         row = rmult[x]
-        for k, i, key_of, get_ext in steps:
-            if ext[k] < 0:          # x(alpha_i) < 0: a descent
+        depth = length[x] + 1
+        for i, table in steps:
+            if i not in key:        # x(alpha_i) < 0: a descent
                 continue
-            key = key_of(ext)
-            y = id_of.get(key)
+            new = key.translate(table)
+            y = id_of.get(new)
             if y is None:
                 y = len(length)
-                id_of[key] = y
-                new = get_ext(ext)
-                require(sum(map(negative, new[1:npos + 1])) == length[x] + 1,
+                require(y < order, too_many)
+                require(len(new.translate(None, positive)) == depth,
                         "BFS depth differs from the inversion count")
-                length.append(length[x] + 1)
+                id_of[new] = y
+                keys.append(new)
+                length.append(depth)
                 parent.append(x)
                 letter.append(i)
-                exts.append(new)
                 rmult.append([-1] * rank)
+            else:
+                require(y > x, "a product lands on an element already read")
             row[i] = y
             rmult[y][i] = x
         rmult[x] = tuple(row)

@@ -250,6 +250,19 @@ def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
         1, "error: enumeration budget must be at least 1, got 0\n")
 
 
+def test_foreign_type_echo_is_clipped(capsys, tmp_path):
+    path = tmp_path / "huge_type.json"
+    path.write_text(json.dumps({"type": list(range(200000)),
+                                "generators": []}))
+    code, out, err = run(capsys, ["betti", "A2", "--ideal", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ideal is for type [0, 1, 2, ")
+    assert err.endswith("..., order is for A2\n") and len(err) < 200
+    path.write_text('{"type": "A3", "generators": []}')
+    code, out, err = run(capsys, ["betti", "A2", "--ideal", str(path)])
+    assert (code, err) == (1, "error: ideal is for type A3, order is for A2\n")
+
+
 def test_budget_exit_3(capsys, monkeypatch):
     # every budget is checked from the type alone: nothing may be built
     def refuse(*args, **kwargs):

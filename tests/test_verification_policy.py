@@ -139,6 +139,39 @@ print(__debug__, outcome(forged), outcome(g))
 """
 
 
+# Forged simple actions: two entries of s1's action swapped on D4 and on
+# F4, and s2's action copied over s1's on A2.  Each makes a product land
+# on an element whose row is already sealed; the build must refuse that
+# rather than write into the sealed row.
+OPTIMIZED_ACTIONS = """
+from weylkit import build_root_system, generate, parse_type
+
+
+def outcome(spec, forge):
+    rs = build_root_system(parse_type(spec))
+    actions = [list(a) for a in rs.simple_actions]
+    forge(actions)
+    rs.simple_actions = tuple(map(tuple, actions))
+    try:
+        generate(rs)
+    except Exception as e:
+        return type(e).__name__
+    return "returned"
+
+
+def swap(actions):
+    actions[0][0], actions[0][1] = actions[0][1], actions[0][0]
+
+
+def copy(actions):
+    actions[0] = actions[1]
+
+
+print(__debug__, outcome("D4", swap), outcome("F4", swap),
+      outcome("A2", copy))
+"""
+
+
 def _run_optimized(script, timeout=120):
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
@@ -167,3 +200,9 @@ def test_forged_down_without_its_element_is_refused_under_python_O():
 def test_forged_table_with_no_involutive_inverse_is_refused_under_python_O():
     assert _run_optimized(OPTIMIZED_INVERSE, timeout=30) == [
         "False", "VerificationError", "returned"]
+
+
+def test_forged_simple_actions_are_refused_under_python_O():
+    assert _run_optimized(OPTIMIZED_ACTIONS, timeout=30) == [
+        "False", "VerificationError", "VerificationError",
+        "VerificationError"]

@@ -1,10 +1,15 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import forge
+from weylkit import weyl
 from weylkit.cartan import CartanType, build_root_system, parse_type
-from weylkit.errors import BudgetExceededError, InvalidInputError
+from weylkit.errors import (BudgetExceededError, InvalidInputError,
+                            VerificationError)
 from weylkit.weyl import bipartite_w0_word, default_bipartition, generate
 
 rng = random.Random(411)
@@ -200,7 +205,8 @@ def single_types(max_rank):
                 pass
 
 
-ORACLE_SPECS = [*single_types(4), "B2xA1", "A2xA2", "B5"]
+ORACLE_SPECS = [*single_types(4), "B2xA1", "A2xA2", "B5", "D5", "G2xA1",
+                "A1xA1xA1"]
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -214,6 +220,25 @@ def test_ascent_only_table_matches_full_table(spec):
     for x in range(g.order):
         for i in range(g.rank):
             assert g.rmult[g.rmult[x][i]][i] == x
+
+
+# sha256 of repr([rmult, length, bfs_parent, bfs_letter, w0, generators]),
+# recorded from the table built with images of the simple roots as keys
+TABLE_DIGESTS = {
+    "D6": "aee8a77974177570867831ba0a924e15eec63316bf42b1767cf05d075d1ef617",
+    "A7": "db94281dfd8611a4fc29f80f469c45750934ff8e210d411d7a1e576f841bb9d3",
+    "E6": "fcca2ac392d97632fd6122daa60dffb70d4699b6729ccdbd9556cde5f46a3da5",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TABLE_DIGESTS))
+def test_large_tables_match_recorded_digests(spec):
+    g = grp(spec)
+    fields = [getattr(g, name) for name in
+              ["rmult", "length", "bfs_parent", "bfs_letter", "w0",
+               "generators"]]
+    digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[spec]
 
 
 def lex_first_word(g, x):
@@ -268,3 +293,55 @@ def test_generation_budget():
     rs = build_root_system(parse_type("A9"))
     with pytest.raises(BudgetExceededError):
         generate(rs)
+
+
+def test_root_codes_must_fit_in_a_byte(monkeypatch):
+    """A16 has 136 positive roots, 272 signed codes: past the table
+    budget, the build still refuses before it reads a simple action."""
+    monkeypatch.setattr(weyl, "check_table_budget", lambda t: None)
+    rs = build_root_system(parse_type("A16"))
+    with pytest.raises(VerificationError, match="byte codes"):
+        generate(rs)
+    assert "simple_actions" not in vars(rs)
+
+
+def test_build_stops_past_the_order_formula():
+    """B5's actions on A1xF4's roots (both rank 5, 25 positive roots)
+    generate 3840 elements; the build stops at the 2305th."""
+    rs = build_root_system(parse_type("A1xF4"))
+    rs.simple_actions = build_root_system(parse_type("B5")).simple_actions
+    with pytest.raises(VerificationError, match="more than 2304 elements"):
+        generate(rs)
+
+
+@st.composite
+def forged_actions(draw):
+    """A small type and simple actions for it: mostly signed
+    permutations of its positive roots, sometimes any small integers."""
+    rs = build_root_system(parse_type(draw(st.sampled_from(
+        ["A2", "B2", "G2", "A1xA1", "A3"]))))
+    n = rs.n_positive
+    rows = []
+    for _ in range(rs.rank):
+        if draw(st.integers(0, 3)):
+            perm = draw(st.permutations(range(1, n + 1)))
+            signs = draw(st.lists(st.sampled_from([1, -1]),
+                                  min_size=n, max_size=n))
+            rows.append(tuple(s * v for s, v in zip(signs, perm)))
+        else:
+            rows.append(tuple(draw(st.lists(st.integers(-n - 2, n + 2),
+                                            min_size=n, max_size=n))))
+    return rs, tuple(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=forged_actions())
+def test_forged_simple_actions_build_a_checked_table_or_refuse(case):
+    rs, actions = case
+    rs.simple_actions = actions
+    try:
+        g = generate(rs)
+    except VerificationError:
+        return
+    assert g.order == rs.cartan_type.weyl_order()
+    assert g.length[g.w0] == g.n_positive
