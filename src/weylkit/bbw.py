@@ -14,7 +14,7 @@ rounded.
 
 from __future__ import annotations
 
-from .errors import InvalidInputError, require
+from .errors import InvalidInputError, clip, require
 from .weyl import WeylGroup
 
 IntegralWeight = tuple[int, ...]
@@ -25,7 +25,7 @@ def _check_weight(g: WeylGroup, lam) -> IntegralWeight:
     # type(c) is int: bool is an int subclass, and True is no coordinate
     if len(lam) != g.rank or not all(type(c) is int for c in lam):
         raise InvalidInputError(
-            f"weight must be {g.rank} integers, got {lam!r}")
+            f"weight must be {g.rank} integers, got {clip(repr(lam))}")
     return lam
 
 

@@ -17,8 +17,9 @@ according to I contained in / containing / equal to I^perp.  Whole-mask
 kernels serve them: a mask is rendered once as a bit string, and one
 C-level gather gives its w0 image or the set of elements with an upper
 cover in it, so no check walks the members one by one.  Each Ideal
-keeps what is derived from it, once per order or parabolic (_cached):
-its covered set, its orthogonal's mask and its graded ranks.  Balanced
+keeps what is derived from it, once per order or parabolic of its own
+group (_cached): its covered set, its orthogonal's mask and its graded
+ranks.  Balanced
 ideals are enumerated by backtracking over the pairs {x, w0 x}, seeded
 with the small elements (x <= w0 x), which every fat ideal contains,
 and propagated through down and w0 alone, with right-invariance
@@ -28,13 +29,12 @@ on the transposed bit matrix.
 
 from __future__ import annotations
 
-import os
 import weakref
 from functools import cached_property
 from operator import itemgetter
 
 from .cartan import CartanType, RootSystem, component_coxeter_number
-from .errors import BudgetExceededError, InvalidInputError, require
+from .errors import BudgetExceededError, InvalidInputError, clip, require
 from .weyl import Word, WeylGroup, build_group
 
 DENSE_LIMIT_DEFAULT = 50000
@@ -45,22 +45,15 @@ LIST_BUDGET = 250_000       # balanced ideals one enumeration may list
 
 def check_enumeration_budget(t: CartanType,
                              max_order: int | None = None) -> int:
-    """|W| of t, refused above max_order, else WEYLKIT_MAX_ORDER, else 1152."""
-    budget = max_order
-    if budget is None:
-        env = os.environ.get("WEYLKIT_MAX_ORDER", str(ENUM_BUDGET_DEFAULT))
-        try:
-            budget = int(env)
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"WEYLKIT_MAX_ORDER must be an integer, got {env!r}") from exc
+    """|W| of t, refused above max_order, else above ENUM_BUDGET_DEFAULT."""
+    budget = ENUM_BUDGET_DEFAULT if max_order is None else max_order
     if budget < 1:
         raise InvalidInputError(
-            f"enumeration budget must be at least 1, got {budget}")
+            f"enumeration budget must be at least 1, got {clip(budget)}")
     order = t.weyl_order_at_most(budget)
     if order is None:
         raise BudgetExceededError(
-            f"|W| of {t} exceeds enumeration budget {budget}")
+            f"|W| of {clip(t)} exceeds enumeration budget {clip(budget)}")
     return order
 
 
@@ -272,16 +265,25 @@ class Ideal:
         return _bit_positions(self.mask)
 
 
+def check_group(g: WeylGroup, *parts) -> None:
+    """Refuse orders and parabolics built on a group other than g."""
+    if any(part.g is not g for part in parts):
+        raise InvalidInputError(
+            "ideal, parabolic, and order must share a group")
+
+
 def _cached(ideal: Ideal, name: str, owner, compute):
     """compute(), kept on the ideal under name while owner is alive.
 
-    owner is the order or parabolic the value was derived with.  It is
+    owner is the order or parabolic the value was derived with; one of
+    another group is refused here, for every derived value.  It is
     held weakly, so the memo keeps no order alive, and matched by
     identity, so a copy such as BruhatOrder(o.g, forged_covers, o.down)
     is a different owner and computes afresh.  A raising compute stores
     nothing.  Ideal equality reads only g and mask, so memos do not
     count.
     """
+    check_group(ideal.g, owner)
     hit = ideal.__dict__.get(name)
     if hit is not None and hit[0]() is owner:
         return hit[1]
@@ -512,8 +514,8 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     g = o.g
     check_enumeration_budget(g.rs.cartan_type, max_order)
     check_dense_masks(g.order, o.down is not None)
-    if invariance is not None and invariance.g is not g:
-        raise InvalidInputError("invariance parabolic built on another group")
+    if invariance is not None:
+        check_group(g, invariance)
 
     # the small elements, x <= w0 x, read straight from the masks
     down, w0 = o.down, g.w0_left
@@ -671,11 +673,8 @@ def ideal_from_json_dict(o: BruhatOrder, data) -> Ideal:
     if not isinstance(data, dict):
         raise InvalidInputError("ideal must be a JSON object")
     if str(o.g.rs.cartan_type) != data.get("type"):
-        shown = str(data.get("type"))   # clipped: the file may be huge
-        if len(shown) > 60:
-            shown = shown[:60] + "..."
-        raise InvalidInputError(
-            f"ideal is for type {shown}, order is for {o.g.rs.cartan_type}")
+        raise InvalidInputError(f"ideal is for type {clip(data.get('type'))}, "
+                                f"order is for {o.g.rs.cartan_type}")
     words = data.get("generators")
     if not isinstance(words, list) or not all(
             isinstance(w, list) and all(type(i) is int for i in w)

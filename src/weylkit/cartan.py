@@ -19,7 +19,7 @@ from functools import cached_property
 from math import factorial, prod
 import re
 
-from .errors import InvalidInputError, require
+from .errors import InvalidInputError, clip, require
 
 # ---------------------------------------------------------------------------
 # Cartan types
@@ -61,7 +61,8 @@ class CartanType:
             if fam not in _RANK_OK:
                 raise InvalidInputError(f"unknown family {fam!r}")
             if not _RANK_OK[fam](rank):
-                raise InvalidInputError(f"invalid rank {rank} for family {fam}")
+                raise InvalidInputError(
+                    f"invalid rank {clip(rank)} for family {fam}")
         self.factors = factors
 
     def __eq__(self, other) -> bool:
@@ -107,7 +108,8 @@ def parse_type(spec: str) -> CartanType:
     for part in re.split(r"[xX]", text):
         m = _FACTOR_RE.fullmatch(part.strip())
         if m is None:
-            raise InvalidInputError(f"malformed type factor {part!r} in {spec!r}")
+            raise InvalidInputError(f"malformed type factor {clip(repr(part))} "
+                                    f"in {clip(repr(spec))}")
         try:
             rank = int(m.group(2))
         except ValueError:  # more digits than int() converts

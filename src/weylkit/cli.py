@@ -28,7 +28,7 @@ from . import bruhat, families, topology
 from .bbw import bbw_cohomology, sheaf_cohomology_cases
 from .cartan import parse_type
 from .errors import (BudgetExceededError, InvalidInputError,
-                     VerificationError, WeylkitError)
+                     VerificationError, WeylkitError, clip)
 from .parabolic import build_parabolic
 from .weyl import WeylGroup, build_group
 
@@ -40,7 +40,8 @@ class _Parser(argparse.ArgumentParser):
         if message == "argument --weight: expected one argument":
             # argparse reads a negative value after a space as an option
             message += "; a leading minus needs the = form, --weight=-1,2"
-        raise InvalidInputError(message)
+        # argparse echoes tokens; its own text stays under 150 characters
+        raise InvalidInputError(clip(message, 200))
 
 
 def _word_str(word) -> str:
@@ -54,7 +55,8 @@ def _parse_gens(text: str | None, rank: int) -> tuple[int, ...]:
     idx = _parse_ints(text, "generator list")
     for i in idx:
         if not 1 <= i <= rank:
-            raise InvalidInputError(f"generator index {i} out of 1..{rank}")
+            raise InvalidInputError(
+                f"generator index {clip(i)} out of 1..{rank}")
     return tuple(sorted(set(i - 1 for i in idx)))
 
 
@@ -62,7 +64,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     except ValueError:
-        raise InvalidInputError(f"bad {what} {text!r}")
+        raise InvalidInputError(f"bad {what} {clip(repr(text))}")
 
 
 def _parse_perm(text: str) -> tuple[int, ...]:
@@ -92,7 +94,7 @@ def _resolve_ideal(o: bruhat.BruhatOrder, spec: str) -> bruhat.Ideal:
     if spec.startswith("family:"):
         name = spec[len("family:"):]
         if name not in _FAMILIES:
-            raise InvalidInputError(f"unknown family {name!r}")
+            raise InvalidInputError(f"unknown family {clip(repr(name))}")
         return _FAMILIES[name](o, verify=False)
     try:
         with open(spec, encoding="utf-8") as fh:

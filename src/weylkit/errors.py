@@ -5,7 +5,7 @@ The CLI maps these onto exit codes: bad input 1, a failed verification
 
 Every internal claim is checked through require(), which raises
 VerificationError; it is an ordinary function call, so the checks run
-the same under ``python -O``.
+the same under ``python -O``.  Messages echo outside input through clip().
 """
 
 
@@ -38,3 +38,9 @@ def require(cond: bool, message: str) -> None:
     """
     if not cond:
         raise VerificationError(message)
+
+
+def clip(value, limit: int = 60) -> str:
+    """str(value), cut to its first limit characters and "..." if longer."""
+    text = str(value)
+    return text if len(text) <= limit else text[:limit] + "..."

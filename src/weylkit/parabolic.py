@@ -7,16 +7,17 @@ build_parabolic finds these representatives W^P by one length test per
 generator, then builds each coset as the orbit rep * W_P along one walk
 of W_P.  It checks, for every element, that it lies in exactly one
 orbit (the orbits cover W, and |W^P| |W_P| = |W|) and that lengths add
-along x = rep * u.  Invariance tests and graded ranks are whole-mask
-kernels: one gather per generator for the image x -> x s (or s x), and
-one popcount per quotient length against the masks of W^P.
+along x = rep * u.  Cosets are read through that one map, coset_of:
+invariance is one gather of a mask through it (or through x ->
+coset_of[x^-1]^-1 on the left), a double coset minimum is a fixed point
+of the two maps, and graded ranks are popcounts against W^P by length.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .bruhat import Gather, mask_bits, mask_of
+from .bruhat import Gather, check_group, mask_bits, mask_of
 from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
@@ -66,17 +67,19 @@ class ParabolicSubset:
 
     @cached_property
     def _right_gather(self) -> Gather:
-        """The images of a mask under x -> x s, for s in theta, end to end."""
-        g = self.g
-        return Gather([row[i] for i in self.theta for row in g.rmult],
-                      g.order)
+        """The image of a mask under x -> min(x W_P)."""
+        return Gather(self.coset_of, self.g.order)
+
+    @cached_property
+    def _left_coset_of(self) -> list[int]:
+        """x -> min(W_P x) = min(x^-1 W_P)^-1."""
+        inverse, coset_of = self.g.inverse, self.coset_of
+        return [inverse[coset_of[y]] for y in inverse]
 
     @cached_property
     def _left_gather(self) -> Gather:
-        """The images of a mask under x -> s x, for s in theta, end to end."""
-        g = self.g
-        return Gather([g.left_mult_gen(i, x)
-                       for i in self.theta for x in range(g.order)], g.order)
+        """The image of a mask under x -> min(W_P x)."""
+        return Gather(self._left_coset_of, self.g.order)
 
 
 def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
@@ -132,21 +135,20 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
                            min_reps=min_reps, coset_of=coset_of)
 
 
-def _invariant(mask: int, gather: Gather, p: ParabolicSubset) -> bool:
-    """Each image of mask under gather equals mask (each is a bijection)."""
-    n = p.g.order
-    copies = sum(1 << c * n for c in range(len(p.theta)))
-    return gather(mask_bits(mask, n)) == mask * copies
+def _invariant(ideal, p: ParabolicSubset, gather: Gather) -> bool:
+    """Every x has the bit of its coset minimum: the gather gives mask back."""
+    check_group(ideal.g, p)
+    return gather(mask_bits(ideal.mask, p.g.order)) == ideal.mask
 
 
 def is_right_invariant(ideal, p: ParabolicSubset) -> bool:
     """Membership constant on left cosets x W_P: I s = I for s in theta."""
-    return _invariant(ideal.mask, p._right_gather, p)
+    return _invariant(ideal, p, p._right_gather)
 
 
 def is_left_invariant(ideal, p: ParabolicSubset) -> bool:
     """Membership constant on right cosets W_P x: s I = I for s in theta."""
-    return _invariant(ideal.mask, p._left_gather, p)
+    return _invariant(ideal, p, p._left_gather)
 
 
 def quotient_ideal(ideal, p: ParabolicSubset) -> list[tuple[int, int]]:
@@ -164,18 +166,12 @@ def double_coset_min_rep(g: WeylGroup, p: ParabolicSubset,
                          q: ParabolicSubset, x: int) -> int:
     """The unique minimal element of W_P x W_Q.
 
-    Alternately strip left descents into P and right descents into Q;
-    each step shortens, so this terminates at the minimum.
+    Alternate x -> min(W_P x) and x -> min(x W_Q), which never lengthen,
+    to a fixed point: no left descent in P, no right descent in Q.
     """
+    check_group(g, p, q)
     g._check_id(x)
-    while True:
-        i = next((i for i in p.theta
-                  if g.length[g.left_mult_gen(i, x)] < g.length[x]), None)
-        if i is not None:
-            x = g.left_mult_gen(i, x)
-            continue
-        j = next((j for j in q.theta
-                  if g.length[g.rmult[x][j]] < g.length[x]), None)
-        if j is None:
-            return x
-        x = g.rmult[x][j]
+    left, right = p._left_coset_of, q.coset_of
+    while (y := right[left[x]]) != x:
+        x = y
+    return x

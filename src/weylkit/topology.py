@@ -7,7 +7,8 @@ masks of W^D); domains combine r(I) and r(I-perp); quotient manifolds
 tensor with the surface homology (1, 2g, 1).  The ranks and the
 orthogonal are computed once per ideal and parabolic (or order) and
 kept on the Ideal, so the public functions below can each be called on
-one ideal without redoing the others' work.
+one ideal without redoing the others' work; that memo refuses an order
+or parabolic of another group.
 
 The closed-form Poincare polynomials are exact integer products of
 t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
@@ -64,13 +65,6 @@ def _trim(ranks) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _check_groups(ideal: Ideal, p: ParabolicSubset,
-                  o: BruhatOrder | None = None) -> None:
-    """Refuse an ideal, parabolic or order built on another group."""
-    if ideal.g is not p.g or (o is not None and o.g is not p.g):
-        raise InvalidInputError("ideal, parabolic, and order must share a group")
-
-
 def _ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
     """r_k(I) = |I & W^P of quotient length k|, k = 0..l(w0 W_P).
 
@@ -96,7 +90,6 @@ def _invariant_ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...] | None
 
 def thickening_ranks(ideal: Ideal, p: ParabolicSubset) -> GradedRanks:
     """Homology of the model thickening: rank r_k in degree 2k."""
-    _check_groups(ideal, p)
     return GradedRanks.from_even(_ranks(ideal, p))
 
 
@@ -106,7 +99,6 @@ def omega_betti(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> GradedRanks
     b_2k = r_{n-1-k}(I) + r_k(I-perp) with n the top quotient length;
     odd Betti numbers vanish.  For balanced I this is r_k + r_{n-1-k}.
     """
-    _check_groups(ideal, p, o)
     perp = orthogonal(o, ideal)
     if ideal.mask & ~perp.mask:
         raise InvalidInputError("ideal is not slim")
@@ -146,7 +138,6 @@ def quotient_homology(omega: GradedRanks, genus: int) -> GradedRanks:
 
 def splitting_check(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> bool:
     """Coset counts of W/W_P split as r_k(I) + r_{n-k}(I-perp)."""
-    _check_groups(ideal, p, o)
     perp = orthogonal(o, ideal)
     r_i = _ranks(ideal, p)
     r_p = _ranks(perp, p)
@@ -194,7 +185,6 @@ def hausdorff_bound(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset,
     """
     if not 0.0 <= limit_curve_dim <= 2.0:
         raise InvalidInputError("limit curve dimension must lie in [0, 2]")
-    _check_groups(ideal, p, o)
     if not classify(o, ideal).slim:
         raise InvalidInputError("ideal is not slim")
     maxlen = max((k for k, r in enumerate(_ranks(ideal, p)) if r), default=0)

@@ -28,7 +28,7 @@ from operator import itemgetter, neg
 
 from .cartan import (CartanType, RootSystem, build_root_system,
                      component_coxeter_number)
-from .errors import BudgetExceededError, InvalidInputError, require
+from .errors import BudgetExceededError, InvalidInputError, clip, require
 
 Word = tuple[int, ...]
 
@@ -107,7 +107,7 @@ class WeylGroup:
         cur = 0
         for i in word:
             if not 0 <= i < self.rank:
-                raise InvalidInputError(f"letter {i} out of range")
+                raise InvalidInputError(f"letter {clip(i)} out of range")
             cur = self.rmult[cur][i]
         return cur
 

@@ -505,6 +505,15 @@ def test_ideal_json_round_trip():
         ideal_from_json_dict(o3, ideal_to_json_dict(o, principal_ideal(o, 3)))
 
 
+def test_enumeration_refuses_a_parabolic_of_another_group():
+    """A2xA1 and G2 both have 12 elements: the refusal reads the group."""
+    g, o = make_order("A2xA1")
+    g2, _ = make_order("G2")
+    with pytest.raises(InvalidInputError, match="share a group"):
+        enumerate_balanced(o, invariance=build_parabolic(g2, ()))
+    assert enumerate_balanced(o, invariance=build_parabolic(g, ()))
+
+
 def test_short_small_witnesses():
     expected = {
         ("A1", 1): (False, {(0,)}),

@@ -244,10 +244,13 @@ def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (
         1, "", "error: argument --weight: expected one argument; a leading "
         "minus needs the = form, --weight=-1,2\n")
-    monkeypatch.setenv("WEYLKIT_MAX_ORDER", "0")
-    code, out, err = run(capsys, ["balanced", "A2"])
+    code, out, err = run(capsys, ["balanced", "A2", "--max-order", "0"])
     assert (code, err) == (
         1, "error: enumeration budget must be at least 1, got 0\n")
+    # the budget is read from --max-order alone, not from the environment
+    want = run(capsys, ["balanced", "A2", "--json"])
+    monkeypatch.setenv("WEYLKIT_MAX_ORDER", "0")
+    assert run(capsys, ["balanced", "A2", "--json"]) == want
 
 
 def test_foreign_type_echo_is_clipped(capsys, tmp_path):
@@ -261,6 +264,48 @@ def test_foreign_type_echo_is_clipped(capsys, tmp_path):
     path.write_text('{"type": "A3", "generators": []}')
     code, out, err = run(capsys, ["betti", "A2", "--ideal", str(path)])
     assert (code, err) == (1, "error: ideal is for type A3, order is for A2\n")
+
+
+def _ideal_file(tmp_path, letter):
+    path = tmp_path / "long_letter.json"
+    path.write_text(json.dumps({"type": "A2", "generators": [[letter]]}))
+    return str(path)
+
+
+CLIPPED_ECHOES = {
+    "weight-count": (1, lambda tmp: ["bbw", "A2",
+                                     "--weight=" + ",".join(["1"] * 20000)]),
+    "weight-token": (1, lambda tmp: ["bbw", "A2",
+                                     "--weight=1,x" + "1" * 100000]),
+    "generator-index": (1, lambda tmp: ["balanced", "A2", "--right-invariant",
+                                        "1," + "9" * 4000]),
+    "type-factor": (1, lambda tmp: ["group", "A2x" * 10000 + "Z"]),
+    "type-string": (1, lambda tmp: ["group", "Q" * 30000]),
+    "type-rank": (1, lambda tmp: ["group", "E" + "9" * 4000]),
+    "permutation": (1, lambda tmp: ["family", "lower-half-J", "4", "--select",
+                                    ",".join(["1"] * 20000)]),
+    "family-spec": (1, lambda tmp: ["betti", "A2", "--ideal",
+                                    "family:" + "x" * 50000]),
+    "argparse-choice": (1, lambda tmp: ["family", "x" * 50000, "3"]),
+    "file-letter": (1, lambda tmp: ["betti", "A2", "--ideal",
+                                    _ideal_file(tmp, 10**3999)]),
+    "max-order-below-1": (1, lambda tmp: ["balanced", "A2", "--max-order",
+                                          "-" + "9" * 4000]),
+    "budget-type": (3, lambda tmp: ["balanced", "x".join(["A1"] * 3000)]),
+    "budget-value": (3, lambda tmp: ["balanced", "A20000", "--max-order",
+                                     "9" * 4000]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CLIPPED_ECHOES))
+def test_error_lines_clip_echoed_input(capsys, tmp_path, site):
+    """An error that echoes a huge argument, type, permutation, letter or
+    family name prints one short line, not the input."""
+    code, argv = CLIPPED_ECHOES[site]
+    got, out, err = run(capsys, argv(tmp_path))
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and len(err) < 250, err[:300]
+    assert "..." in err
 
 
 def test_budget_exit_3(capsys, monkeypatch):
@@ -500,3 +545,5 @@ def test_fuzzed_ideal_files_and_arguments_exit_with_a_code(tmp_path_factory,
         assert json.loads(out.getvalue())["schema"] == 1
     else:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+        # echoed input is clipped: only the file's own path may be long
+        assert len(err.getvalue().replace(str(path), "@")) < 250, argv

@@ -4,12 +4,15 @@ import random
 import pytest
 
 from weylkit.bbw import BBWReport, bbw_cohomology
-from weylkit.bruhat import (build_order, enumerate_balanced,
-                            ideal_from_elements, orthogonal)
+from weylkit.bruhat import (build_order, classify, enumerate_balanced,
+                            ideal_from_elements, ideal_to_json_dict,
+                            minimal_generators, orthogonal)
 from weylkit.cartan import build_root_system, parse_type
 from weylkit.errors import InvalidInputError
 from weylkit.families import build_symmetric, lower_half_ideal
-from weylkit.parabolic import build_parabolic, is_right_invariant
+from weylkit.parabolic import (build_parabolic, double_coset_min_rep,
+                               is_left_invariant, is_right_invariant,
+                               quotient_ideal)
 from weylkit.topology import (GradedRanks, euler_omega, flag_poincare,
                               hausdorff_bound, homotopy_distinction,
                               incidence_betti, omega_betti,
@@ -114,6 +117,34 @@ def test_parts_of_another_group_are_refused(name):
     if name != "thickening_ranks":     # it takes no order
         with pytest.raises(InvalidInputError, match="share a group"):
             call(o3, ideal, build_parabolic(g, ()))
+    call(o, ideal, build_parabolic(g, ()))
+
+
+IDEAL_CALLS = {
+    "orthogonal": lambda o, ideal, p: orthogonal(o, ideal),
+    "classify": lambda o, ideal, p: classify(o, ideal),
+    "minimal_generators": lambda o, ideal, p: minimal_generators(o, ideal),
+    "ideal_to_json_dict": lambda o, ideal, p: ideal_to_json_dict(o, ideal),
+    "is_right_invariant": lambda o, ideal, p: is_right_invariant(ideal, p),
+    "is_left_invariant": lambda o, ideal, p: is_left_invariant(ideal, p),
+    "quotient_ideal": lambda o, ideal, p: quotient_ideal(ideal, p),
+    "double_coset_min_rep":
+        lambda o, ideal, p: double_coset_min_rep(ideal.g, p, p, 0),
+}
+
+
+@pytest.mark.parametrize("own, other", [("A2xA1", "G2"), ("A2", "B3")])
+@pytest.mark.parametrize("name", sorted(IDEAL_CALLS))
+def test_every_ideal_function_refuses_another_group(name, own, other):
+    """A balanced ideal read with an order or parabolic of another group
+    is refused, also when the two groups have the same order (A2xA1 and
+    G2 both have 12 elements)."""
+    call = IDEAL_CALLS[name]
+    g, o = make_order(own)
+    ideal = enumerate_balanced(o)[0]
+    g2, o2 = make_order(other)
+    with pytest.raises(InvalidInputError, match="share a group"):
+        call(o2, ideal, build_parabolic(g2, ()))
     call(o, ideal, build_parabolic(g, ()))
 
 
