@@ -7,9 +7,9 @@ costs one table lookup.  The order is stored once, as
 dense per-element bitmasks (Python ints) built by rank propagation:
 down[y] collects everything reachable downward from y.  Nothing is kept
 upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x].
-Above the dense size limit the masks are skipped and a comparison is a
-walk down y's BFS chain (lifting property), at most l(y) steps and no
-state.
+Covers and masks are each built on first read.  Above the dense size
+limit the masks are skipped, and a comparison without masks is a walk
+down y's BFS chain (lifting property), at most l(y) steps and no state.
 
 An ideal is a downward-closed subset, stored as a membership bitmask.
 The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
@@ -118,7 +118,11 @@ def _bit_positions(mask: int) -> list[int]:
 
 
 class BruhatOrder:
-    """Covers and dense masks of one group's order; equality is identity."""
+    """Covers and dense masks of one group's order; equality is identity.
+
+    build_order makes an order that builds each part on first read; a
+    copy made through __init__ holds the parts it is given.
+    """
 
     # no upward masks: {y : y >= x} is w0 down[w0 x].  Kept as None for
     # perfbench/tracing.py, which adds up the bytes of down and up.
@@ -129,6 +133,17 @@ class BruhatOrder:
         self.g = g
         self.covers = covers          # covers[y] = ids covered by y
         self.down = down              # down[y] = bitmask of {x : x <= y}
+
+    @cached_property
+    def covers(self) -> list[list[int]]:
+        return _descent_covers(self.g)
+
+    @cached_property
+    def down(self) -> list[int] | None:
+        """The masks when |W| <= the dense limit, else None."""
+        if self.g.order > self._dense_limit:
+            return None
+        return _down_masks(self.covers)
 
     @property
     def full_mask(self) -> int:
@@ -161,46 +176,69 @@ class BruhatOrder:
 
 
 def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatOrder:
-    """Covers by descent recursion, then reachability masks by rank propagation.
+    """The order of g, which builds nothing until a part is read.
 
-    With y = p s for p = bfs_parent[y] and s = bfs_letter[y],
+    covers is built on first read, and down on first read when
+    |W| <= dense_limit; above it down is None and leq walks.
+    """
+    o = BruhatOrder.__new__(BruhatOrder)    # no parts given: none stored
+    o.g = g
+    o._dense_limit = dense_limit
+    return o
+
+
+def _descent_covers(g: WeylGroup) -> list[list[int]]:
+    """Covers by descent recursion.  With y = p s for p = bfs_parent[y]
+    and s = bfs_letter[y],
 
         covers(y) = {p} | {z s : z in covers(p), l(z s) > l(z)},
 
     without repeats, by the lifting property (Bjorner-Brenti, Prop.
-    2.2.7).  Parents have smaller ids, so the lists are built in id order.
+    2.2.7).  Ids are in BFS order and l(z s) = l(z) +- 1, so z s
+    lengthens z iff its id is larger; parents have smaller ids, so the
+    lists are built in id order.
     """
-    rmult, length = g.rmult, g.length
+    rmult = g.rmult
     covers: list[list[int]] = [[]]
     for p, s in zip(g.bfs_parent[1:], g.bfs_letter[1:]):
         found = [p]
         for z in covers[p]:
             zs = rmult[z][s]
-            if length[zs] > length[z]:
+            if zs > z:
                 found.append(zs)
         found.sort()
         covers.append(found)
+    return covers
 
-    down = None
-    if g.order <= dense_limit:
-        # covers are one shorter, so they have smaller ids
-        down = [0] * g.order
-        for y in range(g.order):
-            m = 1 << y
-            for z in covers[y]:
-                m |= down[z]
-            down[y] = m
 
-    return BruhatOrder(g=g, covers=covers, down=down)
+def _down_masks(covers: list[list[int]]) -> list[int]:
+    """Reachability masks by rank propagation: down[y] is y and the
+    masks of its covers, which are one shorter, so have smaller ids."""
+    down = [0] * len(covers)
+    for y, xs in enumerate(covers):
+        m = 1 << y
+        for z in xs:
+            m |= down[z]
+        down[y] = m
+    return down
 
 
 def leq(o: BruhatOrder, x: int, y: int) -> bool:
-    """x <= y in the Chevalley-Bruhat order."""
+    """x <= y in the Chevalley-Bruhat order.
+
+    Ids are in BFS order, so y < x rules out x <= y.  The masks are read
+    when they have been built; leq never builds them, and walks instead.
+    """
     g = o.g
-    g._check_id(x)
-    g._check_id(y)
-    if o.down is not None:
-        return bool(o.down[y] >> x & 1)
+    n = g.order
+    if not (0 <= x < n and 0 <= y < n):
+        g._check_id(x)
+        g._check_id(y)
+    if x >= y:
+        return x == y
+    down = vars(o).get("down")
+    if down is not None:
+        return bool(down[y] >> x & 1)
     return _leq_walk(g, x, y)
 
 
@@ -211,17 +249,20 @@ def _leq_walk(g: WeylGroup, x: int, y: int) -> bool:
     descent of y.  By lifting (Bjorner-Brenti, Prop. 2.2.7), if s is a
     descent of x then x <= y iff x s <= p, and otherwise x <= y iff
     x <= p.  Each step shortens y, so the walk takes at most l(y) steps.
+    Ids are in BFS order, so s is a descent of x iff x s < x.  The gap
+    l(y) - l(x) shrinks only when x keeps its length, and once it is 0,
+    x <= y iff x = y.
     """
-    length, parent, letter, rmult = (g.length, g.bfs_parent, g.bfs_letter,
-                                     g.rmult)
-    while x != y:
-        if length[x] >= length[y]:
-            return False
+    parent, letter, rmult = g.bfs_parent, g.bfs_letter, g.rmult
+    gap = g.length[y] - g.length[x]
+    while gap > 0:
         xs = rmult[x][letter[y]]
-        if length[xs] < length[x]:
+        if xs < x:
             x = xs
+        else:
+            gap -= 1
         y = parent[y]
-    return True
+    return x == y
 
 
 def subword_ideal_mask(o: BruhatOrder, y: int) -> int:

@@ -100,10 +100,21 @@ def _resolve_ideal(o: bruhat.BruhatOrder, spec: str) -> bruhat.Ideal:
         with open(spec, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InvalidInputError(f"cannot read ideal file {spec!r}: {exc}")
+        raise _file_error("cannot read ideal file", spec, exc)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise InvalidInputError(f"ideal file {spec!r} is not JSON: {exc}")
+        raise InvalidInputError(
+            f"ideal file {_clip_path(spec)} is not JSON: {exc}")
     return bruhat.ideal_from_json_dict(o, data)
+
+
+def _clip_path(path: str) -> str:
+    # a path keeps 120 characters, so most print whole
+    return clip(repr(path), 120)
+
+
+def _file_error(what: str, path: str, exc: OSError) -> InvalidInputError:
+    """One error line that names the file once, clipped, and the reason."""
+    return InvalidInputError(f"{what} {_clip_path(path)}: {exc.strerror}")
 
 
 def _emit(args, command: str, inputs: dict, outputs: dict,
@@ -192,7 +203,7 @@ def _cmd_family(args, t0):
                 json.dump(data, fh, sort_keys=True, separators=(",", ":"))
                 fh.write("\n")
         except OSError as exc:
-            raise InvalidInputError(f"cannot write {args.out!r}: {exc}")
+            raise _file_error("cannot write", args.out, exc)
     inputs = {"family": args.name, "n": args.n, "verify": verify,
               "select": args.select}
     outputs = {"ideal": data, "size": ideal.size,

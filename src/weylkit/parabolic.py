@@ -135,20 +135,25 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
                            min_reps=min_reps, coset_of=coset_of)
 
 
-def _invariant(ideal, p: ParabolicSubset, gather: Gather) -> bool:
-    """Every x has the bit of its coset minimum: the gather gives mask back."""
+def _invariant(ideal, p: ParabolicSubset, gather: str) -> bool:
+    """Every x has the bit of its coset minimum: the gather named gives
+    the mask back.  With theta empty each coset is one element, so every
+    set is invariant and no gather is built."""
     check_group(ideal.g, p)
-    return gather(mask_bits(ideal.mask, p.g.order)) == ideal.mask
+    if not p.theta:
+        return True
+    bits = mask_bits(ideal.mask, p.g.order)
+    return getattr(p, gather)(bits) == ideal.mask
 
 
 def is_right_invariant(ideal, p: ParabolicSubset) -> bool:
     """Membership constant on left cosets x W_P: I s = I for s in theta."""
-    return _invariant(ideal, p, p._right_gather)
+    return _invariant(ideal, p, "_right_gather")
 
 
 def is_left_invariant(ideal, p: ParabolicSubset) -> bool:
     """Membership constant on right cosets W_P x: s I = I for s in theta."""
-    return _invariant(ideal, p, p._left_gather)
+    return _invariant(ideal, p, "_left_gather")
 
 
 def quotient_ideal(ideal, p: ParabolicSubset) -> list[tuple[int, int]]:

@@ -7,14 +7,15 @@ positive roots, a bytes of one root code per positive root (k for
 beta_k, |Sigma^+| + k for -beta_k): the action fixes the element, and
 equality testing is exact, with no irrational arithmetic.  As
 (x s_i)^-1 = s_i x^-1, each product is one C-level bytes.translate of
-x's key through a code table of s_i; the build checks each new depth
-against the key's count of negative codes, an inversion count that it
-computes independently of the BFS.  Only the generator-multiplication
-columns are kept (memory |W| x rank); general products are composed
-letter by letter, and the full action of every element (``acts``) is
-built on first use.  The build composes only ascents, x s_i with
-x(alpha_i) > 0, and fills the descent slot of x s_i from the same
-product (Bjorner-Brenti, Sec. 1.4).  Ids are read in order and letters
+x's key through a code table of s_i; once the BFS is done, the build
+checks each depth against the key's count of negative codes, an
+inversion count that it computes independently of the BFS.  Only the
+generator-multiplication columns are kept (memory |W| x rank), filled
+as one flat list and cut into rows at the end; general products are
+composed letter by letter, and the full action of every element
+(``acts``) is built on first use.  The build composes only ascents,
+x s_i with x(alpha_i) > 0, and fills the descent slot of x s_i from the
+same product (Bjorner-Brenti, Sec. 1.4).  Ids are read in order and letters
 tried in increasing order, so the BFS word is the shortlex normal form,
 the lex-first reduced word (Bjorner-Brenti, Ch. 3): the canonical word.
 The inverses and the w0 table are walks through the finished columns,
@@ -207,14 +208,16 @@ def generate(rs: RootSystem) -> WeylGroup:
     -beta_k.  As (x s_i)^-1 = s_i x^-1, the key of x s_i is x's key
     mapped through s_i's code table, one bytes.translate; x(alpha_i) > 0,
     an ascent, iff the code i occurs in x's key.  Lengths are BFS
-    depths, each checked against its key's count of negative codes,
-    l((x s_i)^-1) = l(x s_i).  Element ids are BFS discovery order,
-    hence never decrease in length: sorting ids sorts by (length, id).
-    Only ascents x s_i are composed, each setting both rmult[x][i] and
-    rmult[x s_i][i]; as l(x s_i) = l(x) +- 1 (Bjorner-Brenti, Sec. 1.4)
-    that fills every slot, which the build requires, and the ids are
-    those of the full product table.  Refuses tables larger than the
-    entry budget, and stops as soon as it finds more than |W| elements.
+    depths, checked after the BFS against each key's count of negative
+    codes, l((x s_i)^-1) = l(x s_i).  Element ids are BFS discovery
+    order, hence never decrease in length: sorting ids sorts by
+    (length, id).  Only ascents x s_i are composed, each setting both
+    slots (x, i) and (x s_i, i) of one flat list of |W| rank slots; as
+    l(x s_i) = l(x) +- 1 (Bjorner-Brenti, Sec. 1.4) that fills every
+    slot, which the build requires, and the ids are those of the full
+    product table.  The list is cut into the rows of rmult by one zip.
+    Refuses tables larger than the entry budget, and stops as soon as it
+    finds more than |W| elements.
     """
     check_table_budget(rs.cartan_type)
     order = rs.cartan_type.weyl_order()
@@ -237,16 +240,16 @@ def generate(rs: RootSystem) -> WeylGroup:
 
     keys = [positive]               # the identity's key
     id_of = {positive: 0}
+    ids = [0]
     length = [0]
     parent = [0]
     letter = [-1]
-    rmult: list = [[-1] * rank]
+    flat = [-1] * (order * rank)    # flat[x * rank + i] = id of x s_i
 
-    # keys grows while it is read: breadth-first.  Rows of unread
-    # elements are lists that their shorter neighbours fill; a row
-    # becomes a tuple once the element is read.
-    for x, key in enumerate(keys):
-        row = rmult[x]
+    # keys and ids grow while they are read: breadth-first.  Each id is
+    # made once and stored as that one object wherever it goes.
+    for x, key in zip(ids, keys):
+        base = x * rank
         depth = length[x] + 1
         for i, table in steps:
             if i not in key:        # x(alpha_i) < 0: a descent
@@ -254,25 +257,25 @@ def generate(rs: RootSystem) -> WeylGroup:
             new = key.translate(table)
             y = id_of.get(new)
             if y is None:
-                y = len(length)
+                y = len(ids)
                 require(y < order, too_many)
-                require(len(new.translate(None, positive)) == depth,
-                        "BFS depth differs from the inversion count")
                 id_of[new] = y
+                ids.append(y)
                 keys.append(new)
                 length.append(depth)
                 parent.append(x)
                 letter.append(i)
-                rmult.append([-1] * rank)
             else:
                 require(y > x, "a product lands on an element already read")
-            row[i] = y
-            rmult[y][i] = x
-        rmult[x] = tuple(row)
+            flat[base + i] = y
+            flat[y * rank + i] = x
 
-    require(len(length) == order,
-            f"BFS found {len(length)} elements, order formula says {order}")
-    require(min(map(min, rmult)) >= 0, "a descent slot was left unset")
+    require(len(ids) == order,
+            f"BFS found {len(ids)} elements, order formula says {order}")
+    require(-1 not in flat, "a descent slot was left unset")
+    require([len(key.translate(None, positive)) for key in keys] == length,
+            "BFS depth differs from the inversion count")
+    rmult = list(zip(*[iter(flat)] * rank))
 
     maxlen = max(length)
     longest = [x for x in range(order) if length[x] == maxlen]

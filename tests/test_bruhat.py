@@ -197,6 +197,47 @@ def test_lifting_recursion_matches_masks():
         assert state() == before, spec   # the walk keeps no state
 
 
+def test_build_order_builds_nothing_until_read(monkeypatch):
+    g = generate(build_root_system(parse_type("B3")))
+
+    def refuse(*args, **kwargs):
+        pytest.fail("built before it was read")
+
+    with monkeypatch.context() as m:
+        m.setattr(bruhat, "_descent_covers", refuse)
+        m.setattr(bruhat, "_down_masks", refuse)
+        o, bare = build_order(g), build_order(g, dense_limit=0)
+        assert bare.down is None
+        for x, y in itertools.product(range(g.order), repeat=2):
+            leq(o, x, y)
+        assert not {"covers", "down"} & set(vars(o))
+        with pytest.raises(InvalidInputError, match="element id -1 out"):
+            leq(o, -1, 0)
+        with pytest.raises(InvalidInputError, match=f"id {g.order} out"):
+            leq(o, 0, g.order)
+    assert o.covers == reflection_covers(g)
+    assert "down" not in vars(o)
+    assert o.down[g.w0] == o.full_mask
+
+
+def test_leq_matches_subwords_on_every_pair():
+    """On a fresh order, which walks and builds no masks, on one whose
+    masks were read, and on one above the dense limit."""
+    for spec in COVER_TYPES:
+        g = generate(build_root_system(parse_type(spec)))
+        fresh, dense = build_order(g), build_order(g)
+        bare = build_order(g, dense_limit=0)
+        assert dense.down is not None and bare.down is None
+        xs = range(g.order)
+        for y in xs:
+            want = subword_ideal_mask(fresh, y)
+            for o in (fresh, dense, bare):
+                got = itertools.compress(
+                    xs, map(leq, itertools.repeat(o), xs, itertools.repeat(y)))
+                assert bruhat.mask_of(got, g.order) == want, (spec, y)
+        assert "down" not in vars(fresh), spec
+
+
 def test_principal_ideal_and_generators():
     g, o = make_order("B2")
     for x in range(g.order):

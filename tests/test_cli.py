@@ -308,6 +308,42 @@ def test_error_lines_clip_echoed_input(capsys, tmp_path, site):
     assert "..." in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["betti", "A2", "--ideal", "x" * 50000],
+    ["family", "lower-half", "3", "--out", "/no/such/dir/" + "x" * 50000],
+])
+def test_file_errors_name_the_path_once_clipped(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert "x...: " in err
+
+
+def test_file_errors_keep_the_reason(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, ["betti", "A2", "--ideal", str(missing)])
+    assert (code, err) == (1, f"error: cannot read ideal file "
+                              f"{str(missing)!r}: No such file or directory\n")
+    code, out, err = run(capsys, ["family", "lower-half", "3",
+                                  "--out", str(tmp_path)])
+    assert (code, err) == (1, f"error: cannot write {str(tmp_path)!r}: "
+                              "Is a directory\n")
+
+
+def test_betti_refuses_an_even_lower_half_without_masks(capsys, monkeypatch):
+    """l(w0) = 28 on A7, so the lower half is refused before anything
+    reads the order's masks."""
+    def refuse(*args, **kwargs):
+        pytest.fail("built the dense masks")
+
+    monkeypatch.setattr(bruhat, "_down_masks", refuse)
+    code, out, err = run(capsys, ["betti", "A7", "--ideal",
+                                  "family:lower-half"])
+    assert (code, out) == (1, "")
+    assert err == ("error: l(w0) = 28 is even; use "
+                   "lower_half_with_selection\n")
+
+
 def test_budget_exit_3(capsys, monkeypatch):
     # every budget is checked from the type alone: nothing may be built
     def refuse(*args, **kwargs):

@@ -7,6 +7,9 @@ must equal plain loops over the members; orthogonal is an involution,
 the splitting identity holds, and ideal JSON round-trips.  The facts an
 Ideal keeps about itself (covered set, orthogonal, graded ranks) give
 the same answers as a fresh Ideal, and do not hide a forged cover list.
+At rank 4, on fresh orders and on orders whose parts were already read,
+downward closure, the orthogonal and the maximal elements match the
+subword oracle.
 """
 
 import functools
@@ -21,8 +24,9 @@ from conftest import forge
 from weylkit import bruhat, topology
 from weylkit.bruhat import (Ideal, build_order, enumerate_balanced,
                             ideal_from_elements, ideal_from_json_dict,
-                            ideal_to_json_dict, minimal_generators,
-                            orthogonal)
+                            ideal_to_json_dict, is_downward_closed,
+                            mask_of, minimal_generators, orthogonal,
+                            subword_ideal_mask)
 from weylkit.cartan import build_root_system, parse_type
 from weylkit.errors import InvalidInputError, VerificationError
 from weylkit.parabolic import (build_parabolic, is_left_invariant,
@@ -153,6 +157,66 @@ def test_ideal_json_round_trips(case):
     o, ideal = case
     text = json.dumps(ideal_to_json_dict(o, ideal))
     assert ideal_from_json_dict(o, json.loads(text)).mask == ideal.mask
+
+
+RANK4 = ("A4", "B4", "D4", "F4")
+
+
+@functools.lru_cache(maxsize=None)
+def prebuilt_of(spec):
+    """order_of(spec) with its covers and masks already read."""
+    o = order_of(spec)
+    assert o.covers and o.down is not None
+    return o
+
+
+@st.composite
+def rank4_cases(draw):
+    """(order, xs, picks): a rank-4 order, fresh or with its parts
+    already read, up to four elements and up to six more draws."""
+    o = prebuilt_of(draw(st.sampled_from(RANK4)))
+    if draw(st.booleans()):
+        o = build_order(o.g)
+    n = o.g.order
+    xs = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    return o, xs, draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rank4_cases())
+def test_rank4_kernels_match_the_subword_oracle(case):
+    """I is the union of the subword ideals of xs.  I with an element z
+    added is closed iff z's ideal fits in it; I with a member removed is
+    closed iff the member lies below no x but itself; the generators
+    are the xs no other x lies above, and I^perp is w0 (W \\ I) by
+    products."""
+    o, xs, picks = case
+    g, n = o.g, o.g.order
+    lazy = "down" not in vars(o)
+    mask = 0
+    for x in xs:
+        mask |= subword_ideal_mask(o, x)
+    members = Ideal(g, mask).members()
+
+    def maximal(x):
+        return all(y == x or not subword_ideal_mask(o, y) >> x & 1
+                   for y in xs)
+
+    assert is_downward_closed(o, mask)
+    for z in picks:
+        added = mask | 1 << z
+        assert is_downward_closed(o, added) == (
+            subword_ideal_mask(o, z) & ~added == 0)
+        if members:
+            z = members[z % len(members)]
+            assert is_downward_closed(o, mask ^ 1 << z) == maximal(z)
+    ideal = Ideal(g, mask)
+    assert orthogonal(o, ideal).mask == mask_of(
+        [g.multiply(g.w0, x) for x in range(n) if not mask >> x & 1], n)
+    assert lazy == ("down" not in vars(o))   # neither kernel built masks
+    assert minimal_generators(o, ideal) == sorted(
+        {x for x in xs if maximal(x)})
 
 
 def test_masks_outside_w_are_refused():

@@ -171,6 +171,24 @@ def test_invariance_predicates():
                 assert is_left_invariant(ideal, p) == want_left
 
 
+def test_trivial_parabolic_builds_no_gather_and_no_inverse():
+    """With theta empty every set is invariant: the answer is True with
+    neither coset gather nor the inverses built, after the group check."""
+    g = grp("B3")
+    o = build_order(g)
+    p = build_parabolic(g, ())
+    for x in (0, 7, g.w0):
+        ideal = principal_ideal(o, x)
+        assert is_right_invariant(ideal, p) and is_left_invariant(ideal, p)
+    assert not {"_right_gather", "_left_gather", "_left_coset_of"} & set(
+        vars(p))
+    assert "inverse" not in vars(g)
+    other = build_parabolic(grp("B3"), ())
+    for check in (is_right_invariant, is_left_invariant):
+        with pytest.raises(InvalidInputError, match="share a group"):
+            check(ideal, other)
+
+
 def test_quotient_ideal_requires_invariance():
     g = grp("A2")
     o = build_order(g)
