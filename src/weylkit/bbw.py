@@ -14,7 +14,7 @@ rounded.
 
 from __future__ import annotations
 
-from .errors import InvalidInputError, clip, require
+from .errors import InvalidInputError, Record, clip, require
 from .weyl import WeylGroup
 
 IntegralWeight = tuple[int, ...]
@@ -44,15 +44,12 @@ def weyl_act(g: WeylGroup, w: int, lam) -> IntegralWeight:
     return lam
 
 
-class WeightClass:
+class WeightClass(Record):
     def __init__(self, regular: bool, w: int | None,
                  dominant_form: IntegralWeight) -> None:
         self.regular = regular
         self.w = w                    # element with w(lam) strictly dominant
         self.dominant_form = dominant_form    # the dominant orbit rep
-
-    def __eq__(self, other) -> bool:
-        return type(other) is WeightClass and vars(other) == vars(self)
 
 
 def classify_weight(g: WeylGroup, lam) -> WeightClass:
@@ -94,8 +91,10 @@ def weyl_dimension(g: WeylGroup, mu) -> int:
     return q
 
 
-class BBWReport:
+class BBWReport(Record):
     """Cohomology of one equivariant line bundle on G/B."""
+
+    _json_keys = {"lam": "weight"}
 
     def __init__(self, lam: IntegralWeight, all_vanish: bool,
                  degree: int | None, highest_weight: IntegralWeight | None,
@@ -105,19 +104,6 @@ class BBWReport:
         self.degree = degree          # the single non-vanishing degree
         self.highest_weight = highest_weight
         self.dimension = dimension
-
-    def __eq__(self, other) -> bool:
-        return type(other) is BBWReport and vars(other) == vars(self)
-
-    def to_json(self) -> dict:
-        return {
-            "weight": list(self.lam),
-            "all_vanish": self.all_vanish,
-            "degree": self.degree,
-            "highest_weight": None if self.highest_weight is None
-            else list(self.highest_weight),
-            "dimension": self.dimension,
-        }
 
 
 def bbw_cohomology(g: WeylGroup, lam) -> BBWReport:
@@ -137,7 +123,7 @@ def bbw_cohomology(g: WeylGroup, lam) -> BBWReport:
                      highest_weight=mu, dimension=weyl_dimension(g, mu))
 
 
-class SheafCaseReport:
+class SheafCaseReport(Record):
     """Case analysis for line-bundle cohomology of a quotient manifold.
 
     Valid in degrees [0, k), where k comes from the measure-vanishing
@@ -159,22 +145,6 @@ class SheafCaseReport:
         self.zero_below = zero_below
         self.group_window = group_window
         self.vanishing_window = vanishing_window
-
-    def __eq__(self, other) -> bool:
-        return type(other) is SheafCaseReport and vars(other) == vars(self)
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "k": self.k,
-            "cd": self.cd,
-            "degree": self.degree,
-            "zero_below": self.zero_below,
-            "group_window": None if self.group_window is None
-            else list(self.group_window),
-            "vanishing_window": None if self.vanishing_window is None
-            else list(self.vanishing_window),
-        }
 
 
 def sheaf_cohomology_cases(g: WeylGroup, lam, k: int,

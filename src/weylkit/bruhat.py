@@ -7,9 +7,12 @@ costs one table lookup.  The order is stored once, as
 dense per-element bitmasks (Python ints) built by rank propagation:
 down[y] collects everything reachable downward from y.  Nothing is kept
 upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x].
-Covers and masks are each built on first read.  Above the dense size
-limit the masks are skipped, and a comparison without masks is a walk
-down y's BFS chain (lifting property), at most l(y) steps and no state.
+Covers and masks are each built on first read, the masks only up to
+the dense size limit.  Enumeration needs the masks and builds them;
+leq and ideal generation read them when built and never build them.
+Without them a comparison is a walk down y's BFS chain (lifting
+property), at most l(y) steps and no state, and an ideal is generated
+by one sweep down the ids over the covers built from the group table.
 
 An ideal is a downward-closed subset, stored as a membership bitmask.
 The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
@@ -34,7 +37,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .cartan import CartanType, RootSystem, component_coxeter_number
-from .errors import BudgetExceededError, InvalidInputError, clip, require
+from .errors import BudgetExceededError, InvalidInputError, Record, clip, require
 from .weyl import Word, WeylGroup, build_group
 
 DENSE_LIMIT_DEFAULT = 50000
@@ -136,6 +139,12 @@ class BruhatOrder:
 
     @cached_property
     def covers(self) -> list[list[int]]:
+        return self._table_covers
+
+    @cached_property
+    def _table_covers(self) -> list[list[int]]:
+        """The covers built from the group table, which ideal generation
+        reads; a copy given covers through __init__ builds its own."""
         return _descent_covers(self.g)
 
     @cached_property
@@ -363,18 +372,32 @@ def make_ideal(o: BruhatOrder, mask: int) -> Ideal:
 
 
 def principal_ideal(o: BruhatOrder, x: int) -> Ideal:
-    o.g._check_id(x)
-    if o.down is not None:
-        return Ideal(o.g, o.down[x])
-    return Ideal(o.g, subword_ideal_mask(o, x))
+    return ideal_from_elements(o, [x])
 
 
 def ideal_from_elements(o: BruhatOrder, xs) -> Ideal:
-    """Union of principal ideals: the ideal generated by xs."""
-    m = 0
+    """The ideal generated by xs.
+
+    Like leq, this reads the down masks when they have been built and
+    never builds them.  Otherwise it closes xs in one sweep down the
+    ids over the covers built from the group table, never over covers
+    given to a copy, so a forged cover list cannot hide a generator
+    from the regeneration check of minimal_generators.
+    """
+    g, xs = o.g, list(xs)
     for x in xs:
-        m |= principal_ideal(o, x).mask
-    return Ideal(o.g, m)
+        g._check_id(x)
+    down = vars(o).get("down")
+    if down is not None:
+        m = 0
+        for x in xs:
+            m |= down[x]
+        return Ideal(g, m)
+    covers, below = o._table_covers, set(xs)
+    for y in range(max(xs, default=0), 0, -1):  # covers have smaller ids
+        if y in below:
+            below.update(covers[y])
+    return Ideal(g, mask_of(below, g.order))
 
 
 def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
@@ -423,13 +446,10 @@ def _orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal | None:
     return perp
 
 
-class IdealClass:
+class IdealClass(Record):
     def __init__(self, slim: bool, fat: bool) -> None:
         self.slim = slim
         self.fat = fat
-
-    def __eq__(self, other) -> bool:
-        return type(other) is IdealClass and vars(other) == vars(self)
 
     @property
     def balanced(self) -> bool:
@@ -449,7 +469,7 @@ def is_small(o: BruhatOrder, x: int) -> bool:
     return leq(o, x, o.g.w0_left(x))
 
 
-class ShortSmallReport:
+class ShortSmallReport(Record):
     def __init__(self, cartan_type: CartanType, max_length: int,
                  all_small: bool, witnesses: tuple[Word, ...],
                  expected_all_small: bool) -> None:
@@ -459,9 +479,6 @@ class ShortSmallReport:
         self.witnesses = witnesses    # non-small elements as canonical words
         # what the length<=L theorem predicts
         self.expected_all_small = expected_all_small
-
-    def __eq__(self, other) -> bool:
-        return type(other) is ShortSmallReport and vars(other) == vars(self)
 
 
 def short_small_expected(rs: RootSystem, max_length: int) -> bool:

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import factorial, prod
 import re
 
-from .errors import InvalidInputError, clip, require
+from .errors import InvalidInputError, Record, clip, require
 
 # ---------------------------------------------------------------------------
 # Cartan types
@@ -50,7 +50,7 @@ _COUNTS = {
 }
 
 
-class CartanType:
+class CartanType(Record):
     """An ordered product of (family, rank) factors; a value, usable as a
     dict key."""
 
@@ -64,9 +64,6 @@ class CartanType:
                 raise InvalidInputError(
                     f"invalid rank {clip(rank)} for family {fam}")
         self.factors = factors
-
-    def __eq__(self, other) -> bool:
-        return type(other) is CartanType and other.factors == self.factors
 
     def __hash__(self) -> int:
         return hash(self.factors)

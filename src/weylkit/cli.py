@@ -180,6 +180,8 @@ def _cmd_balanced(args, t0):
 
 
 def _cmd_family(args, t0):
+    if args.select is not None and args.name != "lower-half-J":
+        raise InvalidInputError("--select applies only to lower-half-J")
     degree = args.n if args.name != "principal-2n" else 2 * args.n
     if degree < 2:
         raise InvalidInputError("need a symmetric group of degree >= 2")
@@ -284,6 +286,8 @@ def _cmd_poincare(args, t0):
 
 
 def _cmd_bbw(args, t0):
+    if args.cd is not None and args.k is None:
+        raise InvalidInputError("--cd needs --k")
     g = _group(args.type)
     lam = _parse_ints(args.weight, "weight")
     report = bbw_cohomology(g, lam)
@@ -430,7 +434,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None,
                    help="degree window bound for the quotient cases")
     p.add_argument("--cd", type=int, default=None,
-                   help="cohomological dimension of the group")
+                   help="cohomological dimension of the group; "
+                   "needs --k")
     p.set_defaults(func=_cmd_bbw)
 
     p = sub.add_parser("small", parents=[common],

@@ -6,6 +6,7 @@ The CLI maps these onto exit codes: bad input 1, a failed verification
 Every internal claim is checked through require(), which raises
 VerificationError; it is an ordinary function call, so the checks run
 the same under ``python -O``.  Messages echo outside input through clip().
+Record is the base of the package's value records.
 """
 
 
@@ -44,3 +45,26 @@ def clip(value, limit: int = 60) -> str:
     """str(value), cut to its first limit characters and "..." if longer."""
     text = str(value)
     return text if len(text) <= limit else text[:limit] + "..."
+
+
+class Record:
+    """A value record: its fields are vars(self), in __init__ order.
+
+    Equal to a record of the same type with equal fields; repr lists
+    the fields.  to_json gives the fields with tuples as lists, keyed by
+    _json_keys where a field is published under another name.
+    """
+
+    _json_keys: dict[str, str] = {}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def to_json(self) -> dict:
+        keys = self._json_keys
+        return {keys.get(k, k): list(v) if isinstance(v, tuple) else v
+                for k, v in vars(self).items()}

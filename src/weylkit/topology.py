@@ -17,21 +17,18 @@ t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
 from __future__ import annotations
 
 from .bruhat import BruhatOrder, Ideal, _cached, classify, mask_of, orthogonal
-from .errors import BudgetExceededError, InvalidInputError, require
+from .errors import BudgetExceededError, InvalidInputError, Record, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
 from .parabolic import ParabolicSubset, build_parabolic, is_right_invariant
 
 
-class GradedRanks:
+class GradedRanks(Record):
     """Ranks of a graded abelian group, indexed by real degree."""
 
     def __init__(self, ranks: tuple[int, ...]) -> None:
         if any(r < 0 for r in ranks):
             raise InvalidInputError("negative rank")
         self.ranks = ranks
-
-    def __eq__(self, other) -> bool:
-        return type(other) is GradedRanks and other.ranks == self.ranks
 
     @staticmethod
     def from_even(even) -> "GradedRanks":
@@ -146,7 +143,9 @@ def splitting_check(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> bool:
                for k, m in enumerate(p.length_masks))
 
 
-class HausdorffReport:
+class HausdorffReport(Record):
+    _json_keys = {"n": "complex_dim"}
+
     def __init__(self, bound: float, limit_curve_dim: float,
                  max_quotient_length: int, n: int, domain_nonempty: bool,
                  measure_2n_minus_2_vanishes: bool,
@@ -158,20 +157,6 @@ class HausdorffReport:
         self.domain_nonempty = domain_nonempty    # bound < 2n
         self.measure_2n_minus_2_vanishes = measure_2n_minus_2_vanishes
         self.measure_2n_minus_4_vanishes = measure_2n_minus_4_vanishes
-
-    def __eq__(self, other) -> bool:
-        return type(other) is HausdorffReport and vars(other) == vars(self)
-
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "limit_curve_dim": self.limit_curve_dim,
-            "max_quotient_length": self.max_quotient_length,
-            "complex_dim": self.n,
-            "domain_nonempty": self.domain_nonempty,
-            "measure_2n_minus_2_vanishes": self.measure_2n_minus_2_vanishes,
-            "measure_2n_minus_4_vanishes": self.measure_2n_minus_4_vanishes,
-        }
 
 
 def hausdorff_bound(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset,
@@ -268,7 +253,7 @@ def incidence_betti(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Homotopy distinction of the two named families
 
-class DistinctionReport:
+class DistinctionReport(Record):
     def __init__(self, j: int, n: int, k: int, b_lower_half: int,
                  b_principal: int, strict: bool) -> None:
         self.j = j
@@ -277,19 +262,6 @@ class DistinctionReport:
         self.b_lower_half = b_lower_half    # b_2k of the lower-half domain
         self.b_principal = b_principal      # b_2k of the principal domain
         self.strict = strict
-
-    def __eq__(self, other) -> bool:
-        return type(other) is DistinctionReport and vars(other) == vars(self)
-
-    def to_json(self) -> dict:
-        return {
-            "j": self.j,
-            "n": self.n,
-            "k": self.k,
-            "b_lower_half": self.b_lower_half,
-            "b_principal": self.b_principal,
-            "strict": self.strict,
-        }
 
 
 def homotopy_distinction(j: int, verify: bool = True) -> DistinctionReport:

@@ -3,9 +3,11 @@
 The acceptance checks print one pass/fail line each, but pytest's
 default capture grabs the file descriptor, so passing tests would stay
 silent.  The lines are recorded in the test module and replayed after
-the terminal summary.  forge builds a tampered copy of a table.
+the terminal summary.  forge builds a tampered copy of a table, and
+check_record checks the repr and equality of a value record.
 """
 
+import inspect
 import sys
 
 _FIELDS = {
@@ -23,6 +25,23 @@ def forge(table, **changes):
     assert set(changes) <= set(names), changes
     return type(table)(**{n: changes.get(n, getattr(table, n))
                           for n in names})
+
+
+def check_record(rec, space):
+    """rec's repr names every __init__ parameter and reads back as an
+    equal record; a record of another type with the same fields is
+    unequal to it."""
+    cls = type(rec)
+    params = list(inspect.signature(cls.__init__).parameters)[1:]
+    text = repr(rec)
+    assert text.startswith(cls.__name__ + "("), text
+    assert all(f"{name}=" in text for name in params), (text, params)
+    assert eval(text, dict(space)) == rec
+
+    twin = type("Twin", (cls,), {})
+    copy = twin.__new__(twin)
+    vars(copy).update(vars(rec))
+    assert vars(copy) == vars(rec) and copy != rec and rec != copy
 
 
 def pytest_terminal_summary(terminalreporter):

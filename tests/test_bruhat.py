@@ -5,8 +5,8 @@ import weakref
 
 import pytest
 
-from conftest import forge
-from weylkit import bruhat
+from conftest import check_record, forge
+from weylkit import bruhat, cartan
 from weylkit.bruhat import (_certify_all, build_order, classify,
                             enumerate_balanced,
                             ideal_from_elements, ideal_from_json_dict,
@@ -260,9 +260,26 @@ def test_ideal_from_elements_closes_downward():
         assert ideal_from_elements(o, gens).mask == i.mask
 
 
+def test_regeneration_reads_no_cover_list_given_to_the_order():
+    """With no masks built, the maximal elements regenerate over covers
+    built from the group table, so a forged cover list that hides a
+    generator fails the check."""
+    g, o = make_order("A3")
+    ideal, gens = next((i, gens) for i in enumerate_balanced(o)
+                       if len(gens := minimal_generators(o, i)) > 1)
+    # the identity, or a later generator, claims to cover the first
+    # generator, so it drops out
+    for claimant in (0, gens[-1]):
+        covers = list(o.covers)
+        covers[claimant] = covers[claimant] + [gens[0]]
+        forged = forge(o, covers=covers, down=None)
+        with pytest.raises(VerificationError, match="do not regenerate"):
+            minimal_generators(forged, ideal)
+
+
 def test_mask_free_ideals_match_dense():
-    """Without the down masks a principal ideal comes from the subword
-    criterion; every ideal built from elements must agree."""
+    """Without the down masks an ideal is closed over the covers of the
+    group table; every ideal built from elements must agree."""
     draw = random.Random(1302)      # leaves the shared rng's draws alone
     for spec in COVER_TYPES:
         g = generate(build_root_system(parse_type(spec)))
@@ -610,6 +627,11 @@ def test_ideals_and_reports_compare_by_value():
     report = verify_short_small(parse_type("A2xA1"), 1)
     assert report == verify_short_small(parse_type("a2xa1"), 1)
     assert report != verify_short_small(parse_type("A2xA1"), 2)
+    space = {**vars(bruhat), **vars(cartan)}
+    for rec in (classify(o, principal_ideal(o, 0)), report,
+                report.cartan_type):
+        check_record(rec, space)
+    assert {parse_type("A2"): 1}[cartan.CartanType((("A", 2),))] == 1
 
 
 def test_short_small_rejects_bad_length():

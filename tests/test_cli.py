@@ -233,6 +233,9 @@ def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
                  ["balanced", "A2", "--max-order", "-5"],
                  ["balanced", "A2", "--max-order", "0"],
                  ["family", "lower-half", "4"],
+                 ["family", "lower-half", "3", "--select", "2,1,3"],
+                 ["family", "incidence", "3", "--select", ""],
+                 ["bbw", "A2", "--weight", "1,1", "--cd", "1"],
                  ["poincare", "flag", "0"],
                  ["nonsense"]]:
         code, out, err = run(capsys, argv)
@@ -244,6 +247,12 @@ def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (
         1, "", "error: argument --weight: expected one argument; a leading "
         "minus needs the = form, --weight=-1,2\n")
+    code, out, err = run(capsys, ["family", "principal-2n", "2",
+                                  "--select", "2,1,3,4"])
+    assert (code, out, err) == (
+        1, "", "error: --select applies only to lower-half-J\n")
+    code, out, err = run(capsys, ["bbw", "A2", "--weight=-1,2", "--cd", "0"])
+    assert (code, out, err) == (1, "", "error: --cd needs --k\n")
     code, out, err = run(capsys, ["balanced", "A2", "--max-order", "0"])
     assert (code, err) == (
         1, "error: enumeration budget must be at least 1, got 0\n")
@@ -342,6 +351,32 @@ def test_betti_refuses_an_even_lower_half_without_masks(capsys, monkeypatch):
     assert (code, out) == (1, "")
     assert err == ("error: l(w0) = 28 is even; use "
                    "lower_half_with_selection\n")
+
+
+def test_ideal_generation_builds_no_masks(capsys, monkeypatch, tmp_path):
+    """The families, their checks and ideal files generate ideals
+    without the dense masks; enumeration, which needs them, builds them."""
+    path = str(tmp_path / "incidence4.json")
+    argvs = [["family", "incidence", "4", "--out", path],
+             ["family", "incidence", "5", "--verify"],
+             ["family", "principal-2n", "3", "--verify"],
+             ["family", "lower-half-J", "4", "--verify"],
+             ["betti", "A3", "--ideal", path, "--domain", "2"],
+             ["hausdorff", "A3", "--ideal", path, "--domain", "2"]]
+    want = [run(capsys, argv + ["--json"]) for argv in argvs]
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(bruhat, "_down_masks", refuse)
+    for argv, expected in zip(argvs, want):
+        assert expected[0] == 0, (argv, expected)
+        assert run(capsys, argv + ["--json"]) == expected, argv
+    with pytest.raises(Built):
+        main(["balanced", "A3", "--json"])
 
 
 def test_budget_exit_3(capsys, monkeypatch):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from conftest import check_record
+from weylkit import bbw, topology
 from weylkit.bbw import BBWReport, bbw_cohomology
 from weylkit.bruhat import (build_order, classify, enumerate_balanced,
                             ideal_from_elements, ideal_to_json_dict,
@@ -52,6 +54,24 @@ def test_records_compare_by_value():
     assert bbw_cohomology(g, (0, 1)) == BBWReport(
         lam=(0, 1), all_vanish=True, degree=None, highest_weight=None,
         dimension=None)
+    o = build_order(g)
+    records = [GradedRanks((1, 0, 2)), report,
+               bbw.classify_weight(g, (-1, 2)),
+               bbw.sheaf_cohomology_cases(g, (-1, 2), 4, cd=1),
+               hausdorff_bound(o, lower_half_ideal(o), build_parabolic(g, ())),
+               topology.DistinctionReport(j=1, n=3, k=7, b_lower_half=202,
+                                          b_principal=114, strict=True)]
+    space = {**vars(bbw), **vars(topology)}
+    for rec in records:
+        check_record(rec, space)
+
+    # the two fields published under another name
+    weight = report.to_json()
+    assert weight["weight"] == [-1, 2] and "lam" not in weight
+    assert isinstance(weight["highest_weight"], list)
+    haus = records[4].to_json()
+    assert haus["complex_dim"] == 3 and "n" not in haus
+    assert GradedRanks((1, 0, 2)).to_json() == [1, 0, 2]
 
 
 def test_a2_lower_half_chain():
