@@ -7,10 +7,10 @@ costs one table lookup.  The order is stored once, as
 dense per-element bitmasks (Python ints) built by rank propagation:
 down[y] collects everything reachable downward from y.  Nothing is kept
 upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x].
-Covers and masks are each built on first read, the masks only up to
-the dense size limit.  Enumeration needs the masks and builds them;
-leq and ideal generation read them when built and never build them.
-Without them a comparison is a walk down y's BFS chain (lifting
+Covers and masks are each built on first read.  Enumeration needs the
+masks and builds them, and its budget refuses masks over MASK_BUDGET
+bytes; leq and ideal generation read them when built and never build
+them.  Without them a comparison is a walk down y's BFS chain (lifting
 property), at most l(y) steps and no state, and an ideal is generated
 by one sweep down the ids over the covers built from the group table.
 
@@ -40,15 +40,17 @@ from .cartan import CartanType, RootSystem, component_coxeter_number
 from .errors import BudgetExceededError, InvalidInputError, Record, clip, require
 from .weyl import Word, WeylGroup, build_group
 
-DENSE_LIMIT_DEFAULT = 50000
 ENUM_BUDGET_DEFAULT = 1152
+MASK_BUDGET = 50000**2 // 16  # bytes of order masks: refuses |W| > 50,000
 CERTIFY_BLOCK = 4096        # search results per bit-sliced block
 LIST_BUDGET = 250_000       # balanced ideals one enumeration may list
 
 
 def check_enumeration_budget(t: CartanType,
                              max_order: int | None = None) -> int:
-    """|W| of t, refused above max_order, else above ENUM_BUDGET_DEFAULT."""
+    """|W| of t, refused above max_order, else above ENUM_BUDGET_DEFAULT,
+    and refused when the order masks that enumeration builds, about
+    |W|^2/16 bytes, would exceed MASK_BUDGET."""
     budget = ENUM_BUDGET_DEFAULT if max_order is None else max_order
     if budget < 1:
         raise InvalidInputError(
@@ -57,16 +59,11 @@ def check_enumeration_budget(t: CartanType,
     if order is None:
         raise BudgetExceededError(
             f"|W| of {clip(t)} exceeds enumeration budget {clip(budget)}")
+    if order * order // 16 > MASK_BUDGET:
+        raise BudgetExceededError(
+            f"{clip(t)}: order masks need about {clip(order * order >> 24)} "
+            f"MiB > budget {MASK_BUDGET >> 20} MiB")
     return order
-
-
-def check_dense_masks(order: int, has_masks: bool | None = None) -> None:
-    """Refuse enumeration without the dense order masks: has_masks of a
-    built order, else decided from |W| at the default dense limit."""
-    if has_masks is None:
-        has_masks = order <= DENSE_LIMIT_DEFAULT
-    if not has_masks:
-        raise InvalidInputError("enumeration needs the dense order masks")
 
 
 def mask_bits(mask: int, n: int) -> str:
@@ -149,8 +146,8 @@ class BruhatOrder:
 
     @cached_property
     def down(self) -> list[int] | None:
-        """The masks when |W| <= the dense limit, else None."""
-        if self.g.order > self._dense_limit:
+        """The masks, or None when |W| exceeds a dense limit given."""
+        if self._dense_limit is not None and self.g.order > self._dense_limit:
             return None
         return _down_masks(self.covers)
 
@@ -184,11 +181,11 @@ class BruhatOrder:
         return Gather(src, self.g.order), width
 
 
-def build_order(g: WeylGroup, dense_limit: int = DENSE_LIMIT_DEFAULT) -> BruhatOrder:
+def build_order(g: WeylGroup, dense_limit: int | None = None) -> BruhatOrder:
     """The order of g, which builds nothing until a part is read.
 
-    covers is built on first read, and down on first read when
-    |W| <= dense_limit; above it down is None and leq walks.
+    covers and down are each built on first read; above a dense_limit
+    given, down is None, and leq walks.
     """
     o = BruhatOrder.__new__(BruhatOrder)    # no parts given: none stored
     o.g = g
@@ -571,7 +568,8 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     """
     g = o.g
     check_enumeration_budget(g.rs.cartan_type, max_order)
-    check_dense_masks(g.order, o.down is not None)
+    if o.down is None:
+        raise InvalidInputError("enumeration needs the dense order masks")
     if invariance is not None:
         check_group(g, invariance)
 

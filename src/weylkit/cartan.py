@@ -313,14 +313,6 @@ def positive_coroots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return rs.coroots
 
 
-def coxeter_number(t: CartanType, factor_index: int) -> int:
-    """The order of any product of all simple reflections of the factor."""
-    if not 0 <= factor_index < len(t.factors):
-        raise InvalidInputError(f"factor index {factor_index} out of range")
-    return build_root_system(
-        CartanType((t.factors[factor_index],))).coxeter_numbers[0]
-
-
 def component_coxeter_number(rs: RootSystem, component: tuple[int, ...]) -> int:
     """Order of the product of the simple reflections with these indices.
 

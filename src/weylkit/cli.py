@@ -150,9 +150,7 @@ def _cmd_group(args, t0):
 
 
 def _cmd_balanced(args, t0):
-    order = bruhat.check_enumeration_budget(parse_type(args.type),
-                                            args.max_order)
-    bruhat.check_dense_masks(order)
+    bruhat.check_enumeration_budget(parse_type(args.type), args.max_order)
     g, o = _build(args.type)
     inputs = {"type": args.type, "right_invariant": args.right_invariant,
               "max_order": args.max_order}
@@ -190,7 +188,7 @@ def _cmd_family(args, t0):
     if args.name in _FAMILIES:
         ideal = _FAMILIES[args.name](o, verify=verify)
     else:
-        if args.select:
+        if args.select is not None:
             chosen = [families.perm_to_element(g, _parse_perm(tok))
                       for tok in args.select.split(";") if tok]
         else:

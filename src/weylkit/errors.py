@@ -42,8 +42,12 @@ def require(cond: bool, message: str) -> None:
 
 
 def clip(value, limit: int = 60) -> str:
-    """str(value), cut to its first limit characters and "..." if longer."""
-    text = str(value)
+    """str(value), cut to its first limit characters and "..." if longer;
+    an int too long for str() is named by its bit length."""
+    try:
+        text = str(value)
+    except ValueError:          # an int past str()'s digit limit
+        text = f"a {value.bit_length()}-bit number"
     return text if len(text) <= limit else text[:limit] + "..."
 
 
@@ -51,8 +55,9 @@ class Record:
     """A value record: its fields are vars(self), in __init__ order.
 
     Equal to a record of the same type with equal fields; repr lists
-    the fields.  to_json gives the fields with tuples as lists, keyed by
-    _json_keys where a field is published under another name.
+    the fields.  to_json gives the fields as JSON values, keyed by
+    _json_keys where a field is published under another name: tuples
+    become lists and records their to_json, at every depth.
     """
 
     _json_keys: dict[str, str] = {}
@@ -66,5 +71,10 @@ class Record:
 
     def to_json(self) -> dict:
         keys = self._json_keys
-        return {keys.get(k, k): list(v) if isinstance(v, tuple) else v
-                for k, v in vars(self).items()}
+        return {keys.get(k, k): _json_value(v) for k, v in vars(self).items()}
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value.to_json() if isinstance(value, Record) else value

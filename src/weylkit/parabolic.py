@@ -1,4 +1,4 @@
-"""Standard parabolic subgroups, coset representatives, double cosets.
+"""Standard parabolic subgroups and their minimal coset representatives.
 
 The input is the generator subset that generates W_P itself, not its
 complement.  Each left coset x W_P contains a unique element with no
@@ -8,9 +8,9 @@ generator, then builds each coset as the orbit rep * W_P along one walk
 of W_P.  It checks, for every element, that it lies in exactly one
 orbit (the orbits cover W, and |W^P| |W_P| = |W|) and that lengths add
 along x = rep * u.  Cosets are read through that one map, coset_of:
-invariance is one gather of a mask through it (or through x ->
-coset_of[x^-1]^-1 on the left), a double coset minimum is a fixed point
-of the two maps, and graded ranks are popcounts against W^P by length.
+right invariance is one gather of a mask through it, and graded ranks
+are popcounts against W^P by length.  The paper's thickenings are
+right-W_P-invariant only, so no left-coset map is kept.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ class ParabolicSubset:
     """W_P, W^P and the coset map of one group; equality is identity."""
 
     def __init__(self, g: WeylGroup, theta: tuple[int, ...],
-                 subgroup: list[int], subgroup_mask: int,
-                 min_reps: list[int], coset_of: list[int]) -> None:
+                 subgroup: list[int], min_reps: list[int],
+                 coset_of: list[int]) -> None:
         self.g = g
         self.theta = theta            # generator indices of W_P, sorted
         self.subgroup = subgroup      # element ids of W_P, sorted
-        self.subgroup_mask = subgroup_mask
         self.min_reps = min_reps      # W^P, sorted by id, so by (length, id)
         self.coset_of = coset_of      # element id -> its representative id
 
@@ -44,16 +43,9 @@ class ParabolicSubset:
         return len(self.min_reps)
 
     @property
-    def longest_subgroup_element(self) -> int:
-        return self.subgroup[-1]
-
-    @property
     def max_quotient_length(self) -> int:
         """l(w0 W_P): quotient length of the longest coset."""
         return self.g.length[self.min_reps[-1]]
-
-    def quotient_length(self, x: int) -> int:
-        return self.g.length[self.coset_of[x]]
 
     # Built on first use: an instance keeps its own tables.
 
@@ -69,17 +61,6 @@ class ParabolicSubset:
     def _right_gather(self) -> Gather:
         """The image of a mask under x -> min(x W_P)."""
         return Gather(self.coset_of, self.g.order)
-
-    @cached_property
-    def _left_coset_of(self) -> list[int]:
-        """x -> min(W_P x) = min(x^-1 W_P)^-1."""
-        inverse, coset_of = self.g.inverse, self.coset_of
-        return [inverse[coset_of[y]] for y in inverse]
-
-    @cached_property
-    def _left_gather(self) -> Gather:
-        """The image of a mask under x -> min(W_P x)."""
-        return Gather(self._left_coset_of, self.g.order)
 
 
 def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
@@ -131,29 +112,20 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
     require(-1 not in coset_of, "some element lies in no orbit of W^P")
 
     return ParabolicSubset(g=g, theta=theta, subgroup=sorted(walk),
-                           subgroup_mask=mask_of(walk, g.order),
                            min_reps=min_reps, coset_of=coset_of)
 
 
-def _invariant(ideal, p: ParabolicSubset, gather: str) -> bool:
-    """Every x has the bit of its coset minimum: the gather named gives
-    the mask back.  With theta empty each coset is one element, so every
-    set is invariant and no gather is built."""
+def is_right_invariant(ideal, p: ParabolicSubset) -> bool:
+    """Membership constant on left cosets x W_P: I s = I for s in theta.
+
+    Every x has the bit of its coset minimum: the gather through
+    coset_of gives the mask back.  With theta empty each coset is one
+    element, so every set is invariant and no gather is built.
+    """
     check_group(ideal.g, p)
     if not p.theta:
         return True
-    bits = mask_bits(ideal.mask, p.g.order)
-    return getattr(p, gather)(bits) == ideal.mask
-
-
-def is_right_invariant(ideal, p: ParabolicSubset) -> bool:
-    """Membership constant on left cosets x W_P: I s = I for s in theta."""
-    return _invariant(ideal, p, "_right_gather")
-
-
-def is_left_invariant(ideal, p: ParabolicSubset) -> bool:
-    """Membership constant on right cosets W_P x: s I = I for s in theta."""
-    return _invariant(ideal, p, "_left_gather")
+    return p._right_gather(mask_bits(ideal.mask, p.g.order)) == ideal.mask
 
 
 def quotient_ideal(ideal, p: ParabolicSubset) -> list[tuple[int, int]]:
@@ -165,18 +137,3 @@ def quotient_ideal(ideal, p: ParabolicSubset) -> list[tuple[int, int]]:
         raise InvalidInputError("ideal is not right-invariant under W_P")
     g = p.g
     return [(x, g.length[x]) for x in p.min_reps if ideal.mask >> x & 1]
-
-
-def double_coset_min_rep(g: WeylGroup, p: ParabolicSubset,
-                         q: ParabolicSubset, x: int) -> int:
-    """The unique minimal element of W_P x W_Q.
-
-    Alternate x -> min(W_P x) and x -> min(x W_Q), which never lengthen,
-    to a fixed point: no left descent in P, no right descent in Q.
-    """
-    check_group(g, p, q)
-    g._check_id(x)
-    left, right = p._left_coset_of, q.coset_of
-    while (y := right[left[x]]) != x:
-        x = y
-    return x

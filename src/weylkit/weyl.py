@@ -100,10 +100,6 @@ class WeylGroup:
             cur = self.rmult[cur][i]
         return cur
 
-    def left_mult_gen(self, i: int, x: int) -> int:
-        """s_i * x in O(1) table lookups, via (x^-1 s_i)^-1."""
-        return self.inverse[self.rmult[self.inverse[x]][i]]
-
     def word_to_id(self, word: Word) -> int:
         cur = 0
         for i in word:
@@ -130,7 +126,9 @@ class WeylGroup:
     @cached_property
     def inverse(self) -> list[int]:
         """x = s_1 ... s_k along its BFS word, so x^-1 = s_k ... s_1: read
-        the letters back up the parent chain, multiplying on the right."""
+        the letters back up the parent chain, multiplying on the right.
+        The library reads no inverse; this is kept for the benchmark's
+        queries workload and its reference implementations."""
         rmult, parent, letter = self.rmult, self.bfs_parent, self.bfs_letter
         inverse = []
         for x in range(self.order):
@@ -154,15 +152,7 @@ class WeylGroup:
             exts.append(get[s](exts[p]))
         return [ext[1:npos + 1] for ext in exts]
 
-    # -- descents and words -------------------------------------------------
-
-    def right_descents(self, x: int) -> list[int]:
-        """Generators s with l(xs) < l(x)."""
-        row, length = self.rmult[x], self.length
-        return [i for i in range(self.rank) if length[row[i]] < length[x]]
-
-    def left_descents(self, x: int) -> list[int]:
-        return self.right_descents(self.inverse[x])
+    # -- words -------------------------------------------------------------
 
     def reduced_word(self, x: int) -> Word:
         """Canonical reduced word: the BFS word, which is the shortlex

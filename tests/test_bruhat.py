@@ -26,8 +26,6 @@ rng = random.Random(1823)
 
 def make_order(spec, dense_limit=None):
     g = generate(build_root_system(parse_type(spec)))
-    if dense_limit is None:
-        return g, build_order(g)
     return g, build_order(g, dense_limit=dense_limit)
 
 
@@ -55,7 +53,7 @@ def reflection_covers(g):
     while queue:
         t = queue.pop()
         for i in range(g.rank):
-            u = g.left_mult_gen(i, g.rmult[t][i])  # s_i t s_i
+            u = g.multiply(g.generators[i], g.rmult[t][i])  # s_i t s_i
             if u not in refls:
                 refls.add(u)
                 queue.append(u)
@@ -92,7 +90,7 @@ def test_descent_recursion_covers_match_reflection_covers():
     for spec in COVER_TYPES:
         g = generate(build_root_system(parse_type(spec)))
         want = reflection_covers(g)
-        for limit in (bruhat.DENSE_LIMIT_DEFAULT, 0):
+        for limit in (None, 0):
             o = build_order(g, dense_limit=limit)
             assert o.covers == want, (spec, limit)
 
@@ -114,8 +112,7 @@ def test_ids_are_the_length_id_order():
                       tuple(range(0, g.rank, 2)), tuple(range(g.rank))]:
             p = build_parabolic(g, theta)
             assert p.min_reps == by_length_id(g, set(p.coset_of)), spec
-            assert p.longest_subgroup_element == \
-                by_length_id(g, p.subgroup)[-1], spec
+            assert p.subgroup == by_length_id(g, p.subgroup), spec
         for max_len in (1, 2):
             short = [x for x in range(g.order) if 0 < g.length[x] <= max_len
                      and not is_small(o, x)]
@@ -541,6 +538,31 @@ def test_balanced_budget():
     g, o = make_order("B3")
     with pytest.raises(BudgetExceededError):
         enumerate_balanced(o, max_order=10)
+
+
+def test_enumeration_budget_counts_the_order_masks():
+    """The masks cost about |W|^2/16 bytes: B6 (46,080) fits the mask
+    budget, and E6 (51,840) is refused with the estimate in MiB."""
+    assert bruhat.check_enumeration_budget(parse_type("B6"), 46080) == 46080
+    with pytest.raises(BudgetExceededError,
+                       match="E6: order masks need about 160 MiB > budget "
+                             "149 MiB"):
+        bruhat.check_enumeration_budget(parse_type("E6"), 51840)
+
+
+def test_enumeration_refuses_an_order_without_masks(monkeypatch):
+    """An order above its dense limit withholds its masks; enumeration
+    refuses it before any search starts."""
+    def refuse(*args, **kwargs):
+        pytest.fail("searched without the masks")
+
+    monkeypatch.setattr(bruhat, "_propagate", refuse)
+    g, bare = make_order("A3", dense_limit=23)
+    assert bare.down is None
+    with pytest.raises(InvalidInputError, match="needs the dense order masks"):
+        enumerate_balanced(bare)
+    monkeypatch.undo()
+    assert len(enumerate_balanced(build_order(g, dense_limit=24))) == 10
 
 
 def test_a2_unique_balanced_ideal():

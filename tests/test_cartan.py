@@ -1,8 +1,8 @@
 import pytest
 
 from weylkit.cartan import (CartanType, build_root_system,
-                            component_coxeter_number, coxeter_number,
-                            parse_type, positive_coroots)
+                            component_coxeter_number, parse_type,
+                            positive_coroots)
 from weylkit.errors import InvalidInputError
 
 
@@ -71,14 +71,13 @@ def test_coxeter_numbers():
     expected = {"A1": 2, "A2": 3, "A3": 4, "A4": 5, "B2": 4, "B3": 6,
                 "C3": 6, "B4": 8, "D4": 6, "F4": 12, "G2": 6}
     for spec, h in expected.items():
-        t = parse_type(spec)
-        assert coxeter_number(t, 0) == h
-        rs = build_root_system(t)
+        rs = build_root_system(parse_type(spec))
+        assert rs.coxeter_numbers == (h,)
         assert component_coxeter_number(rs, rs.components[0]) == h
         # n_positive = rank * h / 2 for a connected system
         assert 2 * rs.n_positive == rs.rank * h
     # h = 2n grows with the rank; no fixed cap on the element order holds
-    assert coxeter_number(parse_type("B33"), 0) == 66
+    assert build_root_system(parse_type("B33")).coxeter_numbers == (66,)
 
 
 def test_e_types():
@@ -88,7 +87,7 @@ def test_e_types():
         t = parse_type(spec)
         rs = build_root_system(t)
         assert len(rs.positive_roots) == t.n_positive == npos
-        assert coxeter_number(t, 0) == h
+        assert rs.coxeter_numbers == (h,)
     # Bourbaki numbering: omega_1 is the 27-dimensional minuscule
     # representation, omega_2 the adjoint one
     g = build_group(parse_type("E6"))

@@ -235,6 +235,7 @@ def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
                  ["family", "lower-half", "4"],
                  ["family", "lower-half", "3", "--select", "2,1,3"],
                  ["family", "incidence", "3", "--select", ""],
+                 ["family", "lower-half-J", "4", "--select", ""],
                  ["bbw", "A2", "--weight", "1,1", "--cd", "1"],
                  ["poincare", "flag", "0"],
                  ["nonsense"]]:
@@ -303,6 +304,9 @@ CLIPPED_ECHOES = {
     "budget-type": (3, lambda tmp: ["balanced", "x".join(["A1"] * 3000)]),
     "budget-value": (3, lambda tmp: ["balanced", "A20000", "--max-order",
                                      "9" * 4000]),
+    # |W| fits the budget, but its mask estimate has too many digits to print
+    "budget-masks": (3, lambda tmp: ["balanced", "x".join(["A1"] * 7500),
+                                     "--max-order", "9" * 4000]),
 }
 
 
@@ -399,6 +403,7 @@ def test_budget_exit_3(capsys, monkeypatch):
                  ["poincare", "flag", "1" + "0" * 4000],
                  ["balanced", "F4", "--max-order", "100"],
                  ["balanced", "E6"],
+                 ["balanced", "E6", "--max-order", "51840"],
                  ["balanced", "A7"],
                  ["group", "A12"],
                  ["group", "B13"],
@@ -420,17 +425,17 @@ def test_budget_exit_3(capsys, monkeypatch):
 
 def test_balanced_refuses_without_dense_masks_before_building(
         capsys, monkeypatch):
-    # |W(E6)| = 51840 is above the dense limit: refused from the type
+    # the order masks of W(E6) exceed the mask budget: refused from the type
     def refuse(*args, **kwargs):
-        pytest.fail("built before the dense limit was checked")
+        pytest.fail("built before the mask budget was checked")
 
     for mod in (cartan, weyl, bruhat, cli):
         for name in ("build_root_system", "generate", "build_order"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     code, out, err = run(capsys, ["balanced", "E6", "--max-order", "51840"])
-    assert code == 1, err
-    assert "dense order masks" in err
+    assert code == 3, err
+    assert "order masks" in err
 
 
 def test_console_script_byte_identical():

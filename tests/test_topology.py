@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -8,12 +9,12 @@ from weylkit import bbw, topology
 from weylkit.bbw import BBWReport, bbw_cohomology
 from weylkit.bruhat import (build_order, classify, enumerate_balanced,
                             ideal_from_elements, ideal_to_json_dict,
-                            minimal_generators, orthogonal)
+                            minimal_generators, orthogonal,
+                            verify_short_small)
 from weylkit.cartan import build_root_system, parse_type
-from weylkit.errors import InvalidInputError
+from weylkit.errors import InvalidInputError, Record
 from weylkit.families import build_symmetric, lower_half_ideal
-from weylkit.parabolic import (build_parabolic, double_coset_min_rep,
-                               is_left_invariant, is_right_invariant,
+from weylkit.parabolic import (build_parabolic, is_right_invariant,
                                quotient_ideal)
 from weylkit.topology import (GradedRanks, euler_omega, flag_poincare,
                               hausdorff_bound, homotopy_distinction,
@@ -72,6 +73,29 @@ def test_records_compare_by_value():
     haus = records[4].to_json()
     assert haus["complex_dim"] == 3 and "n" not in haus
     assert GradedRanks((1, 0, 2)).to_json() == [1, 0, 2]
+
+
+def test_every_record_to_json_is_json():
+    """to_json of every value record gives JSON values all the way down:
+    a nested record and tuples of tuples come out as objects and lists."""
+    g, o = make_order("A2")
+    half = lower_half_ideal(o)
+    small = verify_short_small(parse_type("A2xA1"), 2)
+    records = [parse_type("A2xA1"), small, classify(o, half),
+               bbw.classify_weight(g, (-1, 2)), bbw_cohomology(g, (-1, 2)),
+               bbw.sheaf_cohomology_cases(g, (-1, 2), 4, cd=1),
+               GradedRanks((1, 0, 2)),
+               hausdorff_bound(o, half, build_parabolic(g, ())),
+               topology.DistinctionReport(j=1, n=3, k=7, b_lower_half=202,
+                                          b_principal=114, strict=True)]
+    assert {type(r) for r in records} == {
+        cls for cls in Record.__subclasses__()
+        if cls.__module__.startswith("weylkit.")}
+    for rec in records:
+        assert json.loads(json.dumps(rec.to_json())) == rec.to_json(), rec
+    doc = small.to_json()
+    assert doc["cartan_type"] == {"factors": [["A", 2], ["A", 1]]}
+    assert doc["witnesses"] and all(type(w) is list for w in doc["witnesses"])
 
 
 def test_a2_lower_half_chain():
@@ -146,10 +170,7 @@ IDEAL_CALLS = {
     "minimal_generators": lambda o, ideal, p: minimal_generators(o, ideal),
     "ideal_to_json_dict": lambda o, ideal, p: ideal_to_json_dict(o, ideal),
     "is_right_invariant": lambda o, ideal, p: is_right_invariant(ideal, p),
-    "is_left_invariant": lambda o, ideal, p: is_left_invariant(ideal, p),
     "quotient_ideal": lambda o, ideal, p: quotient_ideal(ideal, p),
-    "double_coset_min_rep":
-        lambda o, ideal, p: double_coset_min_rep(ideal.g, p, p, 0),
 }
 
 
