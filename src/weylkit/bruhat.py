@@ -21,19 +21,24 @@ kernels serve them: a mask is rendered once as a bit string, and one
 C-level gather gives its w0 image or the set of elements with an upper
 cover in it, so no check walks the members one by one.  Each Ideal
 keeps what is derived from it, once per order or parabolic of its own
-group (_cached): its covered set, its orthogonal's mask and its graded
-ranks.  Balanced
-ideals are enumerated by backtracking over the pairs {x, w0 x}, seeded
-with the small elements (x <= w0 x), which every fat ideal contains,
-and propagated through down and w0 alone, with right-invariance
-folded into down beforehand; all results are then certified at once,
-on the transposed bit matrix.
+group (_cached): its covered set, its orthogonal, the mask of its
+generators and its graded ranks.
+
+Balanced ideals are enumerated by backtracking over the pairs
+{x, w0 x}, seeded with the small elements (x <= w0 x), which every fat
+ideal contains.  Forcing x into I costs two mask operations, whatever
+down[x] holds: I takes down[x], and a small hit mask takes w0 x, for I
+meets w0 I exactly when it meets hit; right-invariance is folded into
+down beforehand.  All results are then certified at once, on the
+transposed bit matrix, and each enumerated ideal keeps what its
+certificate proved: its orthogonal (itself) and its generators.
 """
 
 from __future__ import annotations
 
 import weakref
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 
 from .cartan import CartanType, RootSystem, component_coxeter_number
@@ -328,7 +333,8 @@ def _cached(ideal: Ideal, name: str, owner, compute):
     identity, so a copy such as BruhatOrder(o.g, forged_covers, o.down)
     is a different owner and computes afresh.  A raising compute stores
     nothing.  Ideal equality reads only g and mask, so memos do not
-    count.
+    count.  enumerate_balanced stores _perp and _gens in this form from
+    its certificate.
     """
     check_group(ideal.g, owner)
     hit = ideal.__dict__.get(name)
@@ -402,13 +408,20 @@ def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
 
     In a downward-closed set a member lies below another member exactly
     when some member covers it, so these are the members no member
-    covers; they must regenerate the ideal.
+    covers; they must regenerate the ideal.  Their mask is found once
+    per order; an enumerated ideal comes with the one its certificate
+    proved.
     """
+    return _bit_positions(_cached(ideal, "_gens", o,
+                                  lambda: _generator_mask(o, ideal)))
+
+
+def _generator_mask(o: BruhatOrder, ideal: Ideal) -> int:
     below = _ideal_covered(o, ideal)
     if below & ~ideal.mask:
         raise InvalidInputError("not an ideal")
-    gens = _bit_positions(ideal.mask & ~below)
-    require(ideal_from_elements(o, gens).mask == ideal.mask,
+    gens = ideal.mask & ~below
+    require(ideal_from_elements(o, _bit_positions(gens)).mask == ideal.mask,
             "maximal elements do not regenerate the ideal")
     return gens
 
@@ -513,27 +526,24 @@ def verify_short_small(t: CartanType, max_length: int) -> ShortSmallReport:
 # ---------------------------------------------------------------------------
 # Balanced-ideal enumeration
 
-def _propagate(down: list[int], w0, in_mask: int, out_mask: int,
-               todo: list[int]) -> tuple[int, int] | None:
-    """Force the pending elements into I and close under the rules.
+def _propagate(down: list[int], w0, in_mask: int, hit: int,
+               forced) -> tuple[int, int] | None:
+    """Force the elements into I: (in_mask, hit), or None on contradiction.
 
     I is downward closed, so x joining I brings down[x].  Exactly one of
-    {x, w0 x} is in I, so "x out" means "w0 x in": each b that joins sets
-    bit w0 b of out_mask, which stays w0 * in_mask and, as w0 reverses
-    the order, upward closed with no masks of its own.  Returns None on
-    contradiction, an element both in and out.
+    {x, w0 x} is in I, so I must miss w0 I.  As w0 reverses the order,
+    w0 I is the upper set of the w0 b for b forced, and a downward
+    closed I meets it exactly when I holds one of them: w0 b <= x <= a
+    for forced a, b.  So each forced element sets one bit w0 b of hit,
+    and I meets w0 I iff it meets hit; no bit of down[x] is walked.
+    Under invariance down[b] is the ideal of b's coset top t and I a
+    union of cosets; w0 b and w0 t share the coset (w0 b) W_P, so the
+    bit of w0 b serves for t.
     """
-    while todo:
-        add = down[todo.pop()] & ~in_mask
-        if not add:
-            continue
-        in_mask |= add
-        # a few bits join per step: a loop beats a whole-mask gather here
-        for b in _bit_positions(add):
-            out_mask |= 1 << w0(b)
-        if in_mask & out_mask:
-            return None
-    return in_mask, out_mask
+    for b in forced:
+        in_mask |= down[b]
+        hit |= 1 << w0(b)
+    return None if in_mask & hit else (in_mask, hit)
 
 
 def enumerate_balanced(o: BruhatOrder, invariance=None,
@@ -544,10 +554,20 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     Backtracking over the pairs {x, w0 x} in increasing length of the
     shorter member; the branches of x are "w0 x in" and "x in".  A search
     that finds more than LIST_BUDGET ideals is refused before any is
-    certified.
+    certified.  Each ideal keeps what its certificate proved, as the
+    memos of _cached for this order: it is its own orthogonal, and its
+    generators are the certified ones, so orthogonal, classify and
+    minimal_generators on it neither gather its covers nor regenerate it.
     """
-    _, certified = _enumerate_certified(o, invariance, max_order)
-    return [Ideal(o.g, mask) for mask, _ in certified]
+    used, certified = _enumerate_certified(o, invariance, max_order)
+    g, owner = o.g, weakref.ref(o)
+    own_perp, bits, ideals = (owner, None), [1 << x for x in used], []
+    for mask, row in certified:
+        ideal = Ideal(g, mask)
+        ideal._perp = own_perp
+        ideal._gens = (owner, sum(compress(bits, row)))
+        ideals.append(ideal)
+    return ideals
 
 
 def _enumerate_certified(o: BruhatOrder, invariance=None,
@@ -560,11 +580,13 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     is 1 when used[j] generates the ideal, so compress(used, row) lists
     its generators in word order.
 
-    Under invariance, down[x] becomes the union of down over x's coset
-    x W_P, the principal ideal of its longest member t.  That is a union
-    of cosets, as each s in theta is a descent of t and so u <= t gives
-    u s <= t (lifting, Bjorner-Brenti, Prop. 2.2.7); so are the out-sets,
-    as w0 (x W_P) = (w0 x) W_P, and _propagate needs no coset rule.
+    A search state is the mask of I and the hit mask of _propagate; a
+    pair {x, w0 x} is decided once I holds x or w0 x.  Under invariance,
+    down[x] becomes the union of down over x's coset x W_P, the
+    principal ideal of its longest member t.  That is a union of cosets,
+    as each s in theta is a descent of t and so u <= t gives u s <= t
+    (lifting, Bjorner-Brenti, Prop. 2.2.7), so I stays one, and
+    _propagate needs no coset rule.
     """
     g = o.g
     check_enumeration_budget(g.rs.cartan_type, max_order)
@@ -588,27 +610,28 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     if seeded is None:
         return [], []
 
-    # the member of each pair {x, w0 x} that comes first by (length, id)
+    # each pair {x, w0 x} by its member first in (length, id), and its bits
     pairs = [x for x in range(g.order) if x < w0(x)]
+    pair_bits = [1 << x | 1 << w0(x) for x in pairs]
+    end = len(pairs)
 
     results = []
-    stack = [(seeded[0], seeded[1], 0)]
+    stack = [(*seeded, 0)]
     while stack:
-        in_mask, out_mask, idx = stack.pop()
-        decided = in_mask | out_mask
-        while idx < len(pairs) and decided >> pairs[idx] & 1:
+        in_mask, hit, idx = stack.pop()
+        while idx < end and in_mask & pair_bits[idx]:
             idx += 1
-        if idx == len(pairs):
+        if idx == end:
             if len(results) == LIST_BUDGET:
                 raise BudgetExceededError(
                     f"more than {LIST_BUDGET} balanced ideals to list")
-            results.append((in_mask, out_mask))
+            results.append(in_mask)
             continue
         x = pairs[idx]
         for branch in (w0(x), x):  # x popped first: IN branch first
-            closed = _propagate(down, w0, in_mask, out_mask, [branch])
+            closed = _propagate(down, w0, in_mask, hit, (branch,))
             if closed is not None:
-                stack.append((closed[0], closed[1], idx))
+                stack.append((*closed, idx))
 
     gen_cols = _certify_all(o, results, invariance)
     # the generators in canonical word order: row r of the transposed
@@ -617,7 +640,7 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     used = sorted((x for x, c in enumerate(gen_cols) if c), key=g.reduced_word)
     rows = _rows([gen_cols[x] for x in used], len(results))
     keys = [(row.count(1), row.translate(_FLIP)) for row in rows]
-    return used, [(results[r][0], rows[r])
+    return used, [(results[r], rows[r])
                   for r in sorted(range(len(results)), key=keys.__getitem__)]
 
 
@@ -638,30 +661,31 @@ def _columns(masks: list[int], n: int) -> list[int]:
     return cols
 
 
-def _certify_all(o: BruhatOrder, results: list[tuple[int, int]],
-                 invariance) -> list[int]:
-    """Certify the search results (in_mask, out_mask) all at once.
+def _certify_all(o: BruhatOrder, masks: list[int], invariance) -> list[int]:
+    """Certify the search results, the masks of I, all at once.
 
-    Returns the generator columns G below.  Each result must decide
-    every element and hold half of W.  The rest runs on columns: R[y]
-    has bit r set when result r contains y, so each check costs
+    Returns the generator columns G below.  The checks run on columns:
+    R[y] has bit r set when result r contains y, so each costs
     O(|W| + cover edges) big-int operations, whatever the count.
-    Downward closed: every R[y] with y covering x lies inside R[x].
-    Equal to its orthogonal: R[w0 y] = ALL ^ R[y].  Under invariance,
-    a union of cosets: R[y] = R[y s] for s in theta.  The generators of
-    result r are the x with bit r in G[x] = R[x] & ~OR{R[y] : y covers x};
-    they must regenerate the result through the down masks.  Covers,
-    the w0 table and the group table are read here, and the down masks
-    only to regenerate, so a forged cover list cannot hide a generator.
+    Decided: every pair {y, w0 y} has a member in each result,
+    R[y] | R[w0 y] = ALL.  Each result holds half of W, so with the
+    pairs decided it holds exactly one member of each: it equals its
+    orthogonal w0 (W \\ I), and no third check is needed.  Downward
+    closed: every R[y] with y covering x lies inside R[x].  Under
+    invariance, a union of cosets: R[y] = R[y s] for s in theta.  The
+    generators of result r are the x with bit r in
+    G[x] = R[x] & ~OR{R[y] : y covers x}; they must regenerate the
+    result through the down masks.  Covers, the w0 table and the group
+    table are read here, and the down masks only to regenerate, so a
+    forged cover list cannot hide a generator.
     """
-    g, n, full = o.g, o.g.order, o.full_mask
-    require(all(i | u == full for i, u in results),
-            "search result leaves elements undecided")
-    require(all(2 * i.bit_count() == n for i, _ in results),
-            "search result does not hold half of W")
-    masks = [i for i, _ in results]
+    g, n = o.g, o.g.order
     cols = _columns(masks, n)
     every = (1 << len(masks)) - 1
+    require(all(c | cols[g.w0_left(y)] == every for y, c in enumerate(cols)),
+            "search result leaves elements undecided")
+    require(all(2 * m.bit_count() == n for m in masks),
+            "search result does not hold half of W")
     above = []
     for ys in o._upper:
         a = 0
@@ -670,8 +694,6 @@ def _certify_all(o: BruhatOrder, results: list[tuple[int, int]],
         above.append(a)
     require(all(a & ~c == 0 for a, c in zip(above, cols)),
             "search result is not downward closed")
-    require(all(cols[g.w0_left(y)] == every ^ c for y, c in enumerate(cols)),
-            "search result differs from its orthogonal")
     require(invariance is None or all(
         c == cols[g.rmult[y][i]]
         for y, c in enumerate(cols) for i in invariance.theta),

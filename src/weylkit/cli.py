@@ -225,9 +225,6 @@ def _cmd_betti(args, t0):
     theta = _parse_gens(args.domain, g.rank)
     p = build_parabolic(g, theta)
     cls = bruhat.classify(o, ideal)
-    if topology._invariant_ranks(ideal, p) is None:
-        raise InvalidInputError(
-            "ideal is not right-invariant under the domain subgroup")
     inputs = {"type": args.type, "ideal": args.ideal,
               "domain": list(theta), "genus": args.genus}
     outputs = {

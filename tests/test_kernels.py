@@ -5,8 +5,9 @@ random element sets: the w0 image, the covered set, right invariance
 for every generator subset and the popcount graded ranks
 must equal plain loops over the members; orthogonal is an involution,
 the splitting identity holds, and ideal JSON round-trips.  The facts an
-Ideal keeps about itself (covered set, orthogonal, graded ranks) give
-the same answers as a fresh Ideal, and do not hide a forged cover list.
+Ideal keeps about itself (covered set, orthogonal, generators, graded
+ranks) give the same answers as a fresh Ideal, and do not hide a forged
+cover list; an enumerated Ideal answers them without the cover gather.
 At rank 4, on fresh orders and on orders whose parts were already read,
 downward closure, the orthogonal and the maximal elements match the
 subword oracle.
@@ -276,6 +277,28 @@ def test_repeated_calls_match_a_fresh_ideal(case):
             fresh = Ideal(o.g, ideal.mask)
             assert outcome(call, o, ideal, p) == outcome(call, o, fresh, p), \
                 name
+
+
+def test_enumerated_ideals_answer_without_the_cover_gather(monkeypatch):
+    """An enumerated ideal keeps what its certificate proved, its
+    orthogonal and its generators: with the cover gather refused, it
+    answers every call as a fresh ideal does with the gather."""
+    def refuse(o, mask):
+        raise AssertionError("cover gather on an enumerated ideal")
+    for spec in ("A3", "B3", "A2xA1", "B2xA1"):
+        o = order_of(spec)
+        g = o.g
+        for theta in thetas(g.rank):
+            p = build_parabolic(g, theta)
+            for inv in (None, p):
+                ideals = enumerate_balanced(o, invariance=inv)
+                want = [[outcome(call, o, Ideal(g, i.mask), p)
+                         for call in MEMO_CALLS.values()] for i in ideals]
+                with monkeypatch.context() as patch:
+                    patch.setattr(bruhat, "_covered", refuse)
+                    got = [[outcome(call, o, i, p)
+                            for call in MEMO_CALLS.values()] for i in ideals]
+                assert got == want, (spec, theta, inv is None)
 
 
 @SETTINGS

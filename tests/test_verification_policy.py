@@ -96,6 +96,43 @@ print(__debug__, outcome(lambda: orthogonal(forged, ideal)),
 """
 
 
+# An enumerated ideal holds its certified orthogonal and generators for
+# its own order only: forged copies of that order still refuse it.
+OPTIMIZED_ENUMERATED = """
+from weylkit import (BruhatOrder, InvalidInputError, VerificationError,
+                     build_order, build_root_system, enumerate_balanced,
+                     generate, minimal_generators, orthogonal, parse_type)
+
+
+def outcome(fn):
+    try:
+        fn()
+    except (InvalidInputError, VerificationError) as exc:
+        return type(exc).__name__
+    return "returned"
+
+
+o = build_order(generate(build_root_system(parse_type("A3"))))
+g = o.g
+ideal = enumerate_balanced(o)[0]
+gens = minimal_generators(o, ideal)
+orthogonal(o, ideal)
+# a generator claims to cover an element outside the ideal
+outside = next(x for x in range(g.order) if x not in ideal)
+covers = [list(c) for c in o.covers]
+covers[gens[-1]].append(outside)
+over = BruhatOrder(g=g, covers=covers, down=o.down)
+# the identity claims to cover a generator, so it drops out
+covers = list(o.covers)
+covers[0] = [gens[-1]]
+hidden = BruhatOrder(g=g, covers=covers, down=o.down)
+print(__debug__, outcome(lambda: orthogonal(over, ideal)),
+      outcome(lambda: minimal_generators(over, ideal)),
+      outcome(lambda: minimal_generators(hidden, ideal)),
+      outcome(lambda: minimal_generators(o, ideal)))
+"""
+
+
 # A mask that lacks its own element never decides that branch; the
 # search must refuse it instead of pushing the same state forever.
 OPTIMIZED_DOWN = """
@@ -190,6 +227,12 @@ def test_checks_run_under_python_O():
 def test_memo_checks_a_forged_order_under_python_O():
     assert _run_optimized(OPTIMIZED_MEMO) == ["False", "VerificationError",
                                               "returned"]
+
+
+def test_enumerated_ideal_is_refused_by_a_forged_order_under_python_O():
+    assert _run_optimized(OPTIMIZED_ENUMERATED, timeout=30) == [
+        "False", "InvalidInputError", "InvalidInputError",
+        "VerificationError", "returned"]
 
 
 def test_forged_down_without_its_element_is_refused_under_python_O():
