@@ -29,9 +29,12 @@ Balanced ideals are enumerated by backtracking over the pairs
 ideal contains.  Forcing x into I costs two mask operations, whatever
 down[x] holds: I takes down[x], and a small hit mask takes w0 x, for I
 meets w0 I exactly when it meets hit; right-invariance is folded into
-down beforehand.  All results are then certified at once, on the
-transposed bit matrix, and each enumerated ideal keeps what its
-certificate proved: its orthogonal (itself) and its generators.
+down beforehand.  A right-invariant balanced ideal is a union of
+cosets holding |W|/2 elements, so an odd coset count answers at once,
+with no ideal, before covers or masks are built.  All results are then
+certified at once, on the transposed bit matrix, and each enumerated
+ideal keeps what its certificate proved: its orthogonal (itself) and
+its generators.
 """
 
 from __future__ import annotations
@@ -318,10 +321,13 @@ class Ideal:
 
 
 def check_group(g: WeylGroup, *parts) -> None:
-    """Refuse orders and parabolics built on a group other than g."""
-    if any(part.g is not g for part in parts):
-        raise InvalidInputError(
-            "ideal, parabolic, and order must share a group")
+    """Refuse orders and parabolics built on a group other than g.
+
+    Every memo read runs it, so it is a plain loop."""
+    for part in parts:
+        if part.g is not g:
+            raise InvalidInputError(
+                "ideal, parabolic, and order must share a group")
 
 
 def _cached(ideal: Ideal, name: str, owner, compute):
@@ -552,12 +558,15 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     (generator count, generator word list).
 
     Backtracking over the pairs {x, w0 x} in increasing length of the
-    shorter member; the branches of x are "w0 x in" and "x in".  A search
-    that finds more than LIST_BUDGET ideals is refused before any is
-    certified.  Each ideal keeps what its certificate proved, as the
-    memos of _cached for this order: it is its own orthogonal, and its
-    generators are the certified ones, so orthogonal, classify and
-    minimal_generators on it neither gather its covers nor regenerate it.
+    shorter member; the branches of x are "w0 x in" and "x in".  Under an
+    invariance with an odd coset count there is no such ideal, and the
+    empty list comes back without reading the order, even one without
+    masks.  A search that finds more than LIST_BUDGET ideals is refused
+    before any is certified.  Each ideal keeps what its certificate
+    proved, as the memos of _cached for this order: it is its own
+    orthogonal, and its generators are the certified ones, so
+    orthogonal, classify and minimal_generators on it neither gather its
+    covers nor regenerate it.
     """
     used, certified = _enumerate_certified(o, invariance, max_order)
     g, owner = o.g, weakref.ref(o)
@@ -580,6 +589,11 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     is 1 when used[j] generates the ideal, so compress(used, row) lists
     its generators in word order.
 
+    The budget and the group of the invariance are checked first.  Then
+    an odd coset count |W/W_P| returns ([], []) before o.down is read:
+    a balanced I holds |W|/2 elements and an invariant one is a union of
+    cosets of |W_P| elements, so |W/W_P| = 2|I|/|W_P| would be even.
+
     A search state is the mask of I and the hit mask of _propagate; a
     pair {x, w0 x} is decided once I holds x or w0 x.  Under invariance,
     down[x] becomes the union of down over x's coset x W_P, the
@@ -590,10 +604,12 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     """
     g = o.g
     check_enumeration_budget(g.rs.cartan_type, max_order)
-    if o.down is None:
-        raise InvalidInputError("enumeration needs the dense order masks")
     if invariance is not None:
         check_group(g, invariance)
+        if invariance.n_cosets % 2:
+            return [], []
+    if o.down is None:
+        raise InvalidInputError("enumeration needs the dense order masks")
 
     # the small elements, x <= w0 x, read straight from the masks
     down, w0 = o.down, g.w0_left

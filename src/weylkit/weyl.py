@@ -19,7 +19,8 @@ same product (Bjorner-Brenti, Sec. 1.4).  Ids are read in order and letters
 tried in increasing order, so the BFS word is the shortlex normal form,
 the lex-first reduced word (Bjorner-Brenti, Ch. 3): the canonical word.
 The inverses and the w0 table are walks through the finished columns,
-built on first use.
+built on first use, and the canonical word of an id is walked once, when
+it is first asked for, and kept.
 """
 
 from __future__ import annotations
@@ -124,6 +125,12 @@ class WeylGroup:
         return table
 
     @cached_property
+    def _words(self) -> dict[int, Word]:
+        """The reduced words asked for so far, by id; it holds only
+        those, not a table over all of W."""
+        return {}
+
+    @cached_property
     def inverse(self) -> list[int]:
         """x = s_1 ... s_k along its BFS word, so x^-1 = s_k ... s_1: read
         the letters back up the parent chain, multiplying on the right.
@@ -159,9 +166,16 @@ class WeylGroup:
         normal form, the lex-first reduced word (Bjorner-Brenti, Ch. 3).
         The build reaches y first as x s_i for the least id x, then the
         least i, so by induction on length ids within a length follow
-        lex order and lexfirst(y) = lexfirst(x) + (i)."""
-        self._check_id(x)
-        return self.bfs_word(x)
+        lex order and lexfirst(y) = lexfirst(x) + (i).
+
+        Each id's word is walked once and kept in _words; an id not yet
+        kept is checked first, so only ids in range are ever kept."""
+        words = self._words
+        word = words.get(x)
+        if word is None:
+            self._check_id(x)
+            word = words[x] = self.bfs_word(x)
+        return word
 
     def _check_id(self, x: int) -> None:
         if not 0 <= x < self.order:

@@ -3,12 +3,16 @@
 The acceptance checks print one pass/fail line each, but pytest's
 default capture grabs the file descriptor, so passing tests would stay
 silent.  The lines are recorded in the test module and replayed after
-the terminal summary.  forge builds a tampered copy of a table, and
-check_record checks the repr and equality of a value record.
+the terminal summary.  forge builds a tampered copy of a table,
+check_record checks the repr and equality of a value record, and
+COVER_TYPES lists the types the table and order tests sweep.
 """
 
 import inspect
 import sys
+
+COVER_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2",
+               "F4", "A1xA1", "A2xA1", "B2xA2", "D5"]
 
 _FIELDS = {
     "WeylGroup": ("rs", "length", "rmult", "bfs_parent", "bfs_letter",

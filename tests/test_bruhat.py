@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from conftest import check_record, forge
+from conftest import COVER_TYPES, check_record, forge
 from weylkit import bruhat, cartan
 from weylkit.bruhat import (_certify_all, build_order, classify,
                             enumerate_balanced,
@@ -80,10 +80,6 @@ def reflection_covers(g):
                     found.append(id_of[yt])
         covers.append(sorted(found))
     return covers
-
-
-COVER_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2",
-               "F4", "A1xA1", "A2xA1", "B2xA2", "D5"]
 
 
 def test_descent_recursion_covers_match_reflection_covers():
@@ -384,16 +380,42 @@ def test_balanced_enumeration_is_deterministic():
     assert len(first) == 29
 
 
+PARITY_TYPES = ["A1", "A2", "A3", "B2", "G2", "B3", "C3", "A4", "A2xA1",
+                "B2xA1", "A2xA2", "B2xA2", "A1xA1xA1"]
+
+
 def test_right_invariant_enumeration_filters():
-    for spec in ["A3", "B3", "G2", "A2xA1", "B2xA1"]:
+    """For every theta, the invariant search lists exactly the right-
+    invariant members of the full list, in its order.  The full list
+    is filtered member by member, so the odd coset counts, which the
+    invariant search answers without searching, are checked too."""
+    thetas = odd = 0
+    for spec in PARITY_TYPES:
         g, o = make_order(spec)
         every = enumerate_balanced(o)
         for k in range(g.rank + 1):
             for theta in itertools.combinations(range(g.rank), k):
                 p = build_parabolic(g, theta)
-                got = enumerate_balanced(o, invariance=p)
                 want = [i.mask for i in every if is_right_invariant(i, p)]
-                assert sorted(i.mask for i in got) == sorted(want)
+                got = [i.mask for i in enumerate_balanced(o, invariance=p)]
+                assert got == want, (spec, theta)
+                thetas += 1
+                odd += p.n_cosets % 2
+    assert (thetas, odd) == (110, 29)
+
+
+def test_odd_coset_count_answers_without_the_order(monkeypatch):
+    """A2 over W_P = <s1> has 3 cosets: no balanced ideal is a union of
+    them, and the answer reads neither covers nor masks nor searches."""
+    def refuse(*args, **kwargs):
+        pytest.fail("searched for an odd coset count")
+
+    monkeypatch.setattr(bruhat, "_propagate", refuse)
+    g, o = make_order("A2")
+    p = build_parabolic(g, (0,))
+    assert p.n_cosets == 3
+    assert enumerate_balanced(o, invariance=p) == []
+    assert "down" not in vars(o) and "covers" not in vars(o)
 
 
 def _closure_by_members(o, p, pushed):
@@ -622,11 +644,14 @@ def test_ideal_json_round_trip():
 
 
 def test_enumeration_refuses_a_parabolic_of_another_group():
-    """A2xA1 and G2 both have 12 elements: the refusal reads the group."""
+    """A2xA1 and G2 both have 12 elements: the refusal reads the group,
+    also for G2's whole group, one coset, which the parity exit would
+    otherwise answer."""
     g, o = make_order("A2xA1")
     g2, _ = make_order("G2")
-    with pytest.raises(InvalidInputError, match="share a group"):
-        enumerate_balanced(o, invariance=build_parabolic(g2, ()))
+    for theta in ((), (0, 1)):
+        with pytest.raises(InvalidInputError, match="share a group"):
+            enumerate_balanced(o, invariance=build_parabolic(g2, theta))
     assert enumerate_balanced(o, invariance=build_parabolic(g, ()))
 
 

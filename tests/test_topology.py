@@ -12,10 +12,10 @@ from weylkit.bruhat import (build_order, classify, enumerate_balanced,
                             minimal_generators, orthogonal,
                             verify_short_small)
 from weylkit.cartan import build_root_system, parse_type
-from weylkit.errors import InvalidInputError, Record
+from weylkit.errors import InvalidInputError, Record, VerificationError
 from weylkit.families import build_symmetric, lower_half_ideal
-from weylkit.parabolic import (build_parabolic, is_right_invariant,
-                               quotient_ideal)
+from weylkit.parabolic import (ParabolicSubset, build_parabolic,
+                               is_right_invariant, quotient_ideal)
 from weylkit.topology import (GradedRanks, euler_omega, flag_poincare,
                               hausdorff_bound, homotopy_distinction,
                               incidence_betti, omega_betti,
@@ -137,6 +137,37 @@ def test_euler_omega_requires_balanced():
     slim_not_balanced = ideal_from_elements(o, [0])
     with pytest.raises(InvalidInputError):
         euler_omega(o, slim_not_balanced, p)
+
+
+def test_euler_omega_does_not_call_omega_betti(monkeypatch):
+    """euler_omega reads the even Betti numbers once, through the helper
+    it shares with omega_betti, and keeps its three refusals and its
+    check that the Betti numbers sum to the coset count."""
+    def refuse(*args, **kwargs):
+        pytest.fail("euler_omega called omega_betti")
+
+    monkeypatch.setattr(topology, "omega_betti", refuse)
+    for spec, theta in (("D4", (0,)), ("A4", ())):
+        g, o = make_order(spec)
+        p = build_parabolic(g, theta)
+        ideals = enumerate_balanced(o, invariance=p if theta else None)
+        assert ideals
+        assert all(euler_omega(o, i, p) == p.n_cosets for i in ideals)
+
+    g, o = make_order("A2")
+    p, p1 = build_parabolic(g, ()), build_parabolic(g, (0,))
+    (balanced,) = enumerate_balanced(o)
+    with pytest.raises(InvalidInputError, match="^ideal is not slim$"):
+        euler_omega(o, ideal_from_elements(o, [g.w0]), p)
+    with pytest.raises(InvalidInputError, match="^ideal is not balanced$"):
+        euler_omega(o, ideal_from_elements(o, [0]), p)
+    with pytest.raises(InvalidInputError,
+                       match="^ideal is not right-invariant under W_P$"):
+        euler_omega(o, balanced, p1)
+    forged = ParabolicSubset(g, p.theta, p.subgroup, p.min_reps, p.coset_of)
+    forged.length_masks = [0] + p.length_masks[1:]
+    with pytest.raises(VerificationError, match="do not sum to"):
+        euler_omega(o, balanced, forged)
 
 
 SHARED_GROUP_CALLS = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forge
+from conftest import COVER_TYPES, forge
 from weylkit import weyl
 from weylkit.cartan import CartanType, build_root_system, parse_type
 from weylkit.errors import (BudgetExceededError, InvalidInputError,
@@ -71,6 +71,31 @@ def test_reduced_words_evaluate_back():
             word = g.reduced_word(x)
             assert len(word) == g.length[x]
             assert g.word_to_id(word) == x
+
+
+def test_reduced_word_walks_each_id_once(monkeypatch):
+    """The words are kept as they are asked for: over two passes each
+    id's BFS word is walked once, and ids out of range are refused
+    whether or not the memo is full."""
+    walk = weyl.WeylGroup.bfs_word
+    walked = []
+
+    def counting(self, x):
+        walked.append(x)
+        return walk(self, x)
+
+    monkeypatch.setattr(weyl.WeylGroup, "bfs_word", counting)
+    for spec in COVER_TYPES:
+        g = grp(spec)
+        walked.clear()
+        for _ in range(2):
+            for bad in (-1, g.order):
+                with pytest.raises(InvalidInputError, match="out of range"):
+                    g.reduced_word(bad)
+            for x in range(g.order):
+                assert g.reduced_word(x) == walk(g, x)
+        assert walked == list(range(g.order)), spec
+        assert len(g._words) == g.order
 
 
 def test_w0_left_reverses_length():
