@@ -9,10 +9,10 @@ down[y] collects everything reachable downward from y.  Nothing is kept
 upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x].
 Covers and masks are each built on first read.  Enumeration needs the
 masks and builds them, and its budget refuses masks over MASK_BUDGET
-bytes; leq and ideal generation read them when built and never build
-them.  Without them a comparison is a walk down y's BFS chain (lifting
-property), at most l(y) steps and no state, and an ideal is generated
-by one sweep down the ids over the covers built from the group table.
+bytes; leq reads them when built and never builds them.  Without them
+a comparison is a walk down y's BFS chain (lifting property), at most
+l(y) steps and no state.  An ideal is generated by one sweep down the
+ids over the covers built from the group table, masks or no masks.
 
 An ideal is a downward-closed subset, stored as a membership bitmask.
 The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
@@ -387,21 +387,14 @@ def principal_ideal(o: BruhatOrder, x: int) -> Ideal:
 def ideal_from_elements(o: BruhatOrder, xs) -> Ideal:
     """The ideal generated by xs.
 
-    Like leq, this reads the down masks when they have been built and
-    never builds them.  Otherwise it closes xs in one sweep down the
-    ids over the covers built from the group table, never over covers
+    One sweep down the ids over the covers built from the group table
+    closes xs; it reads no down masks, built or not, and never covers
     given to a copy, so a forged cover list cannot hide a generator
     from the regeneration check of minimal_generators.
     """
     g, xs = o.g, list(xs)
     for x in xs:
         g._check_id(x)
-    down = vars(o).get("down")
-    if down is not None:
-        m = 0
-        for x in xs:
-            m |= down[x]
-        return Ideal(g, m)
     covers, below = o._table_covers, set(xs)
     for y in range(max(xs, default=0), 0, -1):  # covers have smaller ids
         if y in below:

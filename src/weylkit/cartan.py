@@ -314,28 +314,14 @@ def positive_coroots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 
 
 def component_coxeter_number(rs: RootSystem, component: tuple[int, ...]) -> int:
-    """Order of the product of the simple reflections with these indices.
-
-    For one connected Dynkin component of rs (or one factor of its type)
-    this is the Coxeter number.  The order is taken on root coordinates,
-    a faithful representation, so it equals the element order in W; it
-    is not read off as 2N/rank, which criterion 8 checks independently.
+    """Coxeter number of one connected Dynkin component of rs (or one
+    factor of its type): 1 + the height of its highest root, the largest
+    coordinate sum among the positive roots supported on it (Kostant
+    1959; Humphreys, Reflection Groups and Coxeter Groups, Ch. 3).  Only
+    the positive roots are read; criterion 8 checks the rule
+    independently, as 2N/rank.  D2, whose two nodes are not joined,
+    gets 2.
     """
-    rank = rs.rank
-    units = [tuple(int(a == j) for a in range(rank)) for j in range(rank)]
-    # columns of the composite matrix
-    cols = []
-    for v in units:
-        for i in reversed(component):
-            v = rs.reflect(i, v)
-        cols.append(v)
-    cur = cols
-    order = 1
-    while cur != units:
-        cur = [tuple(sum(cols[a][r] * c[a] for a in range(rank))
-                     for r in range(rank)) for c in cur]
-        order += 1
-        # h is n+1 for A_n, 2n for B_n and C_n, 2n-2 for D_n, <= 30 for E-G
-        require(order <= max(30, 2 * len(component)),
-                "runaway Coxeter element order")
-    return order
+    outside = [j for j in range(rs.rank) if j not in component]
+    return 1 + max(sum(r) for r in rs.positive_roots
+                   if not any(r[j] for j in outside))

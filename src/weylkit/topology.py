@@ -16,7 +16,7 @@ t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
 
 from __future__ import annotations
 
-from .bruhat import BruhatOrder, Ideal, _cached, classify, mask_of, orthogonal
+from .bruhat import BruhatOrder, Ideal, _cached, classify, orthogonal
 from .errors import BudgetExceededError, InvalidInputError, Record, require
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
 from .parabolic import ParabolicSubset, build_parabolic, is_right_invariant
@@ -65,22 +65,13 @@ def _trim(ranks) -> tuple[int, ...]:
 def _ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
     """r_k(I) = |I & W^P of quotient length k|, k = 0..l(w0 W_P).
 
-    An ideal that is not right-invariant raises every time.
-    """
-    ranks = _invariant_ranks(ideal, p)
-    if ranks is None:
-        raise InvalidInputError("ideal is not right-invariant under W_P")
-    return ranks
-
-
-def _invariant_ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...] | None:
-    """The ranks r_k(I), or None when I is not right-invariant.
-
-    Computed once per (ideal, p), the invariance check included.
+    Computed once per (ideal, p), the invariance check included.  An
+    ideal that is not right-invariant is refused; _cached keeps nothing
+    for a compute that raises, so it is refused every time.
     """
     def compute():
         if not is_right_invariant(ideal, p):
-            return None
+            raise InvalidInputError("ideal is not right-invariant under W_P")
         return tuple((ideal.mask & m).bit_count() for m in p.length_masks)
     return _cached(ideal, "_ranks", p, compute)
 
@@ -291,7 +282,7 @@ def homotopy_distinction(j: int, verify: bool = True) -> DistinctionReport:
     b_half = omega_betti(o, half, p).get(2 * k)
     b_principal = omega_betti(o, principal, p).get(2 * k)
     # balanced + l(w0) odd make both values twice a middle length count
-    level = mask_of((x for x in range(g.order) if g.length[x] == k), g.order)
+    level = p.length_masks[k]       # W^P = W: the elements of length k
     require(b_half == 2 * level.bit_count(),
             "lower-half b_2k differs from twice the middle level count")
     require(b_principal == 2 * (principal.mask & level).bit_count(),

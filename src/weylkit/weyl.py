@@ -169,17 +169,21 @@ class WeylGroup:
         lex order and lexfirst(y) = lexfirst(x) + (i).
 
         Each id's word is walked once and kept in _words; an id not yet
-        kept is checked first, so only ids in range are ever kept."""
+        kept, or not an int, is checked first, so only int ids in range
+        are ever kept and 1.0 or True never reads the word of 1."""
         words = self._words
-        word = words.get(x)
+        word = words.get(x) if type(x) is int else None
         if word is None:
             self._check_id(x)
             word = words[x] = self.bfs_word(x)
         return word
 
     def _check_id(self, x: int) -> None:
+        """Refuse any id but an int in range(|W|); a bool is no int here."""
+        if type(x) is not int:
+            raise InvalidInputError(f"element id {clip(repr(x))} is not an int")
         if not 0 <= x < self.order:
-            raise InvalidInputError(f"element id {x} out of range")
+            raise InvalidInputError(f"element id {clip(x)} out of range")
 
 
 def check_table_budget(t: CartanType) -> None:

@@ -290,6 +290,21 @@ def test_mask_free_ideals_match_dense():
             assert ideal_from_json_dict(bare, data) == ideal, spec
 
 
+def test_ideal_generation_reads_no_masks():
+    """Ideals are generated over the table covers even when the masks
+    are built: with every down mask zeroed, each principal ideal and
+    each ideal of a pair {x, w0 x} still matches the subword oracle."""
+    for spec in ["A3", "B3", "D4"]:
+        g, o = make_order(spec)
+        assert o.down is not None
+        want = [subword_ideal_mask(o, y) for y in range(g.order)]
+        o.__dict__["down"] = [0] * g.order
+        for x in range(g.order):
+            assert principal_ideal(o, x).mask == want[x], (spec, x)
+            pair = ideal_from_elements(o, [x, g.w0_left(x)])
+            assert pair.mask == want[x] | want[g.w0_left(x)], (spec, x)
+
+
 def test_orthogonal_involution_swaps_slim_fat():
     for spec in ["A2", "B2", "A3"]:
         g, o = make_order(spec)

@@ -1,6 +1,6 @@
 import pytest
 
-from weylkit.cartan import (CartanType, build_root_system,
+from weylkit.cartan import (CartanType, RootSystem, build_root_system,
                             component_coxeter_number, parse_type,
                             positive_coroots)
 from weylkit.errors import InvalidInputError
@@ -78,6 +78,39 @@ def test_coxeter_numbers():
         assert 2 * rs.n_positive == rs.rank * h
     # h = 2n grows with the rank; no fixed cap on the element order holds
     assert build_root_system(parse_type("B33")).coxeter_numbers == (66,)
+
+
+def _root_count_h(rs, comp):
+    """2|S+_c|/|c| over the positive roots supported on comp."""
+    inside = set(comp)
+    n = sum(all(i in inside for i, c in enumerate(r) if c)
+            for r in rs.positive_roots)
+    assert 2 * n % len(comp) == 0
+    return 2 * n // len(comp)
+
+
+def test_coxeter_numbers_read_only_the_roots(monkeypatch):
+    """With reflect refusing, h still comes out, and equals 2|S+_c|/|c|
+    on each component c, a root count that reads no heights."""
+    def refuse(self, i, v):
+        raise AssertionError("reflect called")
+
+    monkeypatch.setattr(RootSystem, "reflect", refuse)
+    specs = [f"{fam}{n}" for fam in "ABC" for n in range(1, 9)]
+    specs += [f"D{n}" for n in range(2, 9)]
+    specs += ["E6", "E7", "E8", "F4", "G2", "B33", "D30", "A40", "A2xB2",
+              "D2xA1", "B2xG2xA1"]
+    for spec in specs:
+        rs = build_root_system(parse_type(spec))
+        for comp in rs.components:
+            assert component_coxeter_number(rs, comp) == \
+                _root_count_h(rs, comp), spec
+        factors, offset = [], 0
+        for _, n in rs.cartan_type.factors:
+            factors.append(tuple(range(offset, offset + n)))
+            offset += n
+        assert rs.coxeter_numbers == \
+            tuple(_root_count_h(rs, f) for f in factors), spec
 
 
 def test_e_types():

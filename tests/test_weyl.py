@@ -98,6 +98,25 @@ def test_reduced_word_walks_each_id_once(monkeypatch):
         assert len(g._words) == g.order
 
 
+def test_reduced_word_refuses_ids_that_are_not_ints():
+    """A float or bool id is refused before and after the memo holds
+    the word of its int twin, which compares and hashes equal to it."""
+    g = grp("A2")
+    for _ in range(2):          # the second pass runs with the twins kept
+        for bad in (1.0, True, 0.0, False):
+            with pytest.raises(InvalidInputError, match="is not an int"):
+                g.reduced_word(bad)
+        assert g.reduced_word(1) == (0,) and g.reduced_word(0) == ()
+    assert set(map(type, g._words)) == {int}
+    with pytest.raises(InvalidInputError, match="is not an int"):
+        g.reduced_word([1])             # unhashable: no memo lookup
+    with pytest.raises(InvalidInputError, match="is not an int") as err:
+        g.reduced_word("9" * 5000)
+    assert len(str(err.value)) < 100    # the echo is clipped
+    with pytest.raises(InvalidInputError, match="bit number out of range"):
+        g.reduced_word(10**5000)        # past str()'s digit limit
+
+
 def test_w0_left_reverses_length():
     for spec in ["A3", "B3"]:
         g = grp(spec)
