@@ -40,6 +40,7 @@ its generators.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
@@ -242,10 +243,11 @@ def leq(o: BruhatOrder, x: int, y: int) -> bool:
 
     Ids are in BFS order, so y < x rules out x <= y.  The masks are read
     when they have been built; leq never builds them, and walks instead.
+    Ids are refused as _check_id refuses them, past one fast test.
     """
     g = o.g
     n = g.order
-    if not (0 <= x < n and 0 <= y < n):
+    if not (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n):
         g._check_id(x)
         g._check_id(y)
     if x >= y:
@@ -313,6 +315,7 @@ class Ideal:
         return self.mask.bit_count()
 
     def __contains__(self, x: int) -> bool:
+        self.g._check_id(x)
         return bool(self.mask >> x & 1)
 
     def members(self) -> list[int]:
@@ -475,6 +478,7 @@ def classify(o: BruhatOrder, ideal: Ideal) -> IdealClass:
 
 def is_small(o: BruhatOrder, x: int) -> bool:
     """x <= w0 x."""
+    o.g._check_id(x)
     return leq(o, x, o.g.w0_left(x))
 
 
@@ -505,14 +509,15 @@ def verify_short_small(t: CartanType, max_length: int) -> ShortSmallReport:
     """Check smallness of every element of length <= max_length.
 
     Needs only the group table: each x is compared with w0 x by the
-    mask-free walk.  Witnesses come in id order, that is (length, id).
+    mask-free walk.  Lengths never decrease along the ids, so the
+    elements of length 1 to max_length are one id range after the
+    identity.  Witnesses come in id order, that is (length, id).
     """
     if max_length not in (1, 2):
         raise InvalidInputError("max_length must be 1 or 2")
     g = build_group(t)
-    witnesses = [x for x in range(g.order)
-                 if 0 < g.length[x] <= max_length
-                 and not _leq_walk(g, x, g.w0_left(x))]
+    witnesses = [x for x in range(1, bisect_right(g.length, max_length))
+                 if not _leq_walk(g, x, g.w0_left(x))]
     return ShortSmallReport(
         cartan_type=t,
         max_length=max_length,
@@ -590,10 +595,12 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     A search state is the mask of I and the hit mask of _propagate; a
     pair {x, w0 x} is decided once I holds x or w0 x.  Under invariance,
     down[x] becomes the union of down over x's coset x W_P, the
-    principal ideal of its longest member t.  That is a union of cosets,
-    as each s in theta is a descent of t and so u <= t gives u s <= t
-    (lifting, Bjorner-Brenti, Prop. 2.2.7), so I stays one, and
-    _propagate needs no coset rule.
+    principal ideal of its longest member t, read as down[t].  Ids never
+    decrease in length and t is the coset's one longest member, so t is
+    its largest id.  down[t] is a union of cosets, as each s in theta is
+    a descent of t and so u <= t gives u s <= t (lifting,
+    Bjorner-Brenti, Prop. 2.2.7), so I stays one, and _propagate needs
+    no coset rule.  The certificate checks each result all the same.
     """
     g = o.g
     check_enumeration_budget(g.rs.cartan_type, max_order)
@@ -611,10 +618,9 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
             "down[x] must contain x")
     seeds = [x for x in range(g.order) if down[w0(x)] >> x & 1]
     if invariance is not None:
-        fold: dict[int, int] = {}
-        for x, rep in enumerate(invariance.coset_of):
-            fold[rep] = fold.get(rep, 0) | down[x]
-        down = [fold[rep] for rep in invariance.coset_of]
+        # each coset's largest id, the last one a dict keeps per label
+        top = dict(zip(invariance.coset_of, range(g.order)))
+        down = [down[top[rep]] for rep in invariance.coset_of]
     seeded = _propagate(down, w0, 0, 0, seeds)
     if seeded is None:
         return [], []

@@ -117,10 +117,10 @@ def _file_error(what: str, path: str, exc: OSError) -> InvalidInputError:
     return InvalidInputError(f"{what} {_clip_path(path)}: {exc.strerror}")
 
 
-def _emit(args, command: str, inputs: dict, outputs: dict,
-          verification: dict, human_lines: list[str], t0: float) -> None:
+def _emit(args, inputs: dict, outputs: dict, verification: dict,
+          human_lines: list[str], t0: float) -> None:
     if args.json:
-        doc = {"schema": 1, "command": command, "inputs": inputs,
+        doc = {"schema": 1, "command": args.command, "inputs": inputs,
                "outputs": outputs, "verification": verification}
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         return
@@ -145,7 +145,7 @@ def _cmd_group(args, t0):
              f"l(w0) = {g.n_positive}",
              "length histogram: " + ",".join(map(str, hist)),
              f"w0 = {_word_str(g.reduced_word(g.w0))}"]
-    _emit(args, "group", {"type": args.type}, outputs, {}, lines, t0)
+    _emit(args, {"type": args.type}, outputs, {}, lines, t0)
     return 0
 
 
@@ -173,7 +173,7 @@ def _cmd_balanced(args, t0):
         for pos, d in enumerate(out_ideals):
             gens = ", ".join(_word_str(w) for w in d["generators"])
             lines.append(f"  #{pos}: size {d['size']}, generators {gens}")
-    _emit(args, "balanced", inputs, outputs, {}, lines, t0)
+    _emit(args, inputs, outputs, {}, lines, t0)
     return 0
 
 
@@ -184,7 +184,7 @@ def _cmd_family(args, t0):
     if degree < 2:
         raise InvalidInputError("need a symmetric group of degree >= 2")
     g, o = families.build_symmetric(degree)
-    verify = bool(args.verify)
+    verify = args.verify
     if args.name in _FAMILIES:
         ideal = _FAMILIES[args.name](o, verify=verify)
     else:
@@ -215,7 +215,7 @@ def _cmd_family(args, t0):
                                         for w in data["generators"])]
     if args.out:
         lines.append(f"wrote {args.out}")
-    _emit(args, "family", inputs, outputs, verification, lines, t0)
+    _emit(args, inputs, outputs, verification, lines, t0)
     return 0
 
 
@@ -257,7 +257,7 @@ def _cmd_betti(args, t0):
             outputs["quotient_euler"] = quot.euler
             lines.append(f"quotient homology (genus {args.genus}): "
                          + ",".join(map(str, quot.to_json())))
-    _emit(args, "betti", inputs, outputs, verification, lines, t0)
+    _emit(args, inputs, outputs, verification, lines, t0)
     return 0
 
 
@@ -275,8 +275,7 @@ def _cmd_poincare(args, t0):
     lines = [label,
              "coefficients: " + ",".join(map(str, poly.to_json())),
              f"value at t=1: {poly.total}"]
-    _emit(args, "poincare", {"kind": args.kind, "m": args.m}, outputs, {},
-          lines, t0)
+    _emit(args, {"kind": args.kind, "m": args.m}, outputs, {}, lines, t0)
     return 0
 
 
@@ -302,7 +301,7 @@ def _cmd_bbw(args, t0):
                      f"{sheaf.zero_below}, group window "
                      f"{sheaf.group_window}, vanishing window "
                      f"{sheaf.vanishing_window}")
-    _emit(args, "bbw", inputs, outputs, {}, lines, t0)
+    _emit(args, inputs, outputs, {}, lines, t0)
     return 0
 
 
@@ -319,7 +318,7 @@ def _cmd_small(args, t0):
                 + ", ".join(_word_str(w) for w in report.witnesses))]
     verification = {"matches_expected":
                     report.all_small == report.expected_all_small}
-    _emit(args, "small", inputs, outputs, verification, lines, t0)
+    _emit(args, inputs, outputs, verification, lines, t0)
     if args.expect_all_small and not report.all_small:
         raise VerificationError(
             "short elements are not all small: witness "
@@ -339,12 +338,12 @@ def _cmd_hausdorff(args, t0):
     lines = [f"Hausdorff dimension bound: {report.bound}",
              f"2n = {2 * report.n}; domain nonempty: "
              f"{report.domain_nonempty}"]
-    _emit(args, "hausdorff", inputs, outputs, {}, lines, t0)
+    _emit(args, inputs, outputs, {}, lines, t0)
     return 0
 
 
 def _cmd_distinct(args, t0):
-    verify = bool(args.verify)
+    verify = args.verify
     report = topology.homotopy_distinction(args.j, verify=verify)
     mu = families.distinction_witness_mu(args.j, verify=verify)
     inputs = {"j": args.j, "verify": verify}
@@ -356,7 +355,7 @@ def _cmd_distinct(args, t0):
              f"principal domain: {report.b_principal}; "
              f"strictly smaller: {report.strict}",
              f"witness permutation {mu}, length {outputs['witness_length']}"]
-    _emit(args, "distinct", inputs, outputs,
+    _emit(args, inputs, outputs,
           {"strict": report.strict} if verify else {}, lines, t0)
     return 0
 

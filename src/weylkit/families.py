@@ -14,7 +14,7 @@ checks.  The checks run unless verify=False is passed, also under
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 
 from .bruhat import (BruhatOrder, Ideal, build_order, classify,
                      is_downward_closed, mask_of, minimal_generators,
@@ -127,7 +127,8 @@ def lower_half_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
     if not odd:
         raise InvalidInputError(
             f"l(w0) = {g.n_positive} is even; use lower_half_with_selection")
-    m = mask_of((x for x in range(g.order) if g.length[x] <= half), g.order)
+    # lengths never decrease along the ids: the lower half is a prefix
+    m = (1 << bisect_right(g.length, half)) - 1
     ideal = Ideal(g, m)
     if verify:
         require(is_downward_closed(o, m), "lower half not downward closed")
@@ -148,19 +149,18 @@ def lower_half_with_selection(o: BruhatOrder, selection,
     if odd:
         raise InvalidInputError(
             f"l(w0) = {g.n_positive} is odd; use lower_half_ideal")
-    chosen = set(selection)
-    middle = [x for x in range(g.order) if g.length[x] == k]
-    for x in chosen:
+    selection = list(selection)
+    for x in selection:
         g._check_id(x)
         if g.length[x] != k:
             raise InvalidInputError(
                 f"selected element has length {g.length[x]}, middle is {k}")
-    for x in middle:
+    chosen = set(selection)
+    for x in range(bisect_left(g.length, k), bisect_right(g.length, k)):
         if (x in chosen) == (g.w0_left(x) in chosen):
             raise InvalidInputError(
                 "selection must contain exactly one of each middle pair")
-    m = mask_of((x for x in range(g.order)
-                 if g.length[x] < k or x in chosen), g.order)
+    m = (1 << bisect_left(g.length, k)) - 1 | mask_of(chosen, g.order)
     ideal = Ideal(g, m)
     if verify:
         require(is_downward_closed(o, m), "selection ideal not downward closed")
@@ -171,20 +171,14 @@ def lower_half_with_selection(o: BruhatOrder, selection,
 
 
 def middle_level_pairs(g: WeylGroup) -> list[tuple[int, int]]:
-    """The {x, w0 x} pairs of the middle length level (l(w0) even)."""
+    """The {x, w0 x} pairs of the middle length level (l(w0) even),
+    each as (smaller id, larger id), sorted; the level is one id range."""
     k, odd = divmod(g.n_positive, 2)
     if odd:
         raise InvalidInputError("no middle level: l(w0) is odd")
-    pairs = []
-    seen = set()
-    for x in range(g.order):
-        if g.length[x] == k and x not in seen:
-            px = g.w0_left(x)
-            seen.add(x)
-            seen.add(px)
-            pairs.append((x, px) if x < px else (px, x))
-    pairs.sort()
-    return pairs
+    return [(x, y) for x in range(bisect_left(g.length, k),
+                                  bisect_right(g.length, k))
+            if x < (y := g.w0_left(x))]
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,16 @@
 
 The input is the generator subset that generates W_P itself, not its
 complement.  Each left coset x W_P contains a unique element with no
-right descent into the subset, and it is the strictly shortest member.
-build_parabolic finds these representatives W^P by one length test per
-generator, then builds each coset as the orbit rep * W_P along one walk
-of W_P.  It checks, for every element, that it lies in exactly one
-orbit (the orbits cover W, and |W^P| |W_P| = |W|) and that lengths add
-along x = rep * u.  Cosets are read through that one map, coset_of:
-right invariance is one gather of a mask through it, and graded ranks
-are popcounts against W^P by length.  The paper's thickenings are
-right-W_P-invariant only, so no left-coset map is kept.
+right descent into the subset, and it is the strictly shortest member
+(Bjorner-Brenti, Prop. 2.4.4).  Ids are in BFS order, so s is a right
+descent of x exactly when x s < x: build_parabolic strips one descent
+from each element in one ascending pass over the ids, and so labels it
+with its coset's representative.  It checks that the label does not
+change under right multiplication by the subset, that lengths add along
+the strips, and that |W^P| |W_P| = |W|.  Cosets are read through that
+one map, coset_of: right invariance is one gather of a mask through it,
+and graded ranks are popcounts against W^P by length.  The paper's
+thickenings are right-W_P-invariant only, so no left-coset map is kept.
 """
 
 from __future__ import annotations
@@ -64,54 +65,45 @@ class ParabolicSubset:
 
 
 def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
-    """W_P, W^P and each element's coset, by orbits of W^P under W_P.
+    """W_P, W^P and each element's coset, by stripping descents in theta.
 
-    W^P is the set of y that every s in theta lengthens.  W_P is walked
-    once from the identity, each member reached from an earlier one by
-    one letter; along the same walk, y u comes from one table lookup
-    per member u.  Every element must lie in one orbit with
-    l(y u) = l(y) + l(u), and |W^P| |W_P| must be |W|: the orbits then
-    cover W without overlap, so each x is rep * u with u in W_P, by
-    construction and length-additively.
+    In ascending id order, x takes the label of x s for the first s in
+    theta with x s < x, one strip further; with no such s, x is its own
+    label, a minimal representative.  W_P is the class of the identity.
+    The label must not change under x -> x s for s in theta, so each
+    class is a union of cosets; every coset holds an element with no
+    descent in theta, its least id, and each class only one, its label,
+    so each class is one coset.  l(x) must be l(label) plus the strips,
+    so the label is the strictly shortest member, and |W^P| |W_P| must
+    be |W|.
     """
-    theta = tuple(sorted(set(theta)))
+    theta = tuple(theta)
     for i in theta:
-        if not 0 <= i < g.rank:
-            raise InvalidInputError(f"generator index {i} out of range")
+        g._check_letter(i, "generator index")
+    theta = tuple(sorted(set(theta)))
     rmult, length = g.rmult, g.length
 
-    # W_P in discovery order; member j > 0 is member k times s_i
-    walk, steps, seen = [0], [], {0}
-    for k, x in enumerate(walk):
+    coset_of, strips = [], []
+    for x, row in enumerate(rmult):
+        rep, k = x, 0
         for i in theta:
-            y = rmult[x][i]
-            if y not in seen:
-                seen.add(y)
-                walk.append(y)
-                steps.append((k, i))
-    walk_len = [length[u] for u in walk]
-
-    min_reps = [y for y in range(g.order)
-                if all(length[rmult[y][i]] > length[y] for i in theta)]
-    require(len(min_reps) * len(walk) == g.order,
-            "coset count times |W_P| differs from |W|")
-    coset_of = [-1] * g.order
-    additive = True
-    for y in min_reps:
-        orbit = [y]
-        for k, i in steps:
-            orbit.append(rmult[orbit[k]][i])
-        ly = length[y]
-        additive = additive and all(
-            length[x] == ly + lu for x, lu in zip(orbit, walk_len))
-        for x in orbit:
-            coset_of[x] = y
-    require(additive,
+            y = row[i]
+            if y < x:               # ids are in BFS order: a descent
+                rep, k = coset_of[y], strips[y] + 1
+                break
+        coset_of.append(rep)
+        strips.append(k)
+    require(all(coset_of[row[i]] == rep
+                for row, rep in zip(rmult, coset_of) for i in theta),
+            "x s lies in another coset than x for some s in theta")
+    require(all(l == length[rep] + k
+                for l, rep, k in zip(length, coset_of, strips)),
             "x = rep * u is not a length-additive factorization into W_P")
-    # the orbits hold |W| entries in all, so covering W leaves no overlap
-    require(-1 not in coset_of, "some element lies in no orbit of W^P")
-
-    return ParabolicSubset(g=g, theta=theta, subgroup=sorted(walk),
+    min_reps = [x for x, rep in enumerate(coset_of) if rep == x]
+    subgroup = [x for x, rep in enumerate(coset_of) if rep == 0]
+    require(len(min_reps) * len(subgroup) == g.order,
+            "coset count times |W_P| differs from |W|")
+    return ParabolicSubset(g=g, theta=theta, subgroup=subgroup,
                            min_reps=min_reps, coset_of=coset_of)
 
 

@@ -104,8 +104,7 @@ class WeylGroup:
     def word_to_id(self, word: Word) -> int:
         cur = 0
         for i in word:
-            if not 0 <= i < self.rank:
-                raise InvalidInputError(f"letter {clip(i)} out of range")
+            self._check_letter(i)
             cur = self.rmult[cur][i]
         return cur
 
@@ -185,6 +184,14 @@ class WeylGroup:
         if not 0 <= x < self.order:
             raise InvalidInputError(f"element id {clip(x)} out of range")
 
+    def _check_letter(self, i: int, name: str = "letter") -> None:
+        """Refuse any generator index but an int in range(rank), as
+        _check_id refuses ids."""
+        if type(i) is not int:
+            raise InvalidInputError(f"{name} {clip(repr(i))} is not an int")
+        if not 0 <= i < self.rank:
+            raise InvalidInputError(f"{name} {clip(i)} out of range")
+
 
 def check_table_budget(t: CartanType) -> None:
     """Refuse, from the type alone, a table larger than the entry budget.
@@ -219,13 +226,13 @@ def generate(rs: RootSystem) -> WeylGroup:
     depths, checked after the BFS against each key's count of negative
     codes, l((x s_i)^-1) = l(x s_i).  Element ids are BFS discovery
     order, hence never decrease in length: sorting ids sorts by
-    (length, id).  Only ascents x s_i are composed, each setting both
-    slots (x, i) and (x s_i, i) of one flat list of |W| rank slots; as
-    l(x s_i) = l(x) +- 1 (Bjorner-Brenti, Sec. 1.4) that fills every
-    slot, which the build requires, and the ids are those of the full
-    product table.  The list is cut into the rows of rmult by one zip.
-    Refuses tables larger than the entry budget, and stops as soon as it
-    finds more than |W| elements.
+    (length, id), and w0 is the last id.  Only ascents x s_i are
+    composed, each setting both slots (x, i) and (x s_i, i) of one flat
+    list of |W| rank slots; as l(x s_i) = l(x) +- 1 (Bjorner-Brenti,
+    Sec. 1.4) that fills every slot, which the build requires, and the
+    ids are those of the full product table.  The list is cut into the
+    rows of rmult by one zip.  Refuses tables larger than the entry
+    budget, and stops as soon as it finds more than |W| elements.
     """
     check_table_budget(rs.cartan_type)
     order = rs.cartan_type.weyl_order()
@@ -285,9 +292,8 @@ def generate(rs: RootSystem) -> WeylGroup:
             "BFS depth differs from the inversion count")
     rmult = list(zip(*[iter(flat)] * rank))
 
-    maxlen = max(length)
-    longest = [x for x in range(order) if length[x] == maxlen]
-    require(maxlen == npos and len(longest) == 1,
+    # w0 is the last id, unique when the id before it is shorter
+    require(length[-1] == npos > length[-2],
             "longest element is not unique of length |Sigma^+|")
 
     return WeylGroup(
@@ -297,7 +303,7 @@ def generate(rs: RootSystem) -> WeylGroup:
         bfs_parent=parent,
         bfs_letter=letter,
         generators=list(rmult[0]),
-        w0=longest[0],
+        w0=order - 1,
     )
 
 

@@ -17,7 +17,7 @@ from weylkit.bruhat import (_certify_all, build_order, classify,
 from weylkit.cartan import build_root_system, parse_type
 from weylkit.errors import (BudgetExceededError, InvalidInputError,
                             VerificationError)
-from weylkit.families import middle_level_pairs
+from weylkit.families import lower_half_with_selection, middle_level_pairs
 from weylkit.parabolic import build_parabolic, is_right_invariant
 from weylkit.weyl import generate
 
@@ -159,6 +159,41 @@ def test_leq_is_a_partial_order_graded_by_length():
         z = rng.randrange(g.order)
         if leq(o, x, y) and leq(o, y, z):
             assert leq(o, x, z)
+
+
+def test_bad_ids_are_refused_as_check_id_refuses_them():
+    """A float, a bool, a string or an id out of range is refused with
+    InvalidInputError by leq, with the masks built and by the walk, by
+    is_small, ideal membership and lower_half_with_selection; a float,
+    a bool or a string generator index by build_parabolic and
+    word_to_id."""
+    bad_ids = (1.0, True, False, "1", -1, 6, 10**5000)
+    for limit in (None, 0):
+        g, o = make_order("A2", dense_limit=limit)
+        assert (o.down is None) == (limit == 0)
+        ideal = principal_ideal(o, 3)
+        for bad in bad_ids:
+            for x, y in ((bad, 2), (0, bad), (bad, bad)):
+                with pytest.raises(InvalidInputError, match="element id"):
+                    leq(o, x, y)
+            with pytest.raises(InvalidInputError, match="element id"):
+                is_small(o, bad)
+            with pytest.raises(InvalidInputError, match="element id"):
+                bad in ideal
+        assert leq(o, 1, 3) and not leq(o, 3, 1) and is_small(o, 1)
+        assert [x in ideal for x in range(g.order)] == \
+            [True, True, True, True, False, False]
+    for bad in (1.0, True, "0", [0]):
+        with pytest.raises(InvalidInputError,
+                           match="generator index .* is not an int"):
+            build_parabolic(g, (bad,))
+        with pytest.raises(InvalidInputError, match="letter .* is not an int"):
+            g.word_to_id((0, bad))
+    assert build_parabolic(g, (1, 1, 0)).theta == (0, 1)
+    _, o = make_order("A3")
+    for bad in (1.0, True, [0], -1):
+        with pytest.raises(InvalidInputError, match="element id"):
+            lower_half_with_selection(o, [bad])
 
 
 def test_down_masks_match_subword_criterion():

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from weylkit.bruhat import (classify, is_downward_closed, leq,
+from conftest import COVER_TYPES
+from weylkit.bruhat import (build_order, classify, is_downward_closed, leq,
                             minimal_generators, principal_ideal)
+from weylkit.cartan import parse_type
 from weylkit.errors import InvalidInputError, VerificationError
 from weylkit.families import (ascents, build_symmetric, check_permutation,
                               distinction_witness_mu,
@@ -15,6 +17,7 @@ from weylkit.families import (ascents, build_symmetric, check_permutation,
                               principal_generator_perm, principal_2n_ideal,
                               rank_leq, symmetric_n)
 from weylkit.parabolic import build_parabolic, is_right_invariant
+from weylkit.weyl import build_group
 
 rng = random.Random(5511)
 
@@ -96,6 +99,31 @@ def test_lower_half_small_cases():
     ideal6 = lower_half_ideal(o6, verify=True)
     assert 2 * ideal6.size == g6.order
     assert max(g6.length[x] for x in ideal6.members()) == 7
+
+
+def test_length_levels_match_a_scan_in_every_type():
+    """The readers that take a length level as an id range agree with a
+    scan of every length, in every type of the cover sweep: w0, the
+    lower half (l(w0) odd), the middle pairs and a selection ideal
+    (l(w0) even).  test_ids_are_the_length_id_order does the same for
+    the witnesses of verify_short_small."""
+    for spec in COVER_TYPES:
+        g = build_group(parse_type(spec))
+        o = build_order(g)
+        n, (k, odd) = g.order, divmod(g.n_positive, 2)
+        assert [x for x in range(n) if g.length[x] == g.n_positive] \
+            == [g.w0], spec
+        if odd:
+            want = sum(1 << x for x in range(n) if g.length[x] <= k)
+            assert lower_half_ideal(o).mask == want, spec
+        else:
+            pairs = sorted({tuple(sorted((x, g.w0_left(x))))
+                            for x in range(n) if g.length[x] == k})
+            assert middle_level_pairs(g) == pairs, spec
+            chosen = {pair[j % 2] for j, pair in enumerate(pairs)}
+            want = sum(1 << x for x in range(n)
+                       if g.length[x] < k or x in chosen)
+            assert lower_half_with_selection(o, chosen).mask == want, spec
 
 
 def test_lower_half_requires_odd_longest_length():

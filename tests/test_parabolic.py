@@ -113,6 +113,34 @@ def test_tampered_rmult_is_caught():
                     build_parabolic(bad, (i,))
 
 
+def test_forged_descent_slot_is_caught():
+    """x s < x sent to another coset, one length down so lengths still
+    add: the label check refuses it, at x when s is not the descent the
+    pass strips, else at x's true partner, whose unforged slot leads to
+    x, now wrongly labelled."""
+    for spec in ("A3", "B3"):
+        g = grp(spec)
+        for theta in ((0,), (1,), (0, 2), (1, 2)):
+            coset_of = build_parabolic(g, theta).coset_of
+            forged = 0
+            for x in range(g.order):
+                for i in theta:
+                    if g.rmult[x][i] > x:
+                        continue
+                    for w in range(x):
+                        if (g.length[w] != g.length[x] - 1
+                                or coset_of[w] == coset_of[x]):
+                            continue
+                        rmult = list(g.rmult)
+                        rmult[x] = rmult[x][:i] + (w,) + rmult[x][i + 1:]
+                        bad = forge(g, rmult=rmult)
+                        with pytest.raises(VerificationError,
+                                           match="another coset"):
+                            build_parabolic(bad, theta)
+                        forged += 1
+            assert forged, (spec, theta)
+
+
 def test_min_reps_have_no_theta_descent():
     g = grp("A3")
     for theta in all_thetas(g.rank):
