@@ -14,7 +14,10 @@ rounded.
 
 from __future__ import annotations
 
-from .errors import InvalidInputError, Record, clip, require
+from math import log10
+
+from .errors import (DIGIT_BUDGET, DIGIT_LIMIT, BudgetExceededError,
+                     InvalidInputError, Record, clip, require)
 from .weyl import WeylGroup
 
 IntegralWeight = tuple[int, ...]
@@ -25,7 +28,7 @@ def _check_weight(g: WeylGroup, lam) -> IntegralWeight:
     # type(c) is int: bool is an int subclass, and True is no coordinate
     if len(lam) != g.rank or not all(type(c) is int for c in lam):
         raise InvalidInputError(
-            f"weight must be {g.rank} integers, got {clip(repr(lam))}")
+            f"weight must be {g.rank} integers, got {clip(lam)}")
     return lam
 
 
@@ -78,7 +81,13 @@ def classify_weight(g: WeylGroup, lam) -> WeightClass:
 
 
 def weyl_dimension(g: WeylGroup, mu) -> int:
-    """Dimension of the irreducible representation with highest weight mu."""
+    """Dimension of the irreducible representation with highest weight mu.
+
+    The product over the positive coroots a of <mu + delta, a> / <delta, a>
+    has every factor at least 1, so its running value never falls: once
+    it passes DIGIT_LIMIT the weight is refused, and the digit count the
+    refusal states is summed in logarithms.
+    """
     mu = _check_weight(g, mu)
     if any(c < 0 for c in mu):
         raise InvalidInputError("highest weight must be dominant")
@@ -86,6 +95,13 @@ def weyl_dimension(g: WeylGroup, mu) -> int:
     for coroot in g.rs.coroots:
         num *= sum(d * (m + 1) for d, m in zip(coroot, mu))
         den *= sum(coroot)
+        if num >= DIGIT_LIMIT and num >= den * DIGIT_LIMIT:
+            digits = 1 + int(sum(
+                log10(sum(d * (m + 1) for d, m in zip(c, mu))) - log10(sum(c))
+                for c in g.rs.coroots))
+            raise BudgetExceededError(
+                f"Weyl dimension of {clip(mu)} has about {digits} digits "
+                f"> budget {DIGIT_BUDGET}")
     q, r = divmod(num, den)
     require(r == 0 and q > 0, "Weyl dimension formula is not a positive integer")
     return q

@@ -163,25 +163,31 @@ def _simple_cartan_matrix(fam: str, n: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Root systems
 
+Bipartition = tuple[tuple[int, ...], tuple[int, ...]]
+
 class RootSystem:
     """Positive roots and Cartan data for a (product) type.
 
     positive_roots holds integer coordinate vectors in the simple-root
     basis, the first ``rank`` entries being the simple roots themselves.
     components lists the connected Dynkin-diagram components (the true
-    simple factors, which for D2 differ from the input factors).  The
-    simple actions, the coroots and the Coxeter numbers are computed once
-    per root system, on first use.  Equality is identity.
+    simple factors, which for D2 differ from the input factors), and
+    bipartition the two colour classes of the diagram, each component's
+    least node in the first; both come from one walk of the diagram.
+    The simple actions, the coroots and the Coxeter numbers are computed
+    once per root system, on first use.  Equality is identity.
     """
 
     def __init__(self, cartan_type: CartanType,
                  cartan_matrix: tuple[tuple[int, ...], ...],
                  positive_roots: tuple[tuple[int, ...], ...],
-                 components: tuple[tuple[int, ...], ...]) -> None:
+                 components: tuple[tuple[int, ...], ...],
+                 bipartition: Bipartition) -> None:
         self.cartan_type = cartan_type
         self.cartan_matrix = cartan_matrix
         self.positive_roots = positive_roots
         self.components = components
+        self.bipartition = bipartition
 
     @property
     def rank(self) -> int:
@@ -193,27 +199,21 @@ class RootSystem:
 
     def reflect(self, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
         """Apply the simple reflection s_i to a root coordinate vector."""
-        row = self.cartan_matrix[i]
-        pairing = sum(row[j] * v[j] for j in range(len(v)))
-        out = list(v)
-        out[i] -= pairing
-        return tuple(out)
+        return _reflect(self.cartan_matrix, i, v)
 
     @cached_property
     def simple_actions(self) -> tuple[tuple[int, ...], ...]:
-        """Entry j of row i is +-(k + 1) when s_i sends positive root j
-        to +- positive root k."""
-        root_index = {r: k for k, r in enumerate(self.positive_roots)}
-        rows = []
-        for i in range(self.rank):
-            row = []
-            for r in self.positive_roots:
-                img = self.reflect(i, r)
-                k = root_index.get(img)
-                row.append(k + 1 if k is not None
-                           else -(root_index[tuple(-c for c in img)] + 1))
-            rows.append(tuple(row))
-        return tuple(rows)
+        """Entry k of row i is +-(j + 1) when s_i sends positive root k
+        to +- positive root j.  s_i negates alpha_i, which is root i, and
+        permutes the other positive roots (Humphreys, Reflection Groups
+        and Coxeter Groups, Sec. 1.4): entry i is -(i + 1), and every
+        other entry the code of a positive image.  generate checks that
+        each row is a signed permutation."""
+        code = {r: k + 1 for k, r in enumerate(self.positive_roots)}
+        return tuple(
+            tuple(-(i + 1) if k == i else code[self.reflect(i, r)]
+                  for k, r in enumerate(self.positive_roots))
+            for i in range(self.rank))
 
     @cached_property
     def coroots(self) -> tuple[tuple[int, ...], ...]:
@@ -239,25 +239,37 @@ class RootSystem:
         return tuple(numbers)
 
 
-def _dynkin_components(cartan: list[list[int]]) -> list[tuple[int, ...]]:
-    """Connected components of the Dynkin diagram, each sorted."""
+def _reflect(cartan, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """s_i on a root coordinate vector: v_i -> v_i - sum_j C[i][j] v_j."""
+    out = list(v)
+    out[i] -= sum(c * x for c, x in zip(cartan[i], v))
+    return tuple(out)
+
+
+def _dynkin_components(cartan: list[list[int]]
+                       ) -> tuple[list[tuple[int, ...]], Bipartition]:
+    """Connected components of the Dynkin diagram, each sorted, and its
+    two colour classes.  The diagram is a forest, so colouring each
+    node 1 - the colour of the node it is reached from is proper; each
+    component's least node, where its walk starts, gets colour 0."""
     n = len(cartan)
-    seen = [False] * n
+    color = [-1] * n
     comps = []
     for start in range(n):
-        if seen[start]:
+        if color[start] >= 0:
             continue
         stack, comp = [start], []
-        seen[start] = True
+        color[start] = 0
         while stack:
             i = stack.pop()
             comp.append(i)
             for j in range(n):
-                if j != i and not seen[j] and cartan[i][j] != 0:
-                    seen[j] = True
+                if j != i and color[j] < 0 and cartan[i][j] != 0:
+                    color[j] = 1 - color[i]
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
-    return comps
+    return comps, tuple(tuple(i for i in range(n) if color[i] == c)
+                        for c in (0, 1))
 
 
 def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
@@ -273,13 +285,10 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
     while queue:
         v = queue.pop()
         for i in range(n):
-            pairing = sum(cartan[i][j] * v[j] for j in range(n))
-            w = list(v)
-            w[i] -= pairing
-            wt = tuple(w)
-            if wt not in found and all(c >= 0 for c in wt):
-                found.add(wt)
-                queue.append(wt)
+            w = _reflect(cartan, i, v)
+            if w not in found and all(c >= 0 for c in w):
+                found.add(w)
+                queue.append(w)
     # simple roots first, then by (height, coords): deterministic layout
     found.difference_update(simple)
     return simple + sorted(found, key=lambda v: (sum(v), v))
@@ -300,11 +309,13 @@ def build_root_system(t: CartanType) -> RootSystem:
     roots = _positive_roots(cartan)
     require(len(roots) == t.n_positive,
             "positive-root closure differs from the closed-form count")
+    components, bipartition = _dynkin_components(cartan)
     return RootSystem(
         cartan_type=t,
         cartan_matrix=tuple(tuple(row) for row in cartan),
         positive_roots=tuple(roots),
-        components=tuple(_dynkin_components(cartan)),
+        components=tuple(components),
+        bipartition=bipartition,
     )
 
 

@@ -31,6 +31,13 @@ class VerificationError(WeylkitError):
     """
 
 
+# str() of an int of more than 4300 digits raises by default.  Results
+# are held to this fixed budget, never to the host's setting, so an
+# input prints the same bytes, or the same refusal, on every host.
+DIGIT_BUDGET = 4300
+DIGIT_LIMIT = 10**DIGIT_BUDGET      # the least int of DIGIT_BUDGET + 1 digits
+
+
 def require(cond: bool, message: str) -> None:
     """Raise VerificationError(message) unless cond holds.
 
@@ -43,11 +50,13 @@ def require(cond: bool, message: str) -> None:
 
 def clip(value, limit: int = 60) -> str:
     """str(value), cut to its first limit characters and "..." if longer;
-    an int too long for str() is named by its bit length."""
+    an int too long for str() is named by its bit length, and a tuple
+    holding one is clipped item by item."""
     try:
         text = str(value)
-    except ValueError:          # an int past str()'s digit limit
-        text = f"a {value.bit_length()}-bit number"
+    except ValueError:          # past str()'s digit limit
+        text = (f"a {value.bit_length()}-bit number" if isinstance(value, int)
+                else f"({', '.join(clip(v, limit) for v in value)})")
     return text if len(text) <= limit else text[:limit] + "..."
 
 

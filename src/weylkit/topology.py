@@ -16,8 +16,11 @@ t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
 
 from __future__ import annotations
 
+from math import log10
+
 from .bruhat import BruhatOrder, Ideal, _cached, classify, orthogonal
-from .errors import BudgetExceededError, InvalidInputError, Record, require
+from .errors import (DIGIT_BUDGET, DIGIT_LIMIT, BudgetExceededError,
+                     InvalidInputError, Record, clip, require)
 from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
 from .parabolic import ParabolicSubset, build_parabolic, is_right_invariant
 
@@ -121,11 +124,20 @@ def euler_omega(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> int:
 
 
 def quotient_homology(omega: GradedRanks, genus: int) -> GradedRanks:
-    """Tensor with the homology (1, 2g, 1) of a genus-g surface."""
+    """Tensor with the homology (1, 2g, 1) of a genus-g surface.
+
+    The total rank, (2g + 2) times omega's, bounds every rank and the
+    Euler characteristic; one past DIGIT_LIMIT is refused.
+    """
     if genus < 2:
         raise InvalidInputError("genus must be at least 2")
     if any(omega.ranks[1::2]):
         raise InvalidInputError("omega ranks must be supported in even degrees")
+    total = (2 * genus + 2) * omega.total
+    if total >= DIGIT_LIMIT:
+        raise BudgetExceededError(
+            f"quotient homology of genus {clip(genus)} has a total rank of "
+            f"about {1 + int(log10(total))} digits > budget {DIGIT_BUDGET}")
     top = len(omega.ranks) + 1
     ranks = [omega.get(k) + 2 * genus * omega.get(k - 1) + omega.get(k - 2)
              for k in range(top + 1)]

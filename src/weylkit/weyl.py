@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter, neg
 
-from .cartan import (CartanType, RootSystem, build_root_system,
+from .cartan import (Bipartition, CartanType, RootSystem, build_root_system,
                      component_coxeter_number)
 from .errors import BudgetExceededError, InvalidInputError, clip, require
 
@@ -310,47 +310,23 @@ def generate(rs: RootSystem) -> WeylGroup:
 # ---------------------------------------------------------------------------
 # Bourbaki bipartite word for w0
 
-def default_bipartition(rs: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Greedy 2-coloring of the Dynkin diagram (a forest, so it works)."""
-    color = {}
-    for comp in rs.components:
-        start = comp[0]
-        color[start] = 0
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in comp:
-                if j != i and rs.cartan_matrix[i][j] != 0 and j not in color:
-                    color[j] = 1 - color[i]
-                    stack.append(j)
-    part0 = tuple(sorted(i for i, c in color.items() if c == 0))
-    part1 = tuple(sorted(i for i, c in color.items() if c == 1))
-    return part0, part1
+def default_bipartition(rs: RootSystem) -> Bipartition:
+    """The two colour classes of the Dynkin diagram, each component's
+    least node in the first (RootSystem.bipartition)."""
+    return rs.bipartition
 
 
-def bipartite_w0_word(g: WeylGroup,
-                      split: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-                      ) -> Word:
+def bipartite_w0_word(g: WeylGroup) -> Word:
     """The reduced word (ab)^(h/2), resp. (ab)^((h-1)/2) a for odd h.
 
-    a and b are the products of the two parts of a pairwise-commuting
-    bipartition of the generators; the construction runs per connected
-    Dynkin component and the component words are concatenated.  The result
-    is checked reduced and equal to w0.
+    a and b are the products of the two colour classes of the Dynkin
+    diagram, rs.bipartition, each of pairwise-commuting generators; the
+    construction runs per connected Dynkin component and the component
+    words are concatenated.  The result is checked reduced and equal to
+    w0.
     """
     rs = g.rs
-    if split is None:
-        split = default_bipartition(rs)
-    s_prime, s_second = (tuple(sorted(set(p))) for p in split)
-    if sorted(s_prime + s_second) != list(range(rs.rank)):
-        raise InvalidInputError("split must partition the generator indices")
-    for part in (s_prime, s_second):
-        for i in part:
-            for j in part:
-                if i < j and rs.cartan_matrix[i][j] != 0:
-                    raise InvalidInputError(
-                        f"generators {i},{j} in the same part are adjacent")
-
+    s_prime, s_second = rs.bipartition
     word: list[int] = []
     for comp in rs.components:
         a = [i for i in s_prime if i in comp]

@@ -7,7 +7,8 @@ from weylkit.bbw import (bbw_cohomology, classify_weight, reflect_weight,
                          sheaf_cohomology_cases, weyl_act, weyl_dimension)
 from weylkit import cartan
 from weylkit.cartan import build_root_system, parse_type
-from weylkit.errors import InvalidInputError
+from weylkit.errors import (DIGIT_LIMIT, BudgetExceededError,
+                            InvalidInputError)
 from weylkit.weyl import generate
 
 rng = random.Random(60302)
@@ -205,3 +206,22 @@ def test_weyl_dimension_closes_coroots_once(monkeypatch):
     assert len(calls) <= 1
     # so(9): the trivial and the vector representation
     assert dims[0] == 1 and weyl_dimension(g, (1, 0, 0, 0)) == 9
+
+
+def test_weyl_dimension_refuses_past_the_digit_budget():
+    """A dimension of 4300 digits comes back; one more digit is refused,
+    with its digit estimate, and the refusal stops at the first factor
+    past the limit: six 100,000-digit coordinates on E6 would otherwise
+    multiply out to a 12-million-bit integer."""
+    a1 = grp("A1")
+    assert weyl_dimension(a1, (DIGIT_LIMIT - 2,)) == DIGIT_LIMIT - 1
+    with pytest.raises(BudgetExceededError,
+                       match=r"has about 4301 digits > budget 4300$"):
+        weyl_dimension(a1, (DIGIT_LIMIT - 1,))
+    with pytest.raises(BudgetExceededError, match="Weyl dimension of"):
+        bbw_cohomology(a1, (DIGIT_LIMIT,))
+    e6 = grp("E6")
+    huge = tuple(10**100000 + k for k in range(6))
+    with pytest.raises(BudgetExceededError) as err:
+        weyl_dimension(e6, huge)
+    assert "332193-bit number" in str(err.value) and len(str(err.value)) < 200

@@ -422,6 +422,23 @@ def test_balanced_enumeration_matches_brute_force():
             assert 2 * i.size == g.order
 
 
+# OEIS A001206, self-dual monotone Boolean functions of n variables
+SELF_DUAL_MONOTONE = [1, 2, 4, 12, 81, 2646]
+
+
+@pytest.mark.parametrize("n", range(1, len(SELF_DUAL_MONOTONE) + 1))
+def test_balanced_ideals_of_a1_power_are_self_dual_monotone_functions(n):
+    """W(A1^n) under the Bruhat order is the Boolean lattice of subsets
+    of the n generators, and w0, the full set, takes a subset to its
+    complement.  So a balanced ideal is a down-set holding exactly one
+    of each complementary pair: the false set of a self-dual monotone
+    Boolean function, counted independently by OEIS A001206."""
+    g, o = make_order("x".join(["A1"] * n))
+    ideals = enumerate_balanced(o)
+    assert len(ideals) == SELF_DUAL_MONOTONE[n - 1]
+    assert all(2 * i.size == g.order == 2**n for i in ideals)
+
+
 def test_balanced_enumeration_is_deterministic():
     g, o = make_order("B3")
     first = [ideal_to_json_dict(o, i) for i in enumerate_balanced(o)]

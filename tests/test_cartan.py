@@ -147,17 +147,23 @@ def test_delta_is_all_ones():
 
 
 def test_simple_reflection_permutes_other_positives():
-    for spec in ["A2", "B2", "G2", "A3", "B3"]:
+    """s_i negates alpha_i and sends every other positive root to a
+    positive root; each simple_actions entry decodes to that image."""
+    for spec in ["A2", "B2", "G2", "A3", "B3", "E6", "E7", "E8", "F4",
+                 "B33"]:
         rs = build_root_system(parse_type(spec))
         roots = set(rs.positive_roots)
-        for i in range(rs.rank):
+        for i, row in enumerate(rs.simple_actions):
             alpha_i = rs.positive_roots[i]  # the simple roots come first
-            for r in rs.positive_roots:
+            for r, code in zip(rs.positive_roots, row):
                 image = rs.reflect(i, r)
                 if r == alpha_i:
                     assert image == tuple(-c for c in r)
                 else:
                     assert image in roots
+                sign = 1 if code > 0 else -1
+                assert tuple(sign * c for c in
+                             rs.positive_roots[abs(code) - 1]) == image, spec
 
 
 def test_simply_laced_self_dual():

@@ -304,6 +304,13 @@ CLIPPED_ECHOES = {
     "budget-type": (3, lambda tmp: ["balanced", "x".join(["A1"] * 3000)]),
     "budget-value": (3, lambda tmp: ["balanced", "A20000", "--max-order",
                                      "9" * 4000]),
+    # results past the fixed 4300-digit budget: the dimension has about
+    # 4500 digits, and the quotient's total rank about 4301
+    "budget-dimension-digits": (3, lambda tmp: ["bbw", "A2", "--weight="
+                                                + ",".join(["9" * 1500] * 2)]),
+    "budget-genus-digits": (3, lambda tmp: ["betti", "A2", "--ideal",
+                                            "family:lower-half", "--genus",
+                                            "9" * 4299]),
     # |W| fits the budget, but its mask estimate has too many digits to print
     "budget-masks": (3, lambda tmp: ["balanced", "x".join(["A1"] * 7500),
                                      "--max-order", "9" * 4000]),

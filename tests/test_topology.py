@@ -12,7 +12,8 @@ from weylkit.bruhat import (build_order, classify, enumerate_balanced,
                             minimal_generators, orthogonal,
                             verify_short_small)
 from weylkit.cartan import build_root_system, parse_type
-from weylkit.errors import InvalidInputError, Record, VerificationError
+from weylkit.errors import (DIGIT_LIMIT, BudgetExceededError,
+                            InvalidInputError, Record, VerificationError)
 from weylkit.families import build_symmetric, lower_half_ideal
 from weylkit.parabolic import (ParabolicSubset, build_parabolic,
                                is_right_invariant, quotient_ideal)
@@ -109,6 +110,17 @@ def test_a2_lower_half_chain():
     quot = quotient_homology(omega, 2)
     assert quot.ranks == (1, 4, 5, 16, 5, 4, 1)
     assert quot.euler == -2 * 6
+
+
+def test_quotient_homology_refuses_past_the_digit_budget():
+    """The total rank (2g + 2) * omega.total bounds every rank and the
+    Euler characteristic; it may have 4300 digits, not one more."""
+    point = GradedRanks((1,))
+    genus = (DIGIT_LIMIT - 4) // 2
+    assert quotient_homology(point, genus).total == DIGIT_LIMIT - 2
+    with pytest.raises(BudgetExceededError,
+                       match=r"total rank of about 4301 digits > budget 4300$"):
+        quotient_homology(point, genus + 1)
 
 
 def test_omega_betti_symmetric_for_balanced():

@@ -297,14 +297,18 @@ def test_reduced_word_is_lex_first(spec):
 
 
 def test_default_bipartition_is_proper():
-    for spec in ["A4", "B4", "D4", "F4", "A1xB2"]:
+    """The colour classes partition the nodes, no edge joins two nodes
+    of one class, and each component's least node is in the first class,
+    the convention the bipartite word relies on."""
+    for spec in [*COVER_TYPES, "E6", "E7", "E8", "D2xA1"]:
         rs = build_root_system(parse_type(spec))
         part0, part1 = default_bipartition(rs)
-        assert sorted(part0 + part1) == list(range(rs.rank))
+        assert sorted(part0 + part1) == list(range(rs.rank)), spec
         for part in (part0, part1):
             for i in part:
                 for j in part:
-                    assert i == j or rs.cartan_matrix[i][j] == 0
+                    assert i == j or rs.cartan_matrix[i][j] == 0, spec
+        assert all(comp[0] in part0 for comp in rs.components), spec
 
 
 def test_bipartite_word_hits_w0():
@@ -313,14 +317,6 @@ def test_bipartite_word_hits_w0():
         word = bipartite_w0_word(g)
         assert len(word) == g.n_positive
         assert g.word_to_id(word) == g.w0
-
-
-def test_bipartite_word_rejects_bad_split():
-    g = grp("A3")
-    with pytest.raises(InvalidInputError):
-        bipartite_w0_word(g, split=((0, 1), (2,)))  # 0,1 adjacent
-    with pytest.raises(InvalidInputError):
-        bipartite_w0_word(g, split=((0,), (2,)))    # not a partition
 
 
 def test_generation_budget():
