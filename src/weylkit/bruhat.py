@@ -34,7 +34,11 @@ cosets holding |W|/2 elements, so an odd coset count answers at once,
 with no ideal, before covers or masks are built.  All results are then
 certified at once, on the transposed bit matrix, and each enumerated
 ideal keeps what its certificate proved: its orthogonal (itself) and
-its generators.
+its generators.  The search (_search) and the certificate (_certify)
+read plain lists only: down masks, the involution, upper covers and
+the permutations that must fix each result; they work on any finite
+poset with an involution.  Budgets, the fold, the coset permutations
+and the word order stay with _enumerate_certified and _certify_all.
 """
 
 from __future__ import annotations
@@ -178,8 +182,7 @@ class BruhatOrder:
 
     @cached_property
     def _w0_gather(self) -> Gather:
-        g = self.g
-        return Gather([g.w0_left(x) for x in range(g.order)], g.order)
+        return Gather(self.g._w0_left, self.g.order)
 
     @cached_property
     def _cover_gather(self) -> tuple[Gather, int]:
@@ -592,15 +595,14 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     a balanced I holds |W|/2 elements and an invariant one is a union of
     cosets of |W_P| elements, so |W/W_P| = 2|I|/|W_P| would be even.
 
-    A search state is the mask of I and the hit mask of _propagate; a
-    pair {x, w0 x} is decided once I holds x or w0 x.  Under invariance,
-    down[x] becomes the union of down over x's coset x W_P, the
-    principal ideal of its longest member t, read as down[t].  Ids never
-    decrease in length and t is the coset's one longest member, so t is
-    its largest id.  down[t] is a union of cosets, as each s in theta is
-    a descent of t and so u <= t gives u s <= t (lifting,
-    Bjorner-Brenti, Prop. 2.2.7), so I stays one, and _propagate needs
-    no coset rule.  The certificate checks each result all the same.
+    Under invariance, down[x] becomes the union of down over x's coset
+    x W_P, the principal ideal of its longest member t, read as down[t].
+    Ids never decrease in length and t is the coset's one longest
+    member, so t is its largest id.  down[t] is a union of cosets, as
+    each s in theta is a descent of t and so u <= t gives u s <= t
+    (lifting, Bjorner-Brenti, Prop. 2.2.7), so I stays one, and
+    _search needs no coset rule.  The certificate checks each result
+    all the same.
     """
     g = o.g
     check_enumeration_budget(g.rs.cartan_type, max_order)
@@ -610,24 +612,45 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
             return [], []
     if o.down is None:
         raise InvalidInputError("enumeration needs the dense order masks")
-
-    # the small elements, x <= w0 x, read straight from the masks
-    down, w0 = o.down, g.w0_left
-    # a branch is decided only if down[x] holds x; else it never ends
-    require(all(m >> x & 1 for x, m in enumerate(down)),
-            "down[x] must contain x")
-    seeds = [x for x in range(g.order) if down[w0(x)] >> x & 1]
+    down = o.down
     if invariance is not None:
         # each coset's largest id, the last one a dict keeps per label
         top = dict(zip(invariance.coset_of, range(g.order)))
         down = [down[top[rep]] for rep in invariance.coset_of]
-    seeded = _propagate(down, w0, 0, 0, seeds)
-    if seeded is None:
-        return [], []
+    results = _search(down, g._w0_left)
+    gen_cols = _certify_all(o, results, invariance)
+    # the generators in canonical word order: row r of the transposed
+    # columns then compares as the word list of result r, once its bytes
+    # are flipped (the earlier word present sorts first)
+    used = sorted((x for x, c in enumerate(gen_cols) if c), key=g.reduced_word)
+    rows = _rows([gen_cols[x] for x in used], len(results))
+    keys = [(row.count(1), row.translate(_FLIP)) for row in rows]
+    return used, [(results[r], rows[r])
+                  for r in sorted(range(len(results)), key=keys.__getitem__)]
 
-    # each pair {x, w0 x} by its member first in (length, id), and its bits
-    pairs = [x for x in range(g.order) if x < w0(x)]
-    pair_bits = [1 << x | 1 << w0(x) for x in pairs]
+
+def _search(down: list[int], inv: list[int]) -> list[int]:
+    """Masks of the down-sets I that hold exactly one of each pair
+    {x, inv x}, in search order; more than LIST_BUDGET is refused.
+
+    down[x] holds x and everything that forcing x into I brings; inv is
+    an involution, and it must reverse the order for the list to be
+    complete (_propagate).  A state is the mask of I and the hit mask
+    of _propagate; a pair is decided once I holds a member.  The seeds
+    are the x that down[inv x] holds: inv x joining I would bring both.
+    Backtracking runs over the pairs by their smaller id; the branches
+    of x are "inv x in" and "x in".
+    """
+    # a branch is decided only if down[x] holds x; else it never ends
+    require(all(m >> x & 1 for x, m in enumerate(down)),
+            "down[x] must contain x")
+    n, w0 = len(down), inv.__getitem__
+    seeded = _propagate(down, w0, 0, 0,
+                        [x for x in range(n) if down[inv[x]] >> x & 1])
+    if seeded is None:
+        return []
+    pairs = [x for x in range(n) if x < inv[x]]
+    pair_bits = [1 << x | 1 << inv[x] for x in pairs]
     end = len(pairs)
 
     results = []
@@ -643,20 +666,11 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
             results.append(in_mask)
             continue
         x = pairs[idx]
-        for branch in (w0(x), x):  # x popped first: IN branch first
+        for branch in (inv[x], x):  # x popped first: IN branch first
             closed = _propagate(down, w0, in_mask, hit, (branch,))
             if closed is not None:
                 stack.append((*closed, idx))
-
-    gen_cols = _certify_all(o, results, invariance)
-    # the generators in canonical word order: row r of the transposed
-    # columns then compares as the word list of result r, once its bytes
-    # are flipped (the earlier word present sorts first)
-    used = sorted((x for x, c in enumerate(gen_cols) if c), key=g.reduced_word)
-    rows = _rows([gen_cols[x] for x in used], len(results))
-    keys = [(row.count(1), row.translate(_FLIP)) for row in rows]
-    return used, [(results[r], rows[r])
-                  for r in sorted(range(len(results)), key=keys.__getitem__)]
+    return results
 
 
 def _columns(masks: list[int], n: int) -> list[int]:
@@ -677,46 +691,55 @@ def _columns(masks: list[int], n: int) -> list[int]:
 
 
 def _certify_all(o: BruhatOrder, masks: list[int], invariance) -> list[int]:
+    """_certify on W: the covers, the w0 table, and under invariance
+    the right multiplications by theta as the coset permutations."""
+    perms = [] if invariance is None else [
+        [row[i] for row in o.g.rmult] for i in invariance.theta]
+    return _certify(masks, o.down, o._upper, o.g._w0_left, perms)
+
+
+def _certify(masks: list[int], down: list[int], upper: list[list[int]],
+             inv: list[int], perms: list[list[int]]) -> list[int]:
     """Certify the search results, the masks of I, all at once.
 
     Returns the generator columns G below.  The checks run on columns:
     R[y] has bit r set when result r contains y, so each costs
-    O(|W| + cover edges) big-int operations, whatever the count.
-    Decided: every pair {y, w0 y} has a member in each result,
-    R[y] | R[w0 y] = ALL.  Each result holds half of W, so with the
-    pairs decided it holds exactly one member of each: it equals its
-    orthogonal w0 (W \\ I), and no third check is needed.  Downward
-    closed: every R[y] with y covering x lies inside R[x].  Under
-    invariance, a union of cosets: R[y] = R[y s] for s in theta.  The
-    generators of result r are the x with bit r in
-    G[x] = R[x] & ~OR{R[y] : y covers x}; they must regenerate the
-    result through the down masks.  Covers, the w0 table and the group
-    table are read here, and the down masks only to regenerate, so a
+    O(n + cover edges) big-int operations, whatever the count.
+    inv is an involution, checked.  Decided: every pair {y, inv y} has
+    a member in each result, R[y] | R[inv y] = ALL.  Each result holds
+    half of the n elements, so with the pairs decided it holds exactly
+    one member of each: it equals inv of its complement, its
+    orthogonal, and no third check is needed.  Downward closed: every
+    R[y] with y in upper[x] lies inside R[x].  Each result is fixed by
+    every permutation in perms: R[y] = R[p[y]].  The generators of
+    result r are the x with bit r in G[x] = R[x] & ~OR{R[y] : y in
+    upper[x]}; they must regenerate the result through down.  upper,
+    inv and perms are read here, and down only to regenerate, so a
     forged cover list cannot hide a generator.
     """
-    g, n = o.g, o.g.order
+    n = len(inv)
+    require(all(inv[inv[x]] == x for x in range(n)),
+            "inv is not an involution")
     cols = _columns(masks, n)
     every = (1 << len(masks)) - 1
-    require(all(c | cols[g.w0_left(y)] == every for y, c in enumerate(cols)),
+    require(all(c | cols[inv[y]] == every for y, c in enumerate(cols)),
             "search result leaves elements undecided")
     require(all(2 * m.bit_count() == n for m in masks),
             "search result does not hold half of W")
     above = []
-    for ys in o._upper:
+    for ys in upper:
         a = 0
         for y in ys:
             a |= cols[y]
         above.append(a)
     require(all(a & ~c == 0 for a, c in zip(above, cols)),
             "search result is not downward closed")
-    require(invariance is None or all(
-        c == cols[g.rmult[y][i]]
-        for y, c in enumerate(cols) for i in invariance.theta),
-        "search result is not a union of cosets")
+    require(all(c == cols[p[y]] for p in perms for y, c in enumerate(cols)),
+            "search result is not a union of cosets")
     gen_cols = [c & ~a for c, a in zip(cols, above)]
     # regenerate through the down masks: bit r of regen[x] says that x
     # lies below a generator of result r
-    down, regen = o.down, [0] * n
+    regen = [0] * n
     for y, gen in enumerate(gen_cols):
         if gen:
             for x in _bit_positions(down[y]):
