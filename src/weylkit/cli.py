@@ -344,7 +344,7 @@ def _cmd_hausdorff(args, t0):
 
 def _cmd_distinct(args, t0):
     verify = args.verify
-    report = topology.homotopy_distinction(args.j, verify=verify)
+    report = topology.homotopy_distinction(args.j)
     mu = families.distinction_witness_mu(args.j, verify=verify)
     inputs = {"j": args.j, "verify": verify}
     outputs = report.to_json()

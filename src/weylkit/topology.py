@@ -16,13 +16,12 @@ t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
 
 from __future__ import annotations
 
-from math import log10
+from math import factorial, log10
 
 from .bruhat import BruhatOrder, Ideal, _cached, classify, orthogonal
 from .errors import (DIGIT_BUDGET, DIGIT_LIMIT, BudgetExceededError,
                      InvalidInputError, Record, clip, require)
-from .families import build_symmetric, lower_half_ideal, principal_2n_ideal
-from .parabolic import ParabolicSubset, build_parabolic, is_right_invariant
+from .parabolic import ParabolicSubset, is_right_invariant
 
 
 class GradedRanks(Record):
@@ -63,6 +62,13 @@ def _trim(ranks) -> tuple[int, ...]:
     while ranks and ranks[-1] == 0:
         ranks.pop()
     return tuple(ranks)
+
+
+def _checked_int(name: str, value) -> int:
+    """value, refused unless an int; a bool is no int here."""
+    if type(value) is not int:
+        raise InvalidInputError(f"{name} {clip(repr(value))} is not an int")
+    return value
 
 
 def _ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
@@ -129,7 +135,7 @@ def quotient_homology(omega: GradedRanks, genus: int) -> GradedRanks:
     The total rank, (2g + 2) times omega's, bounds every rank and the
     Euler characteristic; one past DIGIT_LIMIT is refused.
     """
-    if genus < 2:
+    if _checked_int("genus", genus) < 2:
         raise InvalidInputError("genus must be at least 2")
     if any(omega.ranks[1::2]):
         raise InvalidInputError("omega ranks must be supported in even degrees")
@@ -219,8 +225,8 @@ POINCARE_MAX_DEGREE = 200 * 199
 def _check_degree(degree: int) -> None:
     """Refuse a closed form above POINCARE_MAX_DEGREE before building it."""
     if degree > POINCARE_MAX_DEGREE:
-        raise BudgetExceededError(f"Poincare polynomial degree exceeds "
-                                  f"budget {POINCARE_MAX_DEGREE}")
+        raise BudgetExceededError(f"Poincare polynomial degree {clip(degree)}"
+                                  f" > budget {POINCARE_MAX_DEGREE}")
 
 
 def flag_poincare(m: int) -> GradedRanks:
@@ -228,7 +234,7 @@ def flag_poincare(m: int) -> GradedRanks:
 
     Its degree is m(m-1).
     """
-    if m < 1:
+    if _checked_int("m", m) < 1:
         raise InvalidInputError("need m >= 1")
     _check_degree(m * (m - 1))
     poly = [1]
@@ -242,7 +248,7 @@ def omega2n_closed_form(n: int) -> GradedRanks:
 
     (1 + t^(2n-2)) [n] [2][3]...[2n-1], of degree (2n-2)(2n+1).
     """
-    if n < 1:
+    if _checked_int("n", n) < 1:
         raise InvalidInputError("need n >= 1")
     _check_degree((2 * n - 2) * (2 * n + 1))
     poly = [1] + [0] * (2 * n - 3) + [1] if n > 1 else [2]  # 1 + t^(2n-2)
@@ -254,7 +260,7 @@ def omega2n_closed_form(n: int) -> GradedRanks:
 
 def incidence_betti(n: int, k: int) -> int:
     """Closed-form b_2k of the incidence-family domain in S_n."""
-    if n < 2 or k < 0:
+    if _checked_int("n", n) < 2 or _checked_int("k", k) < 0:
         raise InvalidInputError("need n >= 2 and k >= 0")
     if k == n - 2:
         return 2 * n - 2
@@ -275,29 +281,24 @@ class DistinctionReport(Record):
         self.strict = strict
 
 
-def homotopy_distinction(j: int, verify: bool = True) -> DistinctionReport:
-    """Compare middle Betti numbers of the two domains over S_2(2j+1).
+def homotopy_distinction(j: int) -> DistinctionReport:
+    """Compare middle Betti numbers of the two domains over S_2n, n = 2j+1.
 
-    The lower-half and principal-family domains differ in b_2k where
-    k = (l(w0) - 1) / 2; the report also re-derives both values from the
-    raw length counts.
+    l(w0) = n(2n-1) is odd and k = (l(w0) - 1)/2.  The lower-half
+    domain's b_2k is twice the number of length-k elements of S_2n, a
+    Mahonian number read off flag_poincare(2n) (Stanley, EC1 Sec. 1.3);
+    the principal domain's is read off omega2n_closed_form(n).  Both
+    polynomials must sum to (2n)!, counted by math.factorial.
     """
-    if j < 1:
+    if _checked_int("j", j) < 1:
         raise InvalidInputError("need j >= 1")
     n = 2 * j + 1
-    g, o = build_symmetric(2 * n)
-    require(g.n_positive % 2 == 1, "l(w0) of S_2n is even")
-    k = (g.n_positive - 1) // 2
-    p = build_parabolic(g, ())
-    half = lower_half_ideal(o, verify=verify)
-    principal = principal_2n_ideal(o, verify=verify)
-    b_half = omega_betti(o, half, p).get(2 * k)
-    b_principal = omega_betti(o, principal, p).get(2 * k)
-    # balanced + l(w0) odd make both values twice a middle length count
-    level = p.length_masks[k]       # W^P = W: the elements of length k
-    require(b_half == 2 * level.bit_count(),
-            "lower-half b_2k differs from twice the middle level count")
-    require(b_principal == 2 * (principal.mask & level).bit_count(),
-            "principal b_2k differs from twice its middle level count")
+    k = (n * (2 * n - 1) - 1) // 2
+    flag = flag_poincare(2 * n)
+    principal = omega2n_closed_form(n)
+    require(flag.total == principal.total == factorial(2 * n),
+            "a Poincare polynomial over S_2n does not sum to (2n)!")
+    b_half = 2 * flag.get(2 * k)
+    b_principal = principal.get(2 * k)
     return DistinctionReport(j=j, n=n, k=k, b_lower_half=b_half,
                              b_principal=b_principal, strict=b_principal < b_half)

@@ -405,6 +405,7 @@ def test_budget_exit_3(capsys, monkeypatch):
                  ["bbw", "A2000", "--weight", "1"],
                  ["family", "incidence", "3000"],
                  ["distinct", "1000"],
+                 ["distinct", "50"],
                  ["group", "A99999999999999999999"],
                  ["balanced", "A300000"],
                  ["poincare", "flag", "1" + "0" * 4000],

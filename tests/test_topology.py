@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import check_record
+from test_balanced_core import no_weyl_group
 from weylkit import bbw, topology
 from weylkit.bbw import BBWReport, bbw_cohomology
 from weylkit.bruhat import (build_order, classify, enumerate_balanced,
@@ -14,7 +15,8 @@ from weylkit.bruhat import (build_order, classify, enumerate_balanced,
 from weylkit.cartan import build_root_system, parse_type
 from weylkit.errors import (DIGIT_LIMIT, BudgetExceededError,
                             InvalidInputError, Record, VerificationError)
-from weylkit.families import build_symmetric, lower_half_ideal
+from weylkit.families import (build_symmetric, lower_half_ideal,
+                              principal_2n_ideal)
 from weylkit.parabolic import (ParabolicSubset, build_parabolic,
                                is_right_invariant, quotient_ideal)
 from weylkit.topology import (GradedRanks, euler_omega, flag_poincare,
@@ -372,6 +374,53 @@ def test_homotopy_distinction_j1():
     assert rep.b_lower_half == 202
     assert rep.b_principal == 114
     assert rep.strict
+
+
+def test_homotopy_distinction_j1_matches_the_table():
+    """The closed forms against the domain Betti numbers of S_6's two
+    ideals, computed from the group table."""
+    g, o = build_symmetric(6)
+    p = build_parabolic(g, ())
+    rep = homotopy_distinction(1)
+    assert rep.b_lower_half == omega_betti(o, lower_half_ideal(o), p).get(14)
+    assert rep.b_principal == omega_betti(o, principal_2n_ideal(o), p).get(14)
+
+
+def test_homotopy_distinction_is_strict_up_to_j10():
+    for j in range(1, 11):
+        rep = homotopy_distinction(j)
+        n = 2 * j + 1
+        assert (rep.j, rep.n) == (j, n)
+        assert rep.k == (n * (2 * n - 1) - 1) // 2 == j * (4 * j + 3)
+        assert rep.strict
+
+
+def test_homotopy_distinction_builds_no_weyl_group():
+    with no_weyl_group():
+        assert homotopy_distinction(1).b_principal == 114
+        assert homotopy_distinction(2).strict
+
+
+def test_homotopy_distinction_answers_at_j49():
+    rep = homotopy_distinction(49)
+    assert (rep.n, rep.k) == (99, 49 * 199)
+    assert rep.strict
+    with pytest.raises(BudgetExceededError, match="degree 40602 > budget"):
+        homotopy_distinction(50)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (flag_poincare, (2.5,)), (flag_poincare, (True,)),
+    (omega2n_closed_form, (2.0,)), (omega2n_closed_form, (True,)),
+    (homotopy_distinction, (1.0,)), (homotopy_distinction, (True,)),
+    (incidence_betti, (4.0, 1)), (incidence_betti, (4, 1.0)),
+    (incidence_betti, (4, False)),
+    (quotient_homology, (GradedRanks((1, 0, 1)), 2.5)),
+    (quotient_homology, (GradedRanks((1, 0, 1)), "3")),
+])
+def test_closed_form_parameters_must_be_ints(fn, args):
+    with pytest.raises(InvalidInputError, match="is not an int"):
+        fn(*args)
 
 
 def test_thickening_with_nontrivial_domain():
