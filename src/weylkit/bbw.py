@@ -2,10 +2,11 @@
 
 Weights live in fundamental-weight coordinates, so the i-th coordinate
 is the pairing with the i-th simple coroot and reflection i subtracts
-that coordinate times column i of the Cartan matrix.  In the bundle
-convention used throughout, the weight delta (all ones) labels the
-trivial bundle and dominant regular weights put all cohomology in
-degree zero.
+that coordinate times column i of the Cartan matrix; the reflection and
+the walk to the dominant chamber are RootSystem's weight kernel.  In
+the bundle convention used throughout, the weight delta (all ones)
+labels the trivial bundle and dominant regular weights put all
+cohomology in degree zero.
 
 Dimensions come from the Weyl dimension formula; the product over
 positive coroots divides exactly, which is checked rather than
@@ -17,7 +18,7 @@ from __future__ import annotations
 from math import log10
 
 from .errors import (DIGIT_BUDGET, DIGIT_LIMIT, BudgetExceededError,
-                     InvalidInputError, Record, clip, require)
+                     InvalidInputError, Record, checked_int, clip, require)
 from .weyl import WeylGroup
 
 IntegralWeight = tuple[int, ...]
@@ -32,18 +33,11 @@ def _check_weight(g: WeylGroup, lam) -> IntegralWeight:
     return lam
 
 
-def reflect_weight(g: WeylGroup, i: int, lam: IntegralWeight) -> IntegralWeight:
-    """s_i(lam) = lam - lam_i * alpha_i in fundamental coordinates."""
-    c = g.rs.cartan_matrix
-    li = lam[i]
-    return tuple(lam[k] - li * c[k][i] for k in range(g.rank))
-
-
 def weyl_act(g: WeylGroup, w: int, lam) -> IntegralWeight:
     """w(lam), applying the reduced word right to left."""
     lam = _check_weight(g, lam)
     for i in reversed(g.reduced_word(w)):
-        lam = reflect_weight(g, i, lam)
+        lam = g.rs.reflect_weight(i, lam)
     return lam
 
 
@@ -56,22 +50,14 @@ class WeightClass(Record):
 
 
 def classify_weight(g: WeylGroup, lam) -> WeightClass:
-    """Walk lam to its dominant orbit representative.
+    """Walk lam to its dominant orbit representative (dominant_walk).
 
-    Reflecting at a negative coordinate strictly increases the pairing
-    with the dual Weyl vector, so the walk terminates.  A zero
-    coordinate at the end means the orbit has no strictly dominant
-    member (not regular); otherwise the accumulated element is the
+    A zero coordinate at the end means the orbit has no strictly
+    dominant member (not regular); otherwise the walk's element is the
     unique w with w(lam) strictly dominant.
     """
     lam = _check_weight(g, lam)
-    v, letters = lam, []
-    while True:
-        i = next((i for i in range(g.rank) if v[i] < 0), None)
-        if i is None:
-            break
-        v = reflect_weight(g, i, v)
-        letters.append(i)
+    letters, v = g.rs.dominant_walk(lam)
     if any(c == 0 for c in v):
         return WeightClass(regular=False, w=None, dominant_form=v)
     # w = s_ik ... s_i1 for the letters i1, ..., ik in walk order
@@ -175,9 +161,9 @@ def sheaf_cohomology_cases(g: WeylGroup, lam, k: int,
     supplied, the tail of the group window beyond cd + l(w) vanishes.
     """
     lam = _check_weight(g, lam)
-    if k < 1:
+    if checked_int("k", k) < 1:
         raise InvalidInputError("need k >= 1")
-    if cd is not None and cd < 0:
+    if cd is not None and checked_int("cd", cd) < 0:
         raise InvalidInputError("cohomological dimension must be >= 0")
     cls = classify_weight(g, lam)
     if not cls.regular:

@@ -44,14 +44,15 @@ and the word order stay with _enumerate_certified and _certify_all.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_right
 from functools import cached_property
-from itertools import compress
+from itertools import compress, permutations
 from operator import itemgetter
 
-from .cartan import CartanType, RootSystem, component_coxeter_number
-from .errors import BudgetExceededError, InvalidInputError, Record, clip, require
-from .weyl import Word, WeylGroup, build_group
+from .cartan import (CartanType, RootSystem, build_root_system,
+                     component_coxeter_number)
+from .errors import (BudgetExceededError, InvalidInputError, Record,
+                     checked_int, clip, require)
+from .weyl import Word, WeylGroup, check_table_budget
 
 ENUM_BUDGET_DEFAULT = 1152
 MASK_BUDGET = 50000**2 // 16  # bytes of order masks: refuses |W| > 50,000
@@ -64,7 +65,8 @@ def check_enumeration_budget(t: CartanType,
     """|W| of t, refused above max_order, else above ENUM_BUDGET_DEFAULT,
     and refused when the order masks that enumeration builds, about
     |W|^2/16 bytes, would exceed MASK_BUDGET."""
-    budget = ENUM_BUDGET_DEFAULT if max_order is None else max_order
+    budget = (ENUM_BUDGET_DEFAULT if max_order is None
+              else checked_int("max_order", max_order))
     if budget < 1:
         raise InvalidInputError(
             f"enumeration budget must be at least 1, got {clip(budget)}")
@@ -511,23 +513,45 @@ def short_small_expected(rs: RootSystem, max_length: int) -> bool:
 def verify_short_small(t: CartanType, max_length: int) -> ShortSmallReport:
     """Check smallness of every element of length <= max_length.
 
-    Needs only the group table: each x is compared with w0 x by the
-    mask-free walk.  Lengths never decrease along the ids, so the
-    elements of length 1 to max_length are one id range after the
-    identity.  Witnesses come in id order, that is (length, id).
+    Needs only the root system, within the table budget all the same.
+    The canonical words, the shortlex-least reduced words, come from the
+    Cartan matrix in (length, word) order, which is the id order: every
+    word of distinct letters, of length 1 to max_length, but (i, j) with
+    i > j whose letters commute.  For a word of x, the dominant walk of
+    -x^-1 rho, rho = (1, ..., 1), ends at rho, so its letters read
+    backwards are a reduced word of w0 x, of length |Sigma^+| - l(x).
+    By the subword property (Bjorner-Brenti, Thm. 2.2.2), x <= w0 x iff
+    a reduced word of x is a subword of it; (i, j) with commuting
+    letters has two, and x = s_i has one, as c[i][i] = 2.
     """
-    if max_length not in (1, 2):
+    if checked_int("max_length", max_length) not in (1, 2):
         raise InvalidInputError("max_length must be 1 or 2")
-    g = build_group(t)
-    witnesses = [x for x in range(1, bisect_right(g.length, max_length))
-                 if not _leq_walk(g, x, g.w0_left(x))]
+    check_table_budget(t)
+    rs = build_root_system(t)
+    c = rs.cartan_matrix
+    words = [w for n in range(1, max_length + 1)
+             for w in permutations(range(rs.rank), n)
+             if w[0] <= w[-1] or c[w[0]][w[-1]]]
+    witnesses = []
+    for x in words:
+        lam = (-1,) * rs.rank           # -x^-1 rho = x^-1 (-rho)
+        for i in x:
+            lam = rs.reflect_weight(i, lam)
+        w0x = rs.dominant_walk(lam)[0][::-1]
+        reduced = (x, x[::-1]) if c[x[0]][x[-1]] == 0 else (x,)
+        if not any(_is_subword(r, w0x) for r in reduced):
+            witnesses.append(x)
     return ShortSmallReport(
-        cartan_type=t,
-        max_length=max_length,
-        all_small=not witnesses,
-        witnesses=tuple(g.reduced_word(x) for x in witnesses),
-        expected_all_small=short_small_expected(g.rs, max_length),
-    )
+        cartan_type=t, max_length=max_length, all_small=not witnesses,
+        witnesses=tuple(witnesses),
+        expected_all_small=short_small_expected(rs, max_length))
+
+
+def _is_subword(word: Word, of: list[int]) -> bool:
+    """word is a subsequence of of; each letter search resumes past the
+    last match."""
+    rest = iter(of)
+    return all(i in rest for i in word)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Everything downstream works over exact integer coordinates:
   reflection s_i changes only coordinate i and the Cartan matrix drives
   the whole computation;
 * weights are integer vectors in the fundamental-weight basis (the value
-  of the weight on each simple coroot), see module bbw.
+  of the weight on each simple coroot); RootSystem reflects them and
+  walks them to the dominant chamber, for bbw and for the smallness
+  check in bruhat.
 
 A type is a product of simple factors like ``A2`` or ``B2xA1``.  All per
 factor data (Cartan matrix blocks, roots, Coxeter numbers) is assembled
@@ -19,7 +21,7 @@ from functools import cached_property
 from math import factorial, prod
 import re
 
-from .errors import InvalidInputError, Record, clip, require
+from .errors import InvalidInputError, Record, checked_int, clip, require
 
 # ---------------------------------------------------------------------------
 # Cartan types
@@ -60,7 +62,7 @@ class CartanType(Record):
         for fam, rank in factors:
             if fam not in _RANK_OK:
                 raise InvalidInputError(f"unknown family {fam!r}")
-            if not _RANK_OK[fam](rank):
+            if not _RANK_OK[fam](checked_int("rank", rank)):
                 raise InvalidInputError(
                     f"invalid rank {clip(rank)} for family {fam}")
         self.factors = factors
@@ -200,6 +202,27 @@ class RootSystem:
     def reflect(self, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
         """Apply the simple reflection s_i to a root coordinate vector."""
         return _reflect(self.cartan_matrix, i, v)
+
+    def reflect_weight(self, i: int, lam: tuple[int, ...]) -> tuple[int, ...]:
+        """s_i(lam) = lam - lam_i alpha_i on a weight in fundamental-weight
+        coordinates, where alpha_i is column i of the Cartan matrix."""
+        li = lam[i]
+        return tuple(x - li * r[i] for x, r in zip(lam, self.cartan_matrix))
+
+    def dominant_walk(self, lam: tuple[int, ...]
+                      ) -> tuple[list[int], tuple[int, ...]]:
+        """(letters, endpoint): reflect lam at its first negative coordinate
+        until none is left.  Each step strictly raises the pairing with
+        the dual Weyl vector, so the walk ends, at the dominant member of
+        the orbit; for the letters i1, ..., ik in walk order,
+        s_ik ... s_i1 (lam) is the endpoint.  A walk from a regular lam
+        is a reduced word of that element read backwards (Humphreys,
+        Introduction to Lie Algebras, Sec. 10.3)."""
+        letters = []
+        while (i := next((k for k, x in enumerate(lam) if x < 0), -1)) >= 0:
+            lam = self.reflect_weight(i, lam)
+            letters.append(i)
+        return letters, lam
 
     @cached_property
     def simple_actions(self) -> tuple[tuple[int, ...], ...]:

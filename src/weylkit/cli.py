@@ -61,8 +61,11 @@ def _parse_gens(text: str | None, rank: int) -> tuple[int, ...]:
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated ints, spaces dropped; an empty field is refused,
+    and only a wholly empty text reads as no ints."""
+    fields = text.replace(" ", "")
     try:
-        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+        return tuple(int(tok) for tok in fields.split(",")) if fields else ()
     except ValueError:
         raise InvalidInputError(f"bad {what} {clip(repr(text))}")
 

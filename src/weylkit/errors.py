@@ -5,7 +5,8 @@ The CLI maps these onto exit codes: bad input 1, a failed verification
 
 Every internal claim is checked through require(), which raises
 VerificationError; it is an ordinary function call, so the checks run
-the same under ``python -O``.  Messages echo outside input through clip().
+the same under ``python -O``.  Every integer parameter is checked
+through checked_int().  Messages echo outside input through clip().
 Record is the base of the package's value records.
 """
 
@@ -46,6 +47,16 @@ def require(cond: bool, message: str) -> None:
     """
     if not cond:
         raise VerificationError(message)
+
+
+def checked_int(name: str, value, stop: int | None = None) -> int:
+    """value, refused unless an int, and given stop, unless in
+    range(stop); a bool is no int here."""
+    if type(value) is not int:
+        raise InvalidInputError(f"{name} {clip(repr(value))} is not an int")
+    if stop is not None and not 0 <= value < stop:
+        raise InvalidInputError(f"{name} {clip(value)} out of range")
+    return value
 
 
 def clip(value, limit: int = 60) -> str:

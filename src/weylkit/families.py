@@ -20,7 +20,7 @@ from .bruhat import (BruhatOrder, Ideal, build_order, classify,
                      is_downward_closed, mask_of, minimal_generators,
                      principal_ideal)
 from .cartan import CartanType
-from .errors import InvalidInputError, clip, require
+from .errors import InvalidInputError, checked_int, clip, require
 from .parabolic import build_parabolic, is_right_invariant
 from .weyl import WeylGroup, build_group
 
@@ -29,7 +29,8 @@ Permutation = tuple[int, ...]
 
 def check_permutation(p: Permutation) -> int:
     n = len(p)
-    if n == 0 or sorted(p) != list(range(1, n + 1)):
+    entries = sorted(checked_int("permutation entry", v) for v in p)
+    if n == 0 or entries != list(range(1, n + 1)):
         raise InvalidInputError(f"not a permutation of 1..{n}: {clip(p)}")
     return n
 

@@ -20,7 +20,7 @@ from math import factorial, log10
 
 from .bruhat import BruhatOrder, Ideal, _cached, classify, orthogonal
 from .errors import (DIGIT_BUDGET, DIGIT_LIMIT, BudgetExceededError,
-                     InvalidInputError, Record, clip, require)
+                     InvalidInputError, Record, checked_int, clip, require)
 from .parabolic import ParabolicSubset, is_right_invariant
 
 
@@ -62,13 +62,6 @@ def _trim(ranks) -> tuple[int, ...]:
     while ranks and ranks[-1] == 0:
         ranks.pop()
     return tuple(ranks)
-
-
-def _checked_int(name: str, value) -> int:
-    """value, refused unless an int; a bool is no int here."""
-    if type(value) is not int:
-        raise InvalidInputError(f"{name} {clip(repr(value))} is not an int")
-    return value
 
 
 def _ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
@@ -135,7 +128,7 @@ def quotient_homology(omega: GradedRanks, genus: int) -> GradedRanks:
     The total rank, (2g + 2) times omega's, bounds every rank and the
     Euler characteristic; one past DIGIT_LIMIT is refused.
     """
-    if _checked_int("genus", genus) < 2:
+    if checked_int("genus", genus) < 2:
         raise InvalidInputError("genus must be at least 2")
     if any(omega.ranks[1::2]):
         raise InvalidInputError("omega ranks must be supported in even degrees")
@@ -234,7 +227,7 @@ def flag_poincare(m: int) -> GradedRanks:
 
     Its degree is m(m-1).
     """
-    if _checked_int("m", m) < 1:
+    if checked_int("m", m) < 1:
         raise InvalidInputError("need m >= 1")
     _check_degree(m * (m - 1))
     poly = [1]
@@ -248,7 +241,7 @@ def omega2n_closed_form(n: int) -> GradedRanks:
 
     (1 + t^(2n-2)) [n] [2][3]...[2n-1], of degree (2n-2)(2n+1).
     """
-    if _checked_int("n", n) < 1:
+    if checked_int("n", n) < 1:
         raise InvalidInputError("need n >= 1")
     _check_degree((2 * n - 2) * (2 * n + 1))
     poly = [1] + [0] * (2 * n - 3) + [1] if n > 1 else [2]  # 1 + t^(2n-2)
@@ -260,7 +253,7 @@ def omega2n_closed_form(n: int) -> GradedRanks:
 
 def incidence_betti(n: int, k: int) -> int:
     """Closed-form b_2k of the incidence-family domain in S_n."""
-    if _checked_int("n", n) < 2 or _checked_int("k", k) < 0:
+    if checked_int("n", n) < 2 or checked_int("k", k) < 0:
         raise InvalidInputError("need n >= 2 and k >= 0")
     if k == n - 2:
         return 2 * n - 2
@@ -290,7 +283,7 @@ def homotopy_distinction(j: int) -> DistinctionReport:
     the principal domain's is read off omega2n_closed_form(n).  Both
     polynomials must sum to (2n)!, counted by math.factorial.
     """
-    if _checked_int("j", j) < 1:
+    if checked_int("j", j) < 1:
         raise InvalidInputError("need j >= 1")
     n = 2 * j + 1
     k = (n * (2 * n - 1) - 1) // 2

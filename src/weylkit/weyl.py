@@ -30,7 +30,7 @@ from operator import itemgetter, neg
 
 from .cartan import (Bipartition, CartanType, RootSystem, build_root_system,
                      component_coxeter_number)
-from .errors import BudgetExceededError, InvalidInputError, clip, require
+from .errors import BudgetExceededError, checked_int, require
 
 Word = tuple[int, ...]
 
@@ -179,18 +179,11 @@ class WeylGroup:
 
     def _check_id(self, x: int) -> None:
         """Refuse any id but an int in range(|W|); a bool is no int here."""
-        if type(x) is not int:
-            raise InvalidInputError(f"element id {clip(repr(x))} is not an int")
-        if not 0 <= x < self.order:
-            raise InvalidInputError(f"element id {clip(x)} out of range")
+        checked_int("element id", x, self.order)
 
     def _check_letter(self, i: int, name: str = "letter") -> None:
-        """Refuse any generator index but an int in range(rank), as
-        _check_id refuses ids."""
-        if type(i) is not int:
-            raise InvalidInputError(f"{name} {clip(repr(i))} is not an int")
-        if not 0 <= i < self.rank:
-            raise InvalidInputError(f"{name} {clip(i)} out of range")
+        """Refuse any generator index but an int in range(rank)."""
+        checked_int(name, i, self.rank)
 
 
 def check_table_budget(t: CartanType) -> None:

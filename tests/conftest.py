@@ -4,12 +4,18 @@ The acceptance checks print one pass/fail line each, but pytest's
 default capture grabs the file descriptor, so passing tests would stay
 silent.  The lines are recorded in the test module and replayed after
 the terminal summary.  forge builds a tampered copy of a table,
-check_record checks the repr and equality of a value record, and
-COVER_TYPES lists the types the table and order tests sweep.
+check_record checks the repr and equality of a value record,
+no_weyl_group makes building a Weyl group fail, and COVER_TYPES lists
+the types the table and order tests sweep.
 """
 
+import contextlib
 import inspect
 import sys
+
+import pytest
+
+from weylkit import weyl
 
 COVER_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2",
                "F4", "A1xA1", "A2xA1", "B2xA2", "D5"]
@@ -29,6 +35,18 @@ def forge(table, **changes):
     assert set(changes) <= set(names), changes
     return type(table)(**{n: changes.get(n, getattr(table, n))
                           for n in names})
+
+
+@contextlib.contextmanager
+def no_weyl_group():
+    """Building a Weyl group fails inside the block."""
+    def refuse(*args, **kwargs):
+        pytest.fail("built a Weyl group")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weyl, "generate", refuse)
+        mp.setattr(weyl.WeylGroup, "__init__", refuse)
+        yield
 
 
 def check_record(rec, space):

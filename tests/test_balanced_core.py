@@ -10,30 +10,18 @@ P).  The W path on A1^n must list the Boolean lattice's results, and a
 map that is not an involution must be refused.
 """
 
-import contextlib
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import no_weyl_group
 from test_bruhat import SELF_DUAL_MONOTONE
 from weylkit import bruhat, weyl
 from weylkit.bruhat import build_order, enumerate_balanced
 from weylkit.cartan import build_root_system, parse_type
 from weylkit.errors import VerificationError
-
-
-@contextlib.contextmanager
-def no_weyl_group():
-    """Building a Weyl group fails inside the block."""
-    def refuse(*args, **kwargs):
-        pytest.fail("built a Weyl group")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weyl, "generate", refuse)
-        mp.setattr(weyl.WeylGroup, "__init__", refuse)
-        yield
 
 
 def boolean_lattice(n):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from weylkit.bbw import (bbw_cohomology, classify_weight, reflect_weight,
+from conftest import COVER_TYPES
+from weylkit.bbw import (bbw_cohomology, classify_weight,
                          sheaf_cohomology_cases, weyl_act, weyl_dimension)
 from weylkit import cartan
 from weylkit.cartan import build_root_system, parse_type
@@ -36,10 +37,30 @@ def test_weyl_act_is_a_group_action():
 
 
 def test_reflect_weight_is_an_involution():
-    g = grp("B2")
+    rs = build_root_system(parse_type("B2"))
     for lam in itertools.product(range(-2, 3), repeat=2):
-        for i in range(g.rank):
-            assert reflect_weight(g, i, reflect_weight(g, i, lam)) == lam
+        for i in range(rs.rank):
+            assert rs.reflect_weight(i, rs.reflect_weight(i, lam)) == lam
+
+
+def test_dominant_walk_length_counts_negative_coroots():
+    """For regular lam the walk takes one step per positive coroot that
+    is negative on lam, which is l(w) for the element classify_weight
+    finds by its table certificate; every walk ends dominant, at the
+    dominant form."""
+    for spec in COVER_TYPES:
+        g = grp(spec)
+        rs = g.rs
+        span = range(-2, 3) if g.rank <= 3 else (-2, -1, 0, 1)
+        for lam in itertools.product(span, repeat=g.rank):
+            letters, end = rs.dominant_walk(lam)
+            cls = classify_weight(g, lam)
+            assert end == cls.dominant_form and min(end) >= 0, (spec, lam)
+            if cls.regular:
+                negative = sum(1 for b in rs.coroots
+                               if sum(x * y for x, y in zip(lam, b)) < 0)
+                assert len(letters) == negative == g.length[cls.w], (
+                    spec, lam)
 
 
 def test_classify_against_exhaustive_orbit():

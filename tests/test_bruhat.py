@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from conftest import COVER_TYPES, check_record, forge
+from conftest import COVER_TYPES, check_record, forge, no_weyl_group
 from weylkit import bruhat, cartan
 from weylkit.bruhat import (_certify_all, build_order, classify,
                             enumerate_balanced,
@@ -749,6 +749,9 @@ def test_short_small_prediction_matches_scan():
 
 
 def test_short_small_needs_no_order(monkeypatch):
+    """verify_short_small reads the root system only: it builds neither
+    an order nor a group table, up to the largest types the table
+    budget admits (A7, B6, D6, E6)."""
     def refuse(*args, **kwargs):
         pytest.fail("verify_short_small built an order")
 
@@ -758,12 +761,19 @@ def test_short_small_needs_no_order(monkeypatch):
         ("D4", 1): (True, ()), ("D4", 2): (True, ()),
         ("A2xA1", 1): (False, ((2,),)),
         ("A2xA1", 2): (False, ((2,), (0, 1), (0, 2), (1, 0), (1, 2))),
+        ("E6", 1): (True, ()), ("E6", 2): (True, ()),
+        ("A7", 2): (True, ()), ("B6", 2): (True, ()), ("D6", 2): (True, ()),
     }
-    for (spec, max_len), (all_small, witnesses) in expected.items():
-        t = parse_type(spec)
-        assert verify_short_small(t, max_len) == bruhat.ShortSmallReport(
-            cartan_type=t, max_length=max_len, all_small=all_small,
-            witnesses=witnesses, expected_all_small=all_small)
+    with no_weyl_group():
+        for (spec, max_len), (all_small, witnesses) in expected.items():
+            t = parse_type(spec)
+            assert verify_short_small(t, max_len) == bruhat.ShortSmallReport(
+                cartan_type=t, max_length=max_len, all_small=all_small,
+                witnesses=witnesses, expected_all_small=all_small)
+        for spec in COVER_TYPES:
+            for max_len in (1, 2):
+                rep = verify_short_small(parse_type(spec), max_len)
+                assert rep.all_small == rep.expected_all_small, spec
 
 
 def test_ideals_and_reports_compare_by_value():

@@ -419,6 +419,7 @@ def test_budget_exit_3(capsys, monkeypatch):
                  ["group", "D70"],
                  ["bbw", "A80", "--weight", "1"],
                  ["small", "A80", "--max-len", "2"],
+                 ["small", "E7", "--max-len", "2"],
                  ["family", "incidence", "13"],
                  ["poincare", "flag", "201"],
                  ["poincare", "omega2n", "101"],

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from conftest import check_record
-from test_balanced_core import no_weyl_group
+from conftest import check_record, no_weyl_group
 from weylkit import bbw, topology
 from weylkit.bbw import BBWReport, bbw_cohomology
 from weylkit.bruhat import (build_order, classify, enumerate_balanced,

@@ -10,6 +10,9 @@ from weylkit import weyl
 from weylkit.cartan import CartanType, build_root_system, parse_type
 from weylkit.errors import (BudgetExceededError, InvalidInputError,
                             VerificationError)
+from weylkit.bbw import sheaf_cohomology_cases
+from weylkit.bruhat import build_order, enumerate_balanced, verify_short_small
+from weylkit.families import check_permutation, perm_length
 from weylkit.weyl import bipartite_w0_word, default_bipartition, generate
 
 rng = random.Random(411)
@@ -115,6 +118,40 @@ def test_reduced_word_refuses_ids_that_are_not_ints():
     assert len(str(err.value)) < 100    # the echo is clipped
     with pytest.raises(InvalidInputError, match="bit number out of range"):
         g.reduced_word(10**5000)        # past str()'s digit limit
+
+
+def _order(spec):
+    return build_order(grp(spec))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CartanType((("A", 2.5),)), "rank 2.5 is not an int"),
+    (lambda: CartanType((("A", True),)), "rank True is not an int"),
+    (lambda: CartanType((("E", 6.0),)), "rank 6.0 is not an int"),
+    (lambda: enumerate_balanced(_order("A2"), max_order=1.5),
+     "max_order 1.5 is not an int"),
+    (lambda: enumerate_balanced(_order("A2"), max_order="100"),
+     "max_order '100' is not an int"),
+    (lambda: verify_short_small(parse_type("A2"), True),
+     "max_length True is not an int"),
+    (lambda: verify_short_small(parse_type("A2"), 1.0),
+     "max_length 1.0 is not an int"),
+    (lambda: sheaf_cohomology_cases(grp("A2"), (1, 1), "3"),
+     "k '3' is not an int"),
+    (lambda: sheaf_cohomology_cases(grp("A2"), (1, 1), 2.5),
+     "k 2.5 is not an int"),
+    (lambda: sheaf_cohomology_cases(grp("A2"), (1, 1), 3, cd=0.5),
+     "cd 0.5 is not an int"),
+    (lambda: check_permutation((1.0, 2.0)),
+     "permutation entry 1.0 is not an int"),
+    (lambda: perm_length((True, 2)), "permutation entry True is not an int"),
+])
+def test_integer_parameters_refuse_what_is_not_an_int(call, message):
+    """One rule, errors.checked_int, for every integer parameter: a
+    float, str or bool is refused, never read as the int it resembles."""
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_w0_left_reverses_length():
