@@ -28,24 +28,29 @@ Balanced ideals are enumerated by backtracking over the pairs
 {x, w0 x}, seeded with the small elements (x <= w0 x), which every fat
 ideal contains.  Forcing x into I costs two mask operations, whatever
 down[x] holds: I takes down[x], and a small hit mask takes w0 x, for I
-meets w0 I exactly when it meets hit; right-invariance is folded into
-down beforehand.  A right-invariant balanced ideal is a union of
-cosets holding |W|/2 elements, so an odd coset count answers at once,
-with no ideal, before covers or masks are built.  All results are then
-certified at once, on the transposed bit matrix, and each enumerated
-ideal keeps what its certificate proved: its orthogonal (itself) and
-its generators.  The search (_search) and the certificate (_certify)
+meets w0 I exactly when it meets hit (_propagate, which seeds the
+search; each branch applies the same rule inline).  Right-invariance
+is folded into down beforehand.  A right-invariant balanced ideal is
+a union of cosets holding |W|/2 elements, so an odd coset count
+answers at once, with no ideal, before covers or masks are built.  All
+results are then certified at once, on the transposed bit matrix, and
+each enumerated ideal keeps what its certificate proved: its
+orthogonal (itself) and its generators, whose masks come from one
+transposition back of the certified generator columns.  A memo hit
+skips the group check, since only an owner that passed it is stored.
+The search (_search) and the certificate (_certify)
 read plain lists only: down masks, the involution, upper covers and
 the permutations that must fix each result; they work on any finite
 poset with an involution.  Budgets, the fold, the coset permutations
-and the word order stay with _enumerate_certified and _certify_all.
+and the word order stay with _certified, _canonical_order and
+_certify_all.
 """
 
 from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from itertools import compress, permutations
+from itertools import permutations, repeat
 from operator import itemgetter
 
 from .cartan import (CartanType, RootSystem, build_root_system,
@@ -331,7 +336,7 @@ class Ideal:
 def check_group(g: WeylGroup, *parts) -> None:
     """Refuse orders and parabolics built on a group other than g.
 
-    Every memo read runs it, so it is a plain loop."""
+    Every memo miss runs it, so it is a plain loop."""
     for part in parts:
         if part.g is not g:
             raise InvalidInputError(
@@ -342,18 +347,20 @@ def _cached(ideal: Ideal, name: str, owner, compute):
     """compute(), kept on the ideal under name while owner is alive.
 
     owner is the order or parabolic the value was derived with; one of
-    another group is refused here, for every derived value.  It is
+    another group is refused on a miss, for every derived value.  It is
     held weakly, so the memo keeps no order alive, and matched by
     identity, so a copy such as BruhatOrder(o.g, forged_covers, o.down)
-    is a different owner and computes afresh.  A raising compute stores
-    nothing.  Ideal equality reads only g and mask, so memos do not
-    count.  enumerate_balanced stores _perp and _gens in this form from
-    its certificate.
+    is a different owner and computes afresh.  A hit skips the group
+    check: it needs the stored owner itself, and every stored owner
+    passed that check on its miss, or is the order enumerate_balanced
+    built the ideal on, when it stores _perp and _gens in this form
+    from its certificate.  A raising compute stores nothing.  Ideal
+    equality reads only g and mask, so memos do not count.
     """
-    check_group(ideal.g, owner)
     hit = ideal.__dict__.get(name)
     if hit is not None and hit[0]() is owner:
         return hit[1]
+    check_group(ideal.g, owner)
     value = compute()
     ideal.__dict__[name] = (weakref.ref(owner), value)
     return value
@@ -593,13 +600,17 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     orthogonal, classify and minimal_generators on it neither gather its
     covers nor regenerate it.
     """
-    used, certified = _enumerate_certified(o, invariance, max_order)
+    results, gen_cols = _certified(o, invariance, max_order)
+    order = _canonical_order(o.g, results, gen_cols)[2]
+    # transposing the generator columns back gives each result's
+    # generator mask: bit y of gens[r] is bit r of gen_cols[y]
+    gens = _columns(gen_cols, len(results))
     g, owner = o.g, weakref.ref(o)
-    own_perp, bits, ideals = (owner, None), [1 << x for x in used], []
-    for mask, row in certified:
-        ideal = Ideal(g, mask)
+    own_perp, ideals = (owner, None), []
+    for r in order:
+        ideal = Ideal(g, results[r])
         ideal._perp = own_perp
-        ideal._gens = (owner, sum(compress(bits, row)))
+        ideal._gens = (owner, gens[r])
         ideals.append(ideal)
     return ideals
 
@@ -612,7 +623,17 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
     Returns (used, [(mask, row)]): used lists every element that
     generates some result, in canonical word order, and byte j of row
     is 1 when used[j] generates the ideal, so compress(used, row) lists
-    its generators in word order.
+    its generators in word order.  The CLI's balanced reads this, and
+    no generator mask is built for it.
+    """
+    results, gen_cols = _certified(o, invariance, max_order)
+    used, rows, order = _canonical_order(o.g, results, gen_cols)
+    return used, [(results[r], rows[r]) for r in order]
+
+
+def _certified(o: BruhatOrder, invariance=None,
+               max_order: int | None = None) -> tuple[list[int], list[int]]:
+    """The search results, in search order, and their generator columns.
 
     The budget and the group of the invariance are checked first.  Then
     an odd coset count |W/W_P| returns ([], []) before o.down is read:
@@ -642,15 +663,22 @@ def _enumerate_certified(o: BruhatOrder, invariance=None,
         top = dict(zip(invariance.coset_of, range(g.order)))
         down = [down[top[rep]] for rep in invariance.coset_of]
     results = _search(down, g._w0_left)
-    gen_cols = _certify_all(o, results, invariance)
-    # the generators in canonical word order: row r of the transposed
-    # columns then compares as the word list of result r, once its bytes
-    # are flipped (the earlier word present sorts first)
+    return results, _certify_all(o, results, invariance)
+
+
+def _canonical_order(g: WeylGroup, results: list[int], gen_cols: list[int]
+                     ) -> tuple[list[int], list[bytes], list[int]]:
+    """(used, rows, order): the generators of some result in canonical
+    word order; byte j of rows[r] is 1 when used[j] generates result r;
+    and the result indices sorted by (generator count, word list).
+
+    Row r compares as the word list of result r once its bytes are
+    flipped: the earlier word present sorts first.
+    """
     used = sorted((x for x, c in enumerate(gen_cols) if c), key=g.reduced_word)
     rows = _rows([gen_cols[x] for x in used], len(results))
     keys = [(row.count(1), row.translate(_FLIP)) for row in rows]
-    return used, [(results[r], rows[r])
-                  for r in sorted(range(len(results)), key=keys.__getitem__)]
+    return used, rows, sorted(range(len(results)), key=keys.__getitem__)
 
 
 def _search(down: list[int], inv: list[int]) -> list[int]:
@@ -663,7 +691,10 @@ def _search(down: list[int], inv: list[int]) -> list[int]:
     of _propagate; a pair is decided once I holds a member.  The seeds
     are the x that down[inv x] holds: inv x joining I would bring both.
     Backtracking runs over the pairs by their smaller id; the branches
-    of x are "inv x in" and "x in".
+    of x are "inv x in" and "x in", each forced inline by _propagate's
+    rule on one element: "inv x in" ORs down[inv x] into I and bit x
+    into hit, "x in" ORs down[x] and bit inv x, and a branch whose I
+    meets its hit is dropped.
     """
     # a branch is decided only if down[x] holds x; else it never ends
     require(all(m >> x & 1 for x, m in enumerate(down)),
@@ -674,14 +705,16 @@ def _search(down: list[int], inv: list[int]) -> list[int]:
     if seeded is None:
         return []
     pairs = [x for x in range(n) if x < inv[x]]
-    pair_bits = [1 << x | 1 << inv[x] for x in pairs]
     end = len(pairs)
+    # a 0 past the last pair stops the skip below
+    pair_bits = [1 << x | 1 << inv[x] for x in pairs] + [0]
 
     results = []
     stack = [(*seeded, 0)]
+    push, pop = stack.append, stack.pop
     while stack:
-        in_mask, hit, idx = stack.pop()
-        while idx < end and in_mask & pair_bits[idx]:
+        in_mask, hit, idx = pop()
+        while in_mask & pair_bits[idx]:
             idx += 1
         if idx == end:
             if len(results) == LIST_BUDGET:
@@ -690,27 +723,41 @@ def _search(down: list[int], inv: list[int]) -> list[int]:
             results.append(in_mask)
             continue
         x = pairs[idx]
-        for branch in (inv[x], x):  # x popped first: IN branch first
-            closed = _propagate(down, w0, in_mask, hit, (branch,))
-            if closed is not None:
-                stack.append((*closed, idx))
+        y = inv[x]
+        # _propagate's rule on one element, "inv x in" pushed first so
+        # that "x in" is popped first
+        m, h = in_mask | down[y], hit | 1 << x
+        if not m & h:
+            push((m, h, idx))
+        m, h = in_mask | down[x], hit | 1 << y
+        if not m & h:
+            push((m, h, idx))
     return results
 
 
 def _columns(masks: list[int], n: int) -> list[int]:
     """Transpose: bit r of column y is bit y of masks[r].
 
-    Each block of CERTIFY_BLOCK masks is rendered as one string of
-    n-digit rows, last mask first, so the stride-n slice at n - 1 - y
-    reads element y down the block as a binary number; blocks are
-    shifted into place, and the string never outgrows one block.
+    The columns are made CERTIFY_BLOCK at a time, and for each window
+    the masks CERTIFY_BLOCK at a time.  A block is rendered as one
+    string of width-digit rows, last mask first, so the stride slice at
+    width - 1 - k reads column lo + k down the block as a binary
+    number; blocks are shifted into place.  The string never outgrows
+    CERTIFY_BLOCK rows of CERTIFY_BLOCK digits, so the transpose of the
+    generator columns of many results stays as small as the certificate.
     """
-    cols = [0] * n
-    for start in range(0, len(masks), CERTIFY_BLOCK):
-        text = "".join(f"{m:0{n}b}"
-                       for m in reversed(masks[start:start + CERTIFY_BLOCK]))
-        for y in range(n):
-            cols[y] |= int(text[n - 1 - y::n], 2) << start
+    cols = []
+    for lo in range(0, n, CERTIFY_BLOCK):
+        width = min(CERTIFY_BLOCK, n - lo)
+        spec, low, part = f"0{width}b", (1 << width) - 1, [0] * width
+        for start in range(0, len(masks), CERTIFY_BLOCK):
+            block = masks[start:start + CERTIFY_BLOCK]
+            if n > CERTIFY_BLOCK:
+                block = [m >> lo & low for m in block]
+            text = "".join(map(format, reversed(block), repeat(spec)))
+            for k in range(width):
+                part[k] |= int(text[width - 1 - k::width], 2) << start
+        cols += part
     return cols
 
 

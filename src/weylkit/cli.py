@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from itertools import compress
@@ -60,12 +61,40 @@ def _parse_gens(text: str | None, rank: int) -> tuple[int, ...]:
     return tuple(sorted(set(i - 1 for i in idx)))
 
 
+_INT = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
+def _int(text: str) -> int:
+    """An optional minus sign and ASCII digits, nothing else: int() alone
+    also takes a plus sign, spaces, digit-group underscores and
+    non-ASCII digits.  The one reader of every integer argument."""
+    if not _INT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+def _decimal(text: str) -> float:
+    """A plain ASCII decimal, with an optional minus sign.  The nan and
+    inf spellings of float() pass through: the range check of
+    hausdorff_bound refuses them, as it refuses any value outside
+    [0, 2]."""
+    if not (_DECIMAL.fullmatch(text)
+            or text.lower().lstrip("+-") in ("nan", "inf", "infinity")):
+        raise ValueError(text)
+    return float(text)
+
+
+# argparse names the type in its refusal: "invalid int value: 'x'"
+_int.__name__, _decimal.__name__ = "int", "float"
+
+
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated ints, spaces dropped; an empty field is refused,
     and only a wholly empty text reads as no ints."""
     fields = text.replace(" ", "")
     try:
-        return tuple(int(tok) for tok in fields.split(",")) if fields else ()
+        return tuple(map(_int, fields.split(","))) if fields else ()
     except ValueError:
         raise InvalidInputError(f"bad {what} {clip(repr(text))}")
 
@@ -167,6 +196,7 @@ def _cmd_balanced(args, t0):
                    "generators": list(compress(words, row)),
                    "size": mask.bit_count()}
                   for mask, row in certified]
+    del certified               # free the rows before rendering the document
     outputs = {"count": len(out_ideals), "ideals": out_ideals}
     lines = []
     if not args.json:
@@ -386,14 +416,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--right-invariant", metavar="GENS", default=None,
                    help="restrict to ideals invariant under these "
                    "1-based generators (empty string allowed)")
-    p.add_argument("--max-order", type=int, default=None,
+    p.add_argument("--max-order", type=_int, default=None,
                    help="refuse groups larger than this")
     p.set_defaults(func=_cmd_balanced)
 
     p = sub.add_parser("family", parents=[common],
                        help="construct a named ideal family")
     p.add_argument("name", choices=[*_FAMILIES, "lower-half-J"])
-    p.add_argument("n", type=int,
+    p.add_argument("n", type=_int,
                    help="symmetric group degree (for principal-2n: "
                    "half the degree)")
     p.add_argument("--verify", action="store_true",
@@ -413,13 +443,13 @@ def _build_parser() -> _Parser:
                    "principal-2n>")
     p.add_argument("--domain", default="",
                    help="1-based generators of the domain subgroup")
-    p.add_argument("--genus", type=int, default=None)
+    p.add_argument("--genus", type=_int, default=None)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("poincare", parents=[common],
                        help="closed-form Poincare polynomials")
     p.add_argument("kind", choices=["flag", "omega2n"])
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=_int)
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("bbw", parents=[common],
@@ -428,9 +458,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--weight", required=True,
                    help="comma-separated fundamental coordinates; "
                    "a leading minus needs the = form, --weight=-1,2")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_int, default=None,
                    help="degree window bound for the quotient cases")
-    p.add_argument("--cd", type=int, default=None,
+    p.add_argument("--cd", type=_int, default=None,
                    help="cohomological dimension of the group; "
                    "needs --k")
     p.set_defaults(func=_cmd_bbw)
@@ -438,7 +468,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("small", parents=[common],
                        help="check that short elements are small")
     p.add_argument("type")
-    p.add_argument("--max-len", type=int, choices=[1, 2], required=True)
+    p.add_argument("--max-len", type=_int, choices=[1, 2], required=True)
     p.add_argument("--expect-all-small", action="store_true",
                    help="exit 2 with witnesses if any short element "
                    "is not small")
@@ -449,13 +479,13 @@ def _build_parser() -> _Parser:
     p.add_argument("type")
     p.add_argument("--ideal", required=True)
     p.add_argument("--domain", default="")
-    p.add_argument("--curve-dim", type=float, default=1.0)
+    p.add_argument("--curve-dim", type=_decimal, default=1.0)
     p.set_defaults(func=_cmd_hausdorff)
 
     p = sub.add_parser("distinct", parents=[common],
                        help="middle Betti numbers separating the two "
                        "domain families")
-    p.add_argument("j", type=int)
+    p.add_argument("j", type=_int)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=_cmd_distinct)
     return parser

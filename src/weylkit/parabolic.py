@@ -59,6 +59,11 @@ class ParabolicSubset:
         return [mask_of(xs, self.g.order) for xs in levels]
 
     @cached_property
+    def _level_sizes(self) -> list[int]:
+        """_level_sizes[k] = |W^P elements of length k|, popcounted once."""
+        return [m.bit_count() for m in self.length_masks]
+
+    @cached_property
     def _right_gather(self) -> Gather:
         """The image of a mask under x -> min(x W_P)."""
         return Gather(self.coset_of, self.g.order)

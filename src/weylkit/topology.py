@@ -16,7 +16,9 @@ t^2-integers [i] = 1 + t^2 + ... + t^(2i-2), with no division.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import factorial, log10
+from operator import add, and_
 
 from .bruhat import BruhatOrder, Ideal, _cached, classify, orthogonal
 from .errors import (DIGIT_BUDGET, DIGIT_LIMIT, BudgetExceededError,
@@ -74,7 +76,8 @@ def _ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
     def compute():
         if not is_right_invariant(ideal, p):
             raise InvalidInputError("ideal is not right-invariant under W_P")
-        return tuple((ideal.mask & m).bit_count() for m in p.length_masks)
+        return tuple(map(int.bit_count,
+                         map(and_, repeat(ideal.mask), p.length_masks)))
     return _cached(ideal, "_ranks", p, compute)
 
 
@@ -103,7 +106,7 @@ def _omega_even(o: BruhatOrder, ideal: Ideal,
     r_i = _ranks(ideal, p)
     r_p = _ranks(perp, p)
     n = p.max_quotient_length
-    return [r_i[n - 1 - k] + r_p[k] for k in range(n)]
+    return list(map(add, r_i[n - 1::-1], r_p[:n]))
 
 
 def euler_omega(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> int:
@@ -148,9 +151,7 @@ def splitting_check(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset) -> bool:
     perp = orthogonal(o, ideal)
     r_i = _ranks(ideal, p)
     r_p = _ranks(perp, p)
-    n = p.max_quotient_length
-    return all(m.bit_count() == r_i[k] + r_p[n - k]
-               for k, m in enumerate(p.length_masks))
+    return list(map(add, r_i, r_p[::-1])) == p._level_sizes
 
 
 class HausdorffReport(Record):

@@ -7,10 +7,12 @@ Boolean lattice of [n] under complement (its balanced down-sets are the
 self-dual monotone Boolean functions, OEIS A001206) and on random
 P + P^op under the swap (its balanced down-sets are the down-sets of
 P).  The W path on A1^n must list the Boolean lattice's results, and a
-map that is not an involution must be refused.
+map that is not an involution must be refused, and the transposition
+of the certificate must be its own inverse.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -130,3 +132,20 @@ def test_core_lists_the_down_sets_of_p_on_p_plus_its_opposite(down_p):
             flipped = masks[:r] + [masks[r] ^ 1 << b] + masks[r + 1:]
             with pytest.raises(VerificationError):
                 bruhat._certify(flipped, down, upper, inv, [])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([0, 1, 3, bruhat.CERTIFY_BLOCK + 5]),
+       st.sampled_from([0, 1, 9, 70, bruhat.CERTIFY_BLOCK + 7]),
+       st.integers(0, 2**32))
+def test_columns_is_its_own_inverse(count, n, seed):
+    """bit r of column y is bit y of mask r, and transposing the columns
+    gives the masks back, on either side of CERTIFY_BLOCK."""
+    rnd = random.Random(seed)
+    masks = [rnd.getrandbits(n) for _ in range(count)]
+    cols = bruhat._columns(masks, n)
+    assert len(cols) == n and all(c >> count == 0 for c in cols)
+    if count < 5:
+        assert all(cols[y] >> r & 1 == m >> y & 1
+                   for r, m in enumerate(masks) for y in range(n))
+    assert bruhat._columns(cols, count) == masks

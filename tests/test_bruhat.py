@@ -567,6 +567,88 @@ def test_hit_rule_matches_w0_image_for_every_theta():
                     assert got == (None if m & image else (m, hit))
 
 
+def _search_by_propagate(down, inv):
+    """_search with each branch forced through _propagate, as it was
+    written before the forcing went inline: the reference for it."""
+    n, w0 = len(down), inv.__getitem__
+    seeded = bruhat._propagate(down, w0, 0, 0,
+                               [x for x in range(n) if down[inv[x]] >> x & 1])
+    if seeded is None:
+        return []
+    pairs = [x for x in range(n) if x < inv[x]]
+    pair_bits = [1 << x | 1 << inv[x] for x in pairs]
+    results, stack = [], [(*seeded, 0)]
+    while stack:
+        in_mask, hit, idx = stack.pop()
+        while idx < len(pairs) and in_mask & pair_bits[idx]:
+            idx += 1
+        if idx == len(pairs):
+            if len(results) == bruhat.LIST_BUDGET:
+                raise BudgetExceededError("over")
+            results.append(in_mask)
+            continue
+        x = pairs[idx]
+        for branch in (inv[x], x):
+            closed = bruhat._propagate(down, w0, in_mask, hit, (branch,))
+            if closed is not None:
+                stack.append((*closed, idx))
+    return results
+
+
+# results past which both searches stop, so that the larger types
+# (D5 over a small W_P lists more than LIST_BUDGET) stay quick
+SEARCH_CAP = 400
+
+
+def test_inline_forcing_is_propagate(monkeypatch):
+    """_search lists what the per-branch _propagate loop lists, in the
+    same order, on the folded masks of every theta with an even coset
+    count; past SEARCH_CAP results both refuse."""
+    monkeypatch.setattr(bruhat, "LIST_BUDGET", SEARCH_CAP)
+
+    def outcome(search, down, inv):
+        try:
+            return search(down, inv)
+        except BudgetExceededError:
+            return "over"
+
+    checked = over = 0
+    for spec in COVER_TYPES:
+        g, o = make_order(spec)
+        for k in range(g.rank + 1):
+            for theta in itertools.combinations(range(g.rank), k):
+                p = build_parabolic(g, theta)
+                if p.n_cosets % 2:
+                    continue
+                top = dict(zip(p.coset_of, range(g.order)))
+                folded = [o.down[top[rep]] for rep in p.coset_of]
+                got = outcome(bruhat._search, folded, g._w0_left)
+                assert got == outcome(_search_by_propagate, folded,
+                                      g._w0_left), (spec, theta)
+                checked += 1
+                over += got == "over"
+    assert over < checked
+
+
+@pytest.mark.parametrize("spec, theta", [
+    ("A2", ()), ("A3", ()), ("B3", ()), ("C3", ()), ("A2xA2", ()),
+    ("B2xA2", ()), ("A4", ()), ("D4", (3,)), ("B4", (0, 1)),
+    ("A5", (0, 1, 2))])
+def test_enumerated_generator_masks_match_the_cover_path(spec, theta):
+    """The generator mask each enumerated ideal keeps, one transposition
+    of the certified columns, is the one _generator_mask finds for a
+    fresh ideal of the same mask through the cover gather, checked by
+    regeneration over the table covers."""
+    g, o = make_order(spec)
+    p = build_parabolic(g, theta) if theta else None
+    ideals = enumerate_balanced(o, invariance=p, max_order=g.order)
+    assert ideals
+    for ideal in ideals:
+        owner, gens = ideal.__dict__["_gens"]
+        assert owner() is o
+        assert gens == bruhat._generator_mask(o, bruhat.Ideal(g, ideal.mask))
+
+
 def test_invariant_counts_agree_across_diagram_symmetry():
     # labellings related by a diagram automorphism must give equal
     # counts, however differently the search meets them
