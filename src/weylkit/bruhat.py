@@ -3,10 +3,13 @@
 Covering relations come from the BFS tree of the group table: with
 y = p s for p its BFS parent, the covers of y are p and the lifts z s of
 the covers z of p that s lengthens (the lifting property), so each cover
-costs one table lookup.  The order is stored once, as
-dense per-element bitmasks (Python ints) built by rank propagation:
-down[y] collects everything reachable downward from y.  Nothing is kept
-upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x].
+costs one table lookup.  The order is stored once, downward: the
+cover lists, covers[y] the elements y covers, and dense per-element
+bitmasks (Python ints) built from them by rank propagation: down[y]
+collects everything reachable downward from y.  Nothing is kept
+upward: x -> w0 x reverses the order, so {y : y >= x} = w0 down[w0 x],
+and the elements with an upper cover in a set are the union of its
+members' cover lists.
 Covers and masks are each built on first read.  Enumeration needs the
 masks and builds them, and its budget refuses masks over MASK_BUDGET
 bytes; leq reads them when built and never builds them.  Without them
@@ -18,8 +21,8 @@ An ideal is a downward-closed subset, stored as a membership bitmask.
 The orthogonal is I^perp = w0(W \\ I); an ideal is slim / fat / balanced
 according to I contained in / containing / equal to I^perp.  Whole-mask
 kernels serve them: a mask is rendered once as a bit string, and one
-C-level gather gives its w0 image or the set of elements with an upper
-cover in it, so no check walks the members one by one.  Each Ideal
+C-level gather gives its w0 image; the set of elements with an upper
+cover in it is one union over its members' cover lists.  Each Ideal
 keeps what is derived from it, once per order or parabolic of its own
 group (_cached): its covered set, its orthogonal, the mask of its
 generators and its graded ranks.
@@ -39,7 +42,7 @@ orthogonal (itself) and its generators, whose masks come from one
 transposition back of the certified generator columns.  A memo hit
 skips the group check, since only an owner that passed it is stored.
 The search (_search) and the certificate (_certify)
-read plain lists only: down masks, the involution, upper covers and
+read plain lists only: down masks, the involution, cover lists and
 the permutations that must fix each result; they work on any finite
 poset with an involution.  Budgets, the fold, the coset permutations
 and the word order stay with _certified, _canonical_order and
@@ -86,31 +89,33 @@ def check_enumeration_budget(t: CartanType,
     return order
 
 
-def mask_bits(mask: int, n: int) -> str:
-    """The n-bit mask as binary digits, most significant first, then a 0.
-
-    Element x sits at index n - 1 - x; the trailing pad at index n
-    reads 0.  This is the input of a Gather.
-    """
+def _check_mask(mask: int, n: int) -> None:
+    """Refuse a mask with bits outside range(n)."""
     if mask < 0 or mask >> n:
         raise InvalidInputError("mask has bits outside W")
-    return f"{mask:0{n}b}0"
+
+
+def mask_bits(mask: int, n: int) -> str:
+    """The n-bit mask as binary digits, most significant first.
+
+    Element x sits at index n - 1 - x.  This is the input of a Gather.
+    """
+    _check_mask(mask, n)
+    return f"{mask:0{n}b}"
 
 
 class Gather:
     """A whole-mask map, one C-level gather over mask_bits(mask, n).
 
-    Bit j of the result is bit src[j] of the input, or 0 where
-    src[j] < 0.  A permutation of W gives the image of a mask under it;
-    k maps laid end to end give k images, image c in bits c n and up.
+    Bit j of the result is bit src[j] of the input, for src a map of
+    range(n) into itself; a permutation of W gives the image of a mask
+    under it.
     """
 
     __slots__ = ("_get",)
 
     def __init__(self, src, n: int) -> None:
-        idx = [n - 1 - s if s >= 0 else n for s in reversed(src)]
-        # itemgetter takes at least one index; an empty map gives 0
-        self._get = itemgetter(*idx) if idx else lambda bits: "0"
+        self._get = itemgetter(*[n - 1 - s for s in reversed(src)])
 
     def __call__(self, bits: str) -> int:
         return int("".join(self._get(bits)), 2)
@@ -175,29 +180,12 @@ class BruhatOrder:
     def full_mask(self) -> int:
         return (1 << self.g.order) - 1
 
-    # Gather tables, built on first use from this order's own covers, so
-    # a copy built through __init__ starts without them.
-
-    @cached_property
-    def _upper(self) -> list[list[int]]:
-        """_upper[x] = ids covering x, ascending."""
-        up: list[list[int]] = [[] for _ in range(self.g.order)]
-        for y, xs in enumerate(self.covers):
-            for x in xs:
-                up[x].append(y)
-        return up
+    # The w0 gather, built on first use, so a copy built through
+    # __init__ starts without it.
 
     @cached_property
     def _w0_gather(self) -> Gather:
         return Gather(self.g._w0_left, self.g.order)
-
-    @cached_property
-    def _cover_gather(self) -> tuple[Gather, int]:
-        """Column c: the c-th upper cover of each x, or 0; column count."""
-        up = self._upper
-        width = max(map(len, up))
-        src = [ys[c] if c < len(ys) else -1 for c in range(width) for ys in up]
-        return Gather(src, self.g.order), width
 
 
 def build_order(g: WeylGroup, dense_limit: int | None = None) -> BruhatOrder:
@@ -372,12 +360,12 @@ def _ideal_covered(o: BruhatOrder, ideal: Ideal) -> int:
 
 
 def _covered(o: BruhatOrder, mask: int) -> int:
-    """Mask of the elements with an upper cover in mask."""
-    n, (gather, width) = o.g.order, o._cover_gather
-    columns, full, below = gather(mask_bits(mask, n)), o.full_mask, 0
-    for c in range(width):
-        below |= columns >> c * n & full
-    return below
+    """Mask of the elements with an upper cover in mask: the union of
+    the covers of its members."""
+    n, covers = o.g.order, o.covers
+    _check_mask(mask, n)
+    below = set().union(*map(covers.__getitem__, _bit_positions(mask)))
+    return mask_of(below, n)
 
 
 def _w0_image(o: BruhatOrder, mask: int) -> int:
@@ -597,8 +585,8 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     before any is certified.  Each ideal keeps what its certificate
     proved, as the memos of _cached for this order: it is its own
     orthogonal, and its generators are the certified ones, so
-    orthogonal, classify and minimal_generators on it neither gather its
-    covers nor regenerate it.
+    orthogonal, classify and minimal_generators on it neither read its
+    members' covers nor regenerate it.
     """
     results, gen_cols = _certified(o, invariance, max_order)
     order = _canonical_order(o.g, results, gen_cols)[2]
@@ -766,10 +754,10 @@ def _certify_all(o: BruhatOrder, masks: list[int], invariance) -> list[int]:
     the right multiplications by theta as the coset permutations."""
     perms = [] if invariance is None else [
         [row[i] for row in o.g.rmult] for i in invariance.theta]
-    return _certify(masks, o.down, o._upper, o.g._w0_left, perms)
+    return _certify(masks, o.down, o.covers, o.g._w0_left, perms)
 
 
-def _certify(masks: list[int], down: list[int], upper: list[list[int]],
+def _certify(masks: list[int], down: list[int], covers: list[list[int]],
              inv: list[int], perms: list[list[int]]) -> list[int]:
     """Certify the search results, the masks of I, all at once.
 
@@ -780,13 +768,14 @@ def _certify(masks: list[int], down: list[int], upper: list[list[int]],
     a member in each result, R[y] | R[inv y] = ALL.  Each result holds
     half of the n elements, so with the pairs decided it holds exactly
     one member of each: it equals inv of its complement, its
-    orthogonal, and no third check is needed.  Downward closed: every
-    R[y] with y in upper[x] lies inside R[x].  Each result is fixed by
-    every permutation in perms: R[y] = R[p[y]].  The generators of
-    result r are the x with bit r in G[x] = R[x] & ~OR{R[y] : y in
-    upper[x]}; they must regenerate the result through down.  upper,
-    inv and perms are read here, and down only to regenerate, so a
-    forged cover list cannot hide a generator.
+    orthogonal, and no third check is needed.  covers[y] lists the
+    elements y covers, and each R[y] is scattered onto them: A[x] is
+    the OR of R[y] over the y covering x.  Downward closed: A[x] lies
+    inside R[x].  Each result is fixed by every permutation in perms:
+    R[y] = R[p[y]].  The generators of result r are the x with bit r in
+    G[x] = R[x] & ~A[x]; they must regenerate the result through down.
+    covers, inv and perms are read here, and down only to regenerate,
+    so a forged cover list cannot hide a generator.
     """
     n = len(inv)
     require(all(inv[inv[x]] == x for x in range(n)),
@@ -797,12 +786,11 @@ def _certify(masks: list[int], down: list[int], upper: list[list[int]],
             "search result leaves elements undecided")
     require(all(2 * m.bit_count() == n for m in masks),
             "search result does not hold half of W")
-    above = []
-    for ys in upper:
-        a = 0
-        for y in ys:
-            a |= cols[y]
-        above.append(a)
+    above = [0] * n                     # above[x] is A[x]
+    for c, xs in zip(cols, covers):
+        if c:
+            for x in xs:
+                above[x] |= c
     require(all(a & ~c == 0 for a, c in zip(above, cols)),
             "search result is not downward closed")
     require(all(c == cols[p[y]] for p in perms for y, c in enumerate(cols)),

@@ -228,7 +228,8 @@ def _cmd_family(args, t0):
             # deterministic default: smaller id of each middle pair
             chosen = [a for a, _ in families.middle_level_pairs(g)]
         ideal = families.lower_half_with_selection(o, chosen, verify=verify)
-    cls = bruhat.classify(o, ideal)
+    verification = ({"balanced": bruhat.classify(o, ideal).balanced}
+                    if verify else {})
     data = bruhat.ideal_to_json_dict(o, ideal)
     if args.out:
         try:
@@ -241,7 +242,6 @@ def _cmd_family(args, t0):
               "select": args.select}
     outputs = {"ideal": data, "size": ideal.size,
                "group_order": g.order}
-    verification = {"balanced": cls.slim and cls.fat} if verify else {}
     lines = [f"{args.name} ideal in S_{degree} (type {g.rs.cartan_type}): "
              f"size {ideal.size} of {g.order}",
              "generators: " + ", ".join(_word_str(w)

@@ -187,6 +187,7 @@ def middle_level_pairs(g: WeylGroup) -> list[tuple[int, int]]:
 
 def incidence_generator_perm(n: int, k: int) -> Permutation:
     """z_k: first entry k, last entry k+1, the rest decreasing between."""
+    n, k = checked_int("n", n), checked_int("k", k)
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"need 1 <= k <= {n - 1}")
     rest = sorted(set(range(1, n + 1)) - {k, k + 1}, reverse=True)
@@ -195,7 +196,7 @@ def incidence_generator_perm(n: int, k: int) -> Permutation:
 
 def incidence_subgroup_indices(n: int) -> tuple[int, ...]:
     """Generators of {w : w(1)=1, w(n)=n}: all but the outer two."""
-    return tuple(range(1, n - 2))
+    return tuple(range(1, checked_int("n", n) - 2))
 
 
 def incidence_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
@@ -226,6 +227,7 @@ def incidence_ideal(o: BruhatOrder, verify: bool = True) -> Ideal:
 
 def principal_generator_perm(n: int) -> Permutation:
     """lambda: 2n..1 descending with n+1 removed, then n+1 at the end."""
+    n = checked_int("n", n)
     body = [v for v in range(2 * n, 0, -1) if v != n + 1]
     return (*body, n + 1)
 
@@ -262,7 +264,7 @@ def distinction_witness_mu(j: int, verify: bool = True) -> Permutation:
     Checks that mu lies outside the principal family's ideal
     (mu(2n) = n) and that its inversion count equals j(4j+3).
     """
-    if j < 1:
+    if checked_int("j", j) < 1:
         raise InvalidInputError("need j >= 1")
     mu = (*range(2 * j, j, -1), 4 * j + 2, *range(j, 0, -1),
           *range(4 * j + 1, 2 * j, -1))

@@ -637,7 +637,7 @@ def test_inline_forcing_is_propagate(monkeypatch):
 def test_enumerated_generator_masks_match_the_cover_path(spec, theta):
     """The generator mask each enumerated ideal keeps, one transposition
     of the certified columns, is the one _generator_mask finds for a
-    fresh ideal of the same mask through the cover gather, checked by
+    fresh ideal of the same mask through the covered pass, checked by
     regeneration over the table covers."""
     g, o = make_order(spec)
     p = build_parabolic(g, theta) if theta else None
@@ -856,6 +856,22 @@ def test_short_small_needs_no_order(monkeypatch):
             for max_len in (1, 2):
                 rep = verify_short_small(parse_type(spec), max_len)
                 assert rep.all_small == rep.expected_all_small, spec
+
+
+def test_order_keeps_nothing_upward():
+    """The ideal checks and the enumeration read the downward cover
+    lists: an order keeps its group, its dense limit, its cover lists,
+    its down masks and its w0 gather, and no upper cover list or gather
+    of them."""
+    for spec in ("A3", "B3", "A2xA1", "D4"):
+        g, o = make_order(spec)
+        ideal = principal_ideal(o, g.order // 2)
+        assert is_downward_closed(o, ideal.mask)
+        orthogonal(o, ideal)
+        minimal_generators(o, ideal)
+        assert enumerate_balanced(o)
+        assert set(vars(o)) <= {"g", "_dense_limit", "covers",
+                                "_table_covers", "down", "_w0_gather"}, spec
 
 
 def test_ideals_and_reports_compare_by_value():

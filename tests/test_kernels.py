@@ -7,7 +7,7 @@ must equal plain loops over the members; orthogonal is an involution,
 the splitting identity holds, and ideal JSON round-trips.  The facts an
 Ideal keeps about itself (covered set, orthogonal, generators, graded
 ranks) give the same answers as a fresh Ideal, and do not hide a forged
-cover list; an enumerated Ideal answers them without the cover gather.
+cover list; an enumerated Ideal answers them without the covered pass.
 At rank 4, on fresh orders and on orders whose parts were already read,
 downward closure, the orthogonal and the maximal elements match the
 subword oracle.
@@ -279,12 +279,12 @@ def test_repeated_calls_match_a_fresh_ideal(case):
                 name
 
 
-def test_enumerated_ideals_answer_without_the_cover_gather(monkeypatch):
+def test_enumerated_ideals_answer_without_the_covered_pass(monkeypatch):
     """An enumerated ideal keeps what its certificate proved, its
-    orthogonal and its generators: with the cover gather refused, it
-    answers every call as a fresh ideal does with the gather."""
+    orthogonal and its generators: with _covered refused, it answers
+    every call as a fresh ideal does with it."""
     def refuse(o, mask):
-        raise AssertionError("cover gather on an enumerated ideal")
+        raise AssertionError("covered pass on an enumerated ideal")
     for spec in ("A3", "B3", "A2xA1", "B2xA1"):
         o = order_of(spec)
         g = o.g

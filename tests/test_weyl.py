@@ -12,7 +12,10 @@ from weylkit.errors import (BudgetExceededError, InvalidInputError,
                             VerificationError)
 from weylkit.bbw import sheaf_cohomology_cases
 from weylkit.bruhat import build_order, enumerate_balanced, verify_short_small
-from weylkit.families import check_permutation, perm_length
+from weylkit.families import (check_permutation, distinction_witness_mu,
+                               incidence_generator_perm,
+                               incidence_subgroup_indices, perm_length,
+                               principal_generator_perm)
 from weylkit.weyl import bipartite_w0_word, default_bipartition, generate
 
 rng = random.Random(411)
@@ -145,6 +148,12 @@ def _order(spec):
     (lambda: check_permutation((1.0, 2.0)),
      "permutation entry 1.0 is not an int"),
     (lambda: perm_length((True, 2)), "permutation entry True is not an int"),
+    (lambda: distinction_witness_mu(True), "j True is not an int"),
+    (lambda: distinction_witness_mu(2.5), "j 2.5 is not an int"),
+    (lambda: distinction_witness_mu("1"), "j '1' is not an int"),
+    (lambda: incidence_generator_perm(4, True), "k True is not an int"),
+    (lambda: principal_generator_perm(True), "n True is not an int"),
+    (lambda: incidence_subgroup_indices("4"), "n '4' is not an int"),
 ])
 def test_integer_parameters_refuse_what_is_not_an_int(call, message):
     """One rule, errors.checked_int, for every integer parameter: a
