@@ -25,7 +25,7 @@ C-level gather gives its w0 image; the set of elements with an upper
 cover in it is one union over its members' cover lists.  Each Ideal
 keeps what is derived from it, once per order or parabolic of its own
 group (_cached): its covered set, its orthogonal, the mask of its
-generators and its graded ranks.
+generators, its right-invariance and its graded ranks.
 
 Balanced ideals are enumerated by backtracking over the pairs
 {x, w0 x}, seeded with the small elements (x <= w0 x), which every fat
@@ -38,9 +38,12 @@ a union of cosets holding |W|/2 elements, so an odd coset count
 answers at once, with no ideal, before covers or masks are built.  All
 results are then certified at once, on the transposed bit matrix, and
 each enumerated ideal keeps what its certificate proved: its
-orthogonal (itself) and its generators, whose masks come from one
-transposition back of the certified generator columns.  A memo hit
-skips the group check, since only an owner that passed it is stored.
+orthogonal (itself), its generators as the byte row the canonical sort
+read, from which its generator mask and its JSON words are read on
+first use, and under an invariance its right-invariance.  The result
+masks are transposed once, for the certificate, and the generator
+columns back once, into those rows.  A memo hit skips the group
+check, since only an owner that passed it is stored.
 The search (_search) and the certificate (_certify)
 read plain lists only: down masks, the involution, cover lists and
 the permutations that must fix each result; they work on any finite
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from itertools import permutations, repeat
+from itertools import compress, permutations, repeat
 from operator import itemgetter
 
 from .cartan import (CartanType, RootSystem, build_root_system,
@@ -340,10 +343,11 @@ def _cached(ideal: Ideal, name: str, owner, compute):
     identity, so a copy such as BruhatOrder(o.g, forged_covers, o.down)
     is a different owner and computes afresh.  A hit skips the group
     check: it needs the stored owner itself, and every stored owner
-    passed that check on its miss, or is the order enumerate_balanced
-    built the ideal on, when it stores _perp and _gens in this form
-    from its certificate.  A raising compute stores nothing.  Ideal
-    equality reads only g and mask, so memos do not count.
+    passed that check on its miss, or is the order or invariance
+    enumerate_balanced built the ideal with, when it stores _perp and
+    _invariant in this form from its certificate.  A raising compute
+    stores nothing.  Ideal equality reads only g and mask, so memos do
+    not count.
     """
     hit = ideal.__dict__.get(name)
     if hit is not None and hit[0]() is owner:
@@ -411,14 +415,30 @@ def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
     In a downward-closed set a member lies below another member exactly
     when some member covers it, so these are the members no member
     covers; they must regenerate the ideal.  Their mask is found once
-    per order; an enumerated ideal comes with the one its certificate
-    proved.
+    per order; an ideal enumerated on this order builds it from the row
+    its certificate proved.
     """
     return _bit_positions(_cached(ideal, "_gens", o,
                                   lambda: _generator_mask(o, ideal)))
 
 
+def _kept_row(o: BruhatOrder, ideal: Ideal):
+    """(used, row) of an ideal enumerated on o itself, else None.
+
+    Byte j of row is 1 when used[j] generates the ideal; used is in
+    canonical word order (_canonical_order).  The order is matched by
+    identity, so a copy of it finds no row.
+    """
+    kept = ideal.__dict__.get("_row")
+    if kept is not None and kept[0]() is o:
+        return kept[1:]
+    return None
+
+
 def _generator_mask(o: BruhatOrder, ideal: Ideal) -> int:
+    kept = _kept_row(o, ideal)
+    if kept is not None:
+        return mask_of(compress(*kept), o.g.order)
     below = _ideal_covered(o, ideal)
     if below & ~ideal.mask:
         raise InvalidInputError("not an ideal")
@@ -583,23 +603,29 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     empty list comes back without reading the order, even one without
     masks.  A search that finds more than LIST_BUDGET ideals is refused
     before any is certified.  Each ideal keeps what its certificate
-    proved, as the memos of _cached for this order: it is its own
-    orthogonal, and its generators are the certified ones, so
-    orthogonal, classify and minimal_generators on it neither read its
-    members' covers nor regenerate it.
+    proved, held for this order (and invariance) as _cached holds its
+    memos: it is its own orthogonal; its generators are the certified
+    ones, kept as the byte row of _canonical_order with the used list,
+    from which minimal_generators builds the mask and ideal_to_json_dict
+    reads the words; and under an invariance it is right-invariant.  So
+    orthogonal, classify, minimal_generators, ideal_to_json_dict and
+    is_right_invariant on it neither read its members' covers, nor
+    regenerate it, nor gather it through the cosets.
     """
     results, gen_cols = _certified(o, invariance, max_order)
-    order = _canonical_order(o.g, results, gen_cols)[2]
-    # transposing the generator columns back gives each result's
-    # generator mask: bit y of gens[r] is bit r of gen_cols[y]
-    gens = _columns(gen_cols, len(results))
+    used, rows, order = _canonical_order(o.g, results, gen_cols)
     g, owner = o.g, weakref.ref(o)
     own_perp, ideals = (owner, None), []
     for r in order:
         ideal = Ideal(g, results[r])
         ideal._perp = own_perp
-        ideal._gens = (owner, gens[r])
+        ideal._row = (owner, used, rows[r])
         ideals.append(ideal)
+    if invariance is not None:
+        # the certificate proved R[y] = R[y s] for s in theta
+        own_invariant = (weakref.ref(invariance), True)
+        for ideal in ideals:
+            ideal._invariant = own_invariant
     return ideals
 
 
@@ -661,12 +687,16 @@ def _canonical_order(g: WeylGroup, results: list[int], gen_cols: list[int]
     and the result indices sorted by (generator count, word list).
 
     Row r compares as the word list of result r once its bytes are
-    flipped: the earlier word present sorts first.
+    flipped: the earlier word present sorts first.  The keys are made
+    by C-level maps, and two stable sorts, by flipped row and then by
+    count, give the order of the pair key.
     """
     used = sorted((x for x, c in enumerate(gen_cols) if c), key=g.reduced_word)
     rows = _rows([gen_cols[x] for x in used], len(results))
-    keys = [(row.count(1), row.translate(_FLIP)) for row in rows]
-    return used, rows, sorted(range(len(results)), key=keys.__getitem__)
+    flipped = list(map(bytes.translate, rows, repeat(_FLIP)))
+    order = sorted(range(len(rows)), key=flipped.__getitem__)
+    order.sort(key=list(map(bytes.count, rows, repeat(1))).__getitem__)
+    return used, rows, order
 
 
 def _search(down: list[int], inv: list[int]) -> list[int]:
@@ -731,8 +761,8 @@ def _columns(masks: list[int], n: int) -> list[int]:
     string of width-digit rows, last mask first, so the stride slice at
     width - 1 - k reads column lo + k down the block as a binary
     number; blocks are shifted into place.  The string never outgrows
-    CERTIFY_BLOCK rows of CERTIFY_BLOCK digits, so the transpose of the
-    generator columns of many results stays as small as the certificate.
+    CERTIFY_BLOCK rows of CERTIFY_BLOCK digits, whatever the count of
+    masks or their width.
     """
     cols = []
     for lo in range(0, n, CERTIFY_BLOCK):
@@ -832,11 +862,17 @@ def _rows(cols: list[int], count: int) -> list[bytes]:
 # Serialization
 
 def ideal_to_json_dict(o: BruhatOrder, ideal: Ideal) -> dict:
-    gens = minimal_generators(o, ideal)
-    return {
-        "type": str(o.g.rs.cartan_type),
-        "generators": sorted(list(o.g.reduced_word(x)) for x in gens),
-    }
+    """{"type": ..., "generators": [...]}, the words sorted.
+
+    An ideal enumerated on o reads its words off its certified row,
+    already in canonical word order; any other ideal, or another order,
+    takes minimal_generators.
+    """
+    g, kept = o.g, _kept_row(o, ideal)
+    gens = (compress(*kept) if kept is not None
+            else sorted(minimal_generators(o, ideal), key=g.reduced_word))
+    return {"type": str(g.rs.cartan_type),
+            "generators": [list(g.reduced_word(x)) for x in gens]}
 
 
 def ideal_from_json_dict(o: BruhatOrder, data) -> Ideal:

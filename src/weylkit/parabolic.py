@@ -10,15 +10,17 @@ with its coset's representative.  It checks that the label does not
 change under right multiplication by the subset, that lengths add along
 the strips, and that |W^P| |W_P| = |W|.  Cosets are read through that
 one map, coset_of: right invariance is one gather of a mask through it,
-and graded ranks are popcounts against W^P by length.  The paper's
-thickenings are right-W_P-invariant only, so no left-coset map is kept.
+kept on the ideal, and graded ranks are popcounts against W^P by
+length.  The paper's thickenings are right-W_P-invariant only, so no
+left-coset map is kept.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 
-from .bruhat import Gather, check_group, mask_bits, mask_of
+from .bruhat import Gather, _cached, check_group, mask_bits, mask_of
 from .errors import InvalidInputError, require
 from .weyl import WeylGroup
 
@@ -75,10 +77,11 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
     In ascending id order, x takes the label of x s for the first s in
     theta with x s < x, one strip further; with no such s, x is its own
     label, a minimal representative.  W_P is the class of the identity.
-    The label must not change under x -> x s for s in theta, so each
-    class is a union of cosets; every coset holds an element with no
-    descent in theta, its least id, and each class only one, its label,
-    so each class is one coset.  l(x) must be l(label) plus the strips,
+    The label must not change under x -> x s for s in theta (one gather
+    of the labels through the column of s in rmult), so each class is a
+    union of cosets; every coset holds an element with no descent in
+    theta, its least id, and each class only one, its label, so each
+    class is one coset.  l(x) must be l(label) plus the strips,
     so the label is the strictly shortest member, and |W^P| |W_P| must
     be |W|.
     """
@@ -98,9 +101,10 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
                 break
         coset_of.append(rep)
         strips.append(k)
-    require(all(coset_of[row[i]] == rep
-                for row, rep in zip(rmult, coset_of) for i in theta),
-            "x s lies in another coset than x for some s in theta")
+    for i in theta:
+        require(list(map(coset_of.__getitem__, map(itemgetter(i), rmult)))
+                == coset_of,
+                "x s lies in another coset than x for some s in theta")
     require(all(l == length[rep] + k
                 for l, rep, k in zip(length, coset_of, strips)),
             "x = rep * u is not a length-additive factorization into W_P")
@@ -117,12 +121,17 @@ def is_right_invariant(ideal, p: ParabolicSubset) -> bool:
 
     Every x has the bit of its coset minimum: the gather through
     coset_of gives the mask back.  With theta empty each coset is one
-    element, so every set is invariant and no gather is built.
+    element, so every set is invariant: no gather is built and nothing
+    is kept.  Otherwise the answer is kept on the ideal once per
+    parabolic (_cached, which refuses one of another group), so it is
+    gathered once; an ideal enumerated under p comes with the
+    invariance its certificate proved.
     """
-    check_group(ideal.g, p)
     if not p.theta:
+        check_group(ideal.g, p)
         return True
-    return p._right_gather(mask_bits(ideal.mask, p.g.order)) == ideal.mask
+    return _cached(ideal, "_invariant", p, lambda: (
+        p._right_gather(mask_bits(ideal.mask, p.g.order)) == ideal.mask))
 
 
 def quotient_ideal(ideal, p: ParabolicSubset) -> list[tuple[int, int]]:

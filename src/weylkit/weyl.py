@@ -266,15 +266,16 @@ def generate(rs: RootSystem) -> WeylGroup:
             y = id_of.get(new)
             if y is None:
                 y = len(ids)
-                require(y < order, too_many)
+                if y >= order:
+                    require(False, too_many)
                 id_of[new] = y
                 ids.append(y)
                 keys.append(new)
                 length.append(depth)
                 parent.append(x)
                 letter.append(i)
-            else:
-                require(y > x, "a product lands on an element already read")
+            elif y <= x:
+                require(False, "a product lands on an element already read")
             flat[base + i] = y
             flat[y * rank + i] = x
 

@@ -19,6 +19,7 @@ from weylkit.errors import (BudgetExceededError, InvalidInputError,
                             VerificationError)
 from weylkit.families import lower_half_with_selection, middle_level_pairs
 from weylkit.parabolic import build_parabolic, is_right_invariant
+from weylkit.topology import omega_betti
 from weylkit.weyl import generate
 
 rng = random.Random(1823)
@@ -635,18 +636,93 @@ def test_inline_forcing_is_propagate(monkeypatch):
     ("B2xA2", ()), ("A4", ()), ("D4", (3,)), ("B4", (0, 1)),
     ("A5", (0, 1, 2))])
 def test_enumerated_generator_masks_match_the_cover_path(spec, theta):
-    """The generator mask each enumerated ideal keeps, one transposition
-    of the certified columns, is the one _generator_mask finds for a
-    fresh ideal of the same mask through the covered pass, checked by
-    regeneration over the table covers."""
+    """The generators each enumerated ideal reads off its certified row
+    are the ones _generator_mask finds for a fresh ideal of the same
+    mask through the covered pass, checked by regeneration over the
+    table covers, and its JSON words are the fresh ideal's."""
     g, o = make_order(spec)
     p = build_parabolic(g, theta) if theta else None
     ideals = enumerate_balanced(o, invariance=p, max_order=g.order)
     assert ideals
     for ideal in ideals:
-        owner, gens = ideal.__dict__["_gens"]
-        assert owner() is o
-        assert gens == bruhat._generator_mask(o, bruhat.Ideal(g, ideal.mask))
+        fresh = bruhat.Ideal(g, ideal.mask)
+        assert minimal_generators(o, ideal) == \
+            bruhat._bit_positions(bruhat._generator_mask(o, fresh))
+        assert ideal_to_json_dict(o, ideal) == ideal_to_json_dict(o, fresh)
+
+
+def test_enumerated_json_words_need_the_order_itself():
+    """The row an enumerated ideal keeps answers only its own order: on
+    a copy whose covers hide a generator, ideal_to_json_dict takes the
+    covered pass and fails regeneration, as minimal_generators does."""
+    g, o = make_order("A3")
+    ideal = next(i for i in enumerate_balanced(o)
+                 if len(minimal_generators(o, i)) > 1)
+    gens = minimal_generators(o, ideal)
+    for claimant in (0, gens[-1]):
+        covers = list(o.covers)
+        covers[claimant] = covers[claimant] + [gens[0]]
+        forged = forge(o, covers=covers, down=None)
+        with pytest.raises(VerificationError, match="do not regenerate"):
+            ideal_to_json_dict(forged, ideal)
+    assert ideal_to_json_dict(o, ideal) == \
+        ideal_to_json_dict(o, bruhat.Ideal(g, ideal.mask))
+
+
+def test_enumerated_invariance_is_kept_for_its_parabolic_only():
+    """An ideal enumerated under p answers is_right_invariant(ideal, p)
+    without the coset gather; a second parabolic of the same theta
+    gathers, and agrees."""
+    g, o = make_order("D4")
+    p = build_parabolic(g, (0,))
+    ideals = enumerate_balanced(o, invariance=p, max_order=g.order)
+    assert ideals
+
+    def refuse(bits):
+        raise AssertionError("coset gather on a proved invariance")
+    p._right_gather = refuse
+    assert all(is_right_invariant(i, p) for i in ideals)
+
+    again = build_parabolic(g, (0,))
+    gather, gathered = again._right_gather, []
+
+    def spy(bits):
+        gathered.append(bits)
+        return gather(bits)
+    again._right_gather = spy
+    assert all(is_right_invariant(i, again) for i in ideals)
+    assert len(gathered) == len(ideals)
+
+
+def test_omega_betti_refuses_an_enumerated_ideal_under_another_theta():
+    """The kept invariance is for the enumeration's theta only: under
+    another theta omega_betti refuses an ideal that is not invariant."""
+    g, o = make_order("D4")
+    p = build_parabolic(g, (0,))
+    other = build_parabolic(g, (1,))
+    ideals = enumerate_balanced(o, invariance=p, max_order=g.order)
+    refused = [i for i in ideals if not is_right_invariant(
+        bruhat.Ideal(g, i.mask), other)]
+    assert refused
+    for ideal in refused:
+        with pytest.raises(InvalidInputError, match="not right-invariant"):
+            omega_betti(o, ideal, other)
+
+
+@pytest.mark.parametrize("spec, theta", [("A4", ()), ("D4", (0,))])
+def test_enumeration_transposes_once(monkeypatch, spec, theta):
+    """The certificate's transposition is the only one: the generators
+    come from the rows of the canonical sort."""
+    g, o = make_order(spec)
+    p = build_parabolic(g, theta) if theta else None
+    columns, calls = bruhat._columns, []
+
+    def count(masks, n):
+        calls.append(n)
+        return columns(masks, n)
+    monkeypatch.setattr(bruhat, "_columns", count)
+    assert enumerate_balanced(o, invariance=p, max_order=g.order)
+    assert calls == [g.order]
 
 
 def test_invariant_counts_agree_across_diagram_symmetry():
