@@ -32,24 +32,27 @@ Balanced ideals are enumerated by backtracking over the pairs
 ideal contains.  Forcing x into I costs two mask operations, whatever
 down[x] holds: I takes down[x], and a small hit mask takes w0 x, for I
 meets w0 I exactly when it meets hit (_propagate, which seeds the
-search; each branch applies the same rule inline).  Right-invariance
-is folded into down beforehand.  A right-invariant balanced ideal is
-a union of cosets holding |W|/2 elements, so an odd coset count
-answers at once, with no ideal, before covers or masks are built.  All
-results are then certified at once, on the transposed bit matrix, and
-each enumerated ideal keeps what its certificate proved: its
-orthogonal (itself), its generators as the byte row the canonical sort
-read, from which its generator mask and its JSON words are read on
-first use, and under an invariance its right-invariance.  The result
-masks are transposed once, for the certificate, and the generator
-columns back once, into those rows.  A memo hit skips the group
-check, since only an owner that passed it is stored.
-The search (_search) and the certificate (_certify)
-read plain lists only: down masks, the involution, cover lists and
-the permutations that must fix each result; they work on any finite
-poset with an involution.  Budgets, the fold, the coset permutations
-and the word order stay with _certified, _canonical_order and
-_certify_all.
+search; each branch applies the same rule inline).  A right-invariant
+balanced ideal is a union of cosets holding |W|/2 elements, so an odd
+coset count answers at once, with no ideal, before covers, masks or
+the coset map are built.  Under any other nonempty invariance the
+search and the certificate run on W^P, the minimal coset
+representatives, |W/W_P| bits a result, and never read W's masks
+(_coset_certified).  All results are certified at once, on the
+transposed bit matrix, and each enumerated ideal keeps what its
+certificate proved: its orthogonal (itself), its generators as the
+byte row the canonical sort read, from which its generator mask and
+its JSON words are read on first use, and under an invariance its
+right-invariance.  The result masks are transposed once, for the
+certificate; under an invariance the certificate's columns, read
+through the coset index, are transposed once more into the masks on
+W; and the generator columns go back once, into those rows.  A memo
+hit skips the group check, since only an owner that passed it is
+stored.  The search (_search) and the certificate (_certify) read
+plain lists only: down masks, the involution and cover lists; they
+work on any finite poset with an order-reversing involution.  Budgets,
+the restriction to W^P and the word order stay with _certified,
+_coset_certified, _canonical_order and _certify_all.
 """
 
 from __future__ import annotations
@@ -334,8 +337,8 @@ def check_group(g: WeylGroup, *parts) -> None:
                 "ideal, parabolic, and order must share a group")
 
 
-def _cached(ideal: Ideal, name: str, owner, compute):
-    """compute(), kept on the ideal under name while owner is alive.
+def _cached(ideal: Ideal, name: str, owner, compute, *args):
+    """compute(*args), kept on the ideal under name while owner is alive.
 
     owner is the order or parabolic the value was derived with; one of
     another group is refused on a miss, for every derived value.  It is
@@ -345,22 +348,24 @@ def _cached(ideal: Ideal, name: str, owner, compute):
     check: it needs the stored owner itself, and every stored owner
     passed that check on its miss, or is the order or invariance
     enumerate_balanced built the ideal with, when it stores _perp and
-    _invariant in this form from its certificate.  A raising compute
-    stores nothing.  Ideal equality reads only g and mask, so memos do
-    not count.
+    _invariant in this form from its certificate, or the order whose
+    orthogonal _orthogonal built, when it stores that result's _perp.
+    A raising compute stores nothing.  Ideal equality reads only g and
+    mask, so memos do not count.  compute is a module-level function,
+    so a hit builds no closure.
     """
     hit = ideal.__dict__.get(name)
     if hit is not None and hit[0]() is owner:
         return hit[1]
     check_group(ideal.g, owner)
-    value = compute()
+    value = compute(*args)
     ideal.__dict__[name] = (weakref.ref(owner), value)
     return value
 
 
 def _ideal_covered(o: BruhatOrder, ideal: Ideal) -> int:
     """_covered of the ideal's mask, once per order."""
-    return _cached(ideal, "_covered", o, lambda: _covered(o, ideal.mask))
+    return _cached(ideal, "_covered", o, _covered, o, ideal.mask)
 
 
 def _covered(o: BruhatOrder, mask: int) -> int:
@@ -418,8 +423,8 @@ def minimal_generators(o: BruhatOrder, ideal: Ideal) -> list[int]:
     per order; an ideal enumerated on this order builds it from the row
     its certificate proved.
     """
-    return _bit_positions(_cached(ideal, "_gens", o,
-                                  lambda: _generator_mask(o, ideal)))
+    return _bit_positions(_cached(ideal, "_gens", o, _generator_mask,
+                                  o, ideal))
 
 
 def _kept_row(o: BruhatOrder, ideal: Ideal):
@@ -457,7 +462,7 @@ def orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal:
     ideal holds no reference to itself); any other result starts with
     the ideal as its own orthogonal, as the map is an involution.
     """
-    perp = _cached(ideal, "_perp", o, lambda: _orthogonal(o, ideal))
+    perp = _cached(ideal, "_perp", o, _orthogonal, o, ideal)
     return ideal if perp is None else perp
 
 
@@ -474,7 +479,7 @@ def _orthogonal(o: BruhatOrder, ideal: Ideal) -> Ideal | None:
         return None
     require(is_downward_closed(o, m), "orthogonal failed to be an ideal")
     perp = Ideal(o.g, m)
-    _cached(perp, "_perp", o, lambda: ideal)
+    perp._perp = (weakref.ref(o), ideal)
     return perp
 
 
@@ -582,9 +587,6 @@ def _propagate(down: list[int], w0, in_mask: int, hit: int,
     closed I meets it exactly when I holds one of them: w0 b <= x <= a
     for forced a, b.  So each forced element sets one bit w0 b of hit,
     and I meets w0 I iff it meets hit; no bit of down[x] is walked.
-    Under invariance down[b] is the ideal of b's coset top t and I a
-    union of cosets; w0 b and w0 t share the coset (w0 b) W_P, so the
-    bit of w0 b serves for t.
     """
     for b in forced:
         in_mask |= down[b]
@@ -600,14 +602,17 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
     Backtracking over the pairs {x, w0 x} in increasing length of the
     shorter member; the branches of x are "w0 x in" and "x in".  Under an
     invariance with an odd coset count there is no such ideal, and the
-    empty list comes back without reading the order, even one without
-    masks.  A search that finds more than LIST_BUDGET ideals is refused
-    before any is certified.  Each ideal keeps what its certificate
-    proved, held for this order (and invariance) as _cached holds its
-    memos: it is its own orthogonal; its generators are the certified
-    ones, kept as the byte row of _canonical_order with the used list,
-    from which minimal_generators builds the mask and ideal_to_json_dict
-    reads the words; and under an invariance it is right-invariant.  So
+    empty list comes back without reading the order or the coset map.
+    Under any other nonempty invariance the search runs on the cosets
+    (_coset_certified) and never reads the order's masks, so an order
+    without them serves.  A search that finds more than LIST_BUDGET
+    ideals is refused before any is certified.  Each ideal keeps what
+    its certificate proved, held for this order (and invariance) as
+    _cached holds its memos: it is its own orthogonal; its generators
+    are the certified ones, kept as the byte row of _canonical_order
+    with the used list, from which minimal_generators builds the mask
+    and ideal_to_json_dict reads the words; and under an invariance it
+    is right-invariant.  So
     orthogonal, classify, minimal_generators, ideal_to_json_dict and
     is_right_invariant on it neither read its members' covers, nor
     regenerate it, nor gather it through the cosets.
@@ -622,7 +627,7 @@ def enumerate_balanced(o: BruhatOrder, invariance=None,
         ideal._row = (owner, used, rows[r])
         ideals.append(ideal)
     if invariance is not None:
-        # the certificate proved R[y] = R[y s] for s in theta
+        # each result is a union of cosets, certified on W^P
         own_invariant = (weakref.ref(invariance), True)
         for ideal in ideals:
             ideal._invariant = own_invariant
@@ -650,18 +655,12 @@ def _certified(o: BruhatOrder, invariance=None,
     """The search results, in search order, and their generator columns.
 
     The budget and the group of the invariance are checked first.  Then
-    an odd coset count |W/W_P| returns ([], []) before o.down is read:
-    a balanced I holds |W|/2 elements and an invariant one is a union of
-    cosets of |W_P| elements, so |W/W_P| = 2|I|/|W_P| would be even.
-
-    Under invariance, down[x] becomes the union of down over x's coset
-    x W_P, the principal ideal of its longest member t, read as down[t].
-    Ids never decrease in length and t is the coset's one longest
-    member, so t is its largest id.  down[t] is a union of cosets, as
-    each s in theta is a descent of t and so u <= t gives u s <= t
-    (lifting, Bjorner-Brenti, Prop. 2.2.7), so I stays one, and
-    _search needs no coset rule.  The certificate checks each result
-    all the same.
+    an odd coset count |W/W_P| returns ([], []) before the order or the
+    coset map is read: a balanced I holds |W|/2 elements and an
+    invariant one is a union of cosets of |W_P| elements, so
+    |W/W_P| = 2|I|/|W_P| would be even.  A nonempty invariance takes
+    the path on the cosets; otherwise the search and the certificate
+    run on W, over its masks.
     """
     g = o.g
     check_enumeration_budget(g.rs.cartan_type, max_order)
@@ -669,15 +668,56 @@ def _certified(o: BruhatOrder, invariance=None,
         check_group(g, invariance)
         if invariance.n_cosets % 2:
             return [], []
+        if invariance.theta:
+            return _coset_certified(o, invariance)
     if o.down is None:
         raise InvalidInputError("enumeration needs the dense order masks")
-    down = o.down
-    if invariance is not None:
-        # each coset's largest id, the last one a dict keeps per label
-        top = dict(zip(invariance.coset_of, range(g.order)))
-        down = [down[top[rep]] for rep in invariance.coset_of]
-    results = _search(down, g._w0_left)
-    return results, _certify_all(o, results, invariance)
+    results = _search(o.down, g._w0_left)
+    return results, _certify_all(o, results)
+
+
+def _coset_certified(o: BruhatOrder, p) -> tuple[list[int], list[int]]:
+    """_certified under W_P: searched and certified on W^P, returned on W.
+
+    A union of cosets is an ideal of W exactly when its minimal
+    representatives are an ideal of W^P, as x -> min(x W_P) keeps the
+    order (Bjorner-Brenti, Prop. 2.5.1), and w0 sends the coset of x to
+    the coset of w0 x.  So _search and _certify run on the coset
+    indices, W^P in id order: the cover lists are the order's own
+    restricted to W^P, its covers, as W^P is graded by length (Thm.
+    2.5.5); the masks come from the table covers restricted alike, so
+    a forged cover cannot fool regeneration; and the involution is
+    c -> the coset of w0 rep(c).  The certificate's columns, gathered
+    through the coset index of each element, are the columns of the W
+    masks, which one transposition gives; each must hold |W|/2
+    elements.  The maximal elements of such an ideal are the longest
+    members of its maximal cosets, the largest id of each (ids never
+    decrease in length), so the generator columns move there.
+    """
+    g, reps = o.g, p.min_reps
+    at = dict(zip(reps, range(len(reps))))         # representative -> index
+    index = list(map(at.__getitem__, p.coset_of))  # element -> coset index
+
+    def restrict(covers):
+        return [[at[u] for u in covers[v] if u in at] for v in reps]
+
+    table = restrict(o._table_covers)
+    covers = table if o.covers is o._table_covers else restrict(o.covers)
+    down = _down_masks(table)
+    w0 = g._w0_left
+    inv = [index[w0[v]] for v in reps]
+    results = _search(down, inv)
+    cols, coset_gens = _certify(results, down, covers, inv)
+    masks = _columns(list(map(cols.__getitem__, index)), len(results))
+    half = g.order // 2
+    require(all(map(half.__eq__, map(int.bit_count, masks))),
+            "expanded result does not hold half of W")
+    top = dict(zip(index, range(g.order)))  # coset index -> largest id
+    gen_cols = [0] * g.order
+    for c, gen in enumerate(coset_gens):
+        if gen:
+            gen_cols[top[c]] = gen
+    return masks, gen_cols
 
 
 def _canonical_order(g: WeylGroup, results: list[int], gen_cols: list[int]
@@ -779,21 +819,19 @@ def _columns(masks: list[int], n: int) -> list[int]:
     return cols
 
 
-def _certify_all(o: BruhatOrder, masks: list[int], invariance) -> list[int]:
-    """_certify on W: the covers, the w0 table, and under invariance
-    the right multiplications by theta as the coset permutations."""
-    perms = [] if invariance is None else [
-        [row[i] for row in o.g.rmult] for i in invariance.theta]
-    return _certify(masks, o.down, o.covers, o.g._w0_left, perms)
+def _certify_all(o: BruhatOrder, masks: list[int]) -> list[int]:
+    """The generator columns of _certify on W: its covers, masks and
+    w0 table."""
+    return _certify(masks, o.down, o.covers, o.g._w0_left)[1]
 
 
 def _certify(masks: list[int], down: list[int], covers: list[list[int]],
-             inv: list[int], perms: list[list[int]]) -> list[int]:
+             inv: list[int]) -> tuple[list[int], list[int]]:
     """Certify the search results, the masks of I, all at once.
 
-    Returns the generator columns G below.  The checks run on columns:
-    R[y] has bit r set when result r contains y, so each costs
-    O(n + cover edges) big-int operations, whatever the count.
+    Returns the columns R and the generator columns G below.  The checks
+    run on columns: R[y] has bit r set when result r contains y, so each
+    costs O(n + cover edges) big-int operations, whatever the count.
     inv is an involution, checked.  Decided: every pair {y, inv y} has
     a member in each result, R[y] | R[inv y] = ALL.  Each result holds
     half of the n elements, so with the pairs decided it holds exactly
@@ -801,11 +839,10 @@ def _certify(masks: list[int], down: list[int], covers: list[list[int]],
     orthogonal, and no third check is needed.  covers[y] lists the
     elements y covers, and each R[y] is scattered onto them: A[x] is
     the OR of R[y] over the y covering x.  Downward closed: A[x] lies
-    inside R[x].  Each result is fixed by every permutation in perms:
-    R[y] = R[p[y]].  The generators of result r are the x with bit r in
+    inside R[x].  The generators of result r are the x with bit r in
     G[x] = R[x] & ~A[x]; they must regenerate the result through down.
-    covers, inv and perms are read here, and down only to regenerate,
-    so a forged cover list cannot hide a generator.
+    covers and inv are read here, and down only to regenerate, so a
+    forged cover list cannot hide a generator.
     """
     n = len(inv)
     require(all(inv[inv[x]] == x for x in range(n)),
@@ -823,8 +860,6 @@ def _certify(masks: list[int], down: list[int], covers: list[list[int]],
                 above[x] |= c
     require(all(a & ~c == 0 for a, c in zip(above, cols)),
             "search result is not downward closed")
-    require(all(c == cols[p[y]] for p in perms for y, c in enumerate(cols)),
-            "search result is not a union of cosets")
     gen_cols = [c & ~a for c, a in zip(cols, above)]
     # regenerate through the down masks: bit r of regen[x] says that x
     # lies below a generator of result r
@@ -834,7 +869,7 @@ def _certify(masks: list[int], down: list[int], covers: list[list[int]],
             for x in _bit_positions(down[y]):
                 regen[x] |= gen
     require(regen == cols, "maximal elements do not regenerate the ideal")
-    return gen_cols
+    return cols, gen_cols
 
 
 _BITS_AS_BYTES = bytes.maketrans(b"01", b"\x00\x01")

@@ -3,30 +3,38 @@
 The input is the generator subset that generates W_P itself, not its
 complement.  Each left coset x W_P contains a unique element with no
 right descent into the subset, and it is the strictly shortest member
-(Bjorner-Brenti, Prop. 2.4.4).  Ids are in BFS order, so s is a right
-descent of x exactly when x s < x: build_parabolic strips one descent
-from each element in one ascending pass over the ids, and so labels it
-with its coset's representative.  It checks that the label does not
+(Bjorner-Brenti, Prop. 2.4.4).  build_parabolic walks W_P from the
+identity over the subset's columns of the table, so the coset count is
+|W| / |W_P| (Lagrange), and an odd count answers with no coset map.
+The map, coset_of, is built on first read: ids are in BFS order, so s
+is a right descent of x exactly when x s < x, and one ascending pass
+over the ids strips one descent from each element, so labels it with
+its coset's representative.  That pass checks that the label does not
 change under right multiplication by the subset, that lengths add along
 the strips, and that |W^P| |W_P| = |W|.  Cosets are read through that
-one map, coset_of: right invariance is one gather of a mask through it,
-kept on the ideal, and graded ranks are popcounts against W^P by
-length.  The paper's thickenings are right-W_P-invariant only, so no
-left-coset map is kept.
+one map: right invariance is one gather of a mask through it, kept on
+the ideal, and graded ranks are popcounts against W^P by length.  The
+paper's thickenings are right-W_P-invariant only, so no left-coset map
+is kept.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
+from operator import add, eq, itemgetter
 
 from .bruhat import Gather, _cached, check_group, mask_bits, mask_of
-from .errors import InvalidInputError, require
+from .errors import InvalidInputError, clip, require
 from .weyl import WeylGroup
 
 
 class ParabolicSubset:
-    """W_P, W^P and the coset map of one group; equality is identity."""
+    """W_P, W^P and the coset map of one group; equality is identity.
+
+    build_parabolic makes a parabolic that builds coset_of and min_reps
+    on first read; a copy made through __init__ holds the parts it is
+    given.
+    """
 
     def __init__(self, g: WeylGroup, theta: tuple[int, ...],
                  subgroup: list[int], min_reps: list[int],
@@ -41,16 +49,27 @@ class ParabolicSubset:
     def order(self) -> int:
         return len(self.subgroup)
 
-    @property
-    def n_cosets(self) -> int:
-        return len(self.min_reps)
+    # Built on first use: an instance keeps its own tables.
 
-    @property
+    @cached_property
+    def n_cosets(self) -> int:
+        """|W/W_P| = |W| / |W_P|, read without the coset map."""
+        count, rest = divmod(self.g.order, len(self.subgroup))
+        require(rest == 0, "|W_P| does not divide |W|")
+        return count
+
+    @cached_property
+    def coset_of(self) -> list[int]:
+        return _coset_map(self.g, self.theta, self.subgroup)
+
+    @cached_property
+    def min_reps(self) -> list[int]:
+        return [x for x, rep in enumerate(self.coset_of) if rep == x]
+
+    @cached_property
     def max_quotient_length(self) -> int:
         """l(w0 W_P): quotient length of the longest coset."""
         return self.g.length[self.min_reps[-1]]
-
-    # Built on first use: an instance keeps its own tables.
 
     @cached_property
     def length_masks(self) -> list[int]:
@@ -72,25 +91,49 @@ class ParabolicSubset:
 
 
 def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
-    """W_P, W^P and each element's coset, by stripping descents in theta.
+    """W_P of the generator indices theta; its cosets are built on first
+    read (_coset_map).
 
-    In ascending id order, x takes the label of x s for the first s in
-    theta with x s < x, one strip further; with no such s, x is its own
-    label, a minimal representative.  W_P is the class of the identity.
-    The label must not change under x -> x s for s in theta (one gather
-    of the labels through the column of s in rmult), so each class is a
-    union of cosets; every coset holds an element with no descent in
-    theta, its least id, and each class only one, its label, so each
-    class is one coset.  l(x) must be l(label) plus the strips,
-    so the label is the strictly shortest member, and |W^P| |W_P| must
-    be |W|.
+    W_P is walked from the identity over the columns of theta in rmult.
     """
-    theta = tuple(theta)
+    try:
+        theta = tuple(theta)
+    except TypeError:
+        raise InvalidInputError(f"theta {clip(repr(theta))} is not an "
+                                "iterable of generator indices") from None
     for i in theta:
         g._check_letter(i, "generator index")
     theta = tuple(sorted(set(theta)))
-    rmult, length = g.rmult, g.length
+    rmult = g.rmult
+    subgroup, seen = [0], {0}
+    for x in subgroup:
+        row = rmult[x]
+        for i in theta:
+            y = row[i]
+            if y not in seen:
+                seen.add(y)
+                subgroup.append(y)
+    subgroup.sort()
+    p = ParabolicSubset.__new__(ParabolicSubset)    # no map given: none stored
+    p.g, p.theta, p.subgroup = g, theta, subgroup
+    return p
 
+
+def _coset_map(g: WeylGroup, theta: tuple[int, ...],
+               subgroup: list[int]) -> list[int]:
+    """Each element's coset representative, by stripping descents in theta.
+
+    In ascending id order, x takes the label of x s for the first s in
+    theta with x s < x, one strip further; with no such s, x is its own
+    label, a minimal representative.  The label must not change under
+    x -> x s for s in theta (one gather of the labels through the
+    column of s in rmult), so each class is a union of cosets; every
+    coset holds an element with no descent in theta, its least id, and
+    each class only one, its label, so each class is one coset.  l(x)
+    must be l(label) plus the strips, so the label is the strictly
+    shortest member, and |W^P| |W_P| must be |W|.
+    """
+    rmult, length = g.rmult, g.length
     coset_of, strips = [], []
     for x, row in enumerate(rmult):
         rep, k = x, 0
@@ -105,15 +148,12 @@ def build_parabolic(g: WeylGroup, theta) -> ParabolicSubset:
         require(list(map(coset_of.__getitem__, map(itemgetter(i), rmult)))
                 == coset_of,
                 "x s lies in another coset than x for some s in theta")
-    require(all(l == length[rep] + k
-                for l, rep, k in zip(length, coset_of, strips)),
+    require(all(map(eq, length,
+                    map(add, map(length.__getitem__, coset_of), strips))),
             "x = rep * u is not a length-additive factorization into W_P")
-    min_reps = [x for x, rep in enumerate(coset_of) if rep == x]
-    subgroup = [x for x, rep in enumerate(coset_of) if rep == 0]
-    require(len(min_reps) * len(subgroup) == g.order,
-            "coset count times |W_P| differs from |W|")
-    return ParabolicSubset(g=g, theta=theta, subgroup=subgroup,
-                           min_reps=min_reps, coset_of=coset_of)
+    require(sum(map(eq, coset_of, range(g.order))) * len(subgroup)
+            == g.order, "coset count times |W_P| differs from |W|")
+    return coset_of
 
 
 def is_right_invariant(ideal, p: ParabolicSubset) -> bool:
@@ -130,8 +170,11 @@ def is_right_invariant(ideal, p: ParabolicSubset) -> bool:
     if not p.theta:
         check_group(ideal.g, p)
         return True
-    return _cached(ideal, "_invariant", p, lambda: (
-        p._right_gather(mask_bits(ideal.mask, p.g.order)) == ideal.mask))
+    return _cached(ideal, "_invariant", p, _gathers_back, ideal, p)
+
+
+def _gathers_back(ideal, p: ParabolicSubset) -> bool:
+    return p._right_gather(mask_bits(ideal.mask, p.g.order)) == ideal.mask
 
 
 def quotient_ideal(ideal, p: ParabolicSubset) -> list[tuple[int, int]]:

@@ -20,7 +20,7 @@ from itertools import repeat
 from math import factorial, log10
 from operator import add, and_
 
-from .bruhat import BruhatOrder, Ideal, _cached, classify, orthogonal
+from .bruhat import BruhatOrder, Ideal, _cached, orthogonal
 from .errors import (DIGIT_BUDGET, DIGIT_LIMIT, BudgetExceededError,
                      InvalidInputError, Record, checked_int, clip, require)
 from .parabolic import ParabolicSubset, is_right_invariant
@@ -30,16 +30,17 @@ class GradedRanks(Record):
     """Ranks of a graded abelian group, indexed by real degree."""
 
     def __init__(self, ranks: tuple[int, ...]) -> None:
-        if any(r < 0 for r in ranks):
+        if min(ranks, default=0) < 0:
             raise InvalidInputError("negative rank")
         self.ranks = ranks
 
     @staticmethod
     def from_even(even) -> "GradedRanks":
-        ranks = []
-        for r in even:
-            ranks.extend((r, 0))
-        return GradedRanks(_trim(ranks))
+        """Rank even[k] in degree 2k, 0 in odd degrees, trimmed."""
+        even = _trim(even)
+        ranks = [0] * max(2 * len(even) - 1, 0)
+        ranks[::2] = even
+        return GradedRanks(tuple(ranks))
 
     def get(self, k: int) -> int:
         return self.ranks[k] if 0 <= k < len(self.ranks) else 0
@@ -73,12 +74,14 @@ def _ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
     ideal that is not right-invariant is refused; _cached keeps nothing
     for a compute that raises, so it is refused every time.
     """
-    def compute():
-        if not is_right_invariant(ideal, p):
-            raise InvalidInputError("ideal is not right-invariant under W_P")
-        return tuple(map(int.bit_count,
-                         map(and_, repeat(ideal.mask), p.length_masks)))
-    return _cached(ideal, "_ranks", p, compute)
+    return _cached(ideal, "_ranks", p, _count_ranks, ideal, p)
+
+
+def _count_ranks(ideal: Ideal, p: ParabolicSubset) -> tuple[int, ...]:
+    if not is_right_invariant(ideal, p):
+        raise InvalidInputError("ideal is not right-invariant under W_P")
+    return tuple(map(int.bit_count,
+                     map(and_, repeat(ideal.mask), p.length_masks)))
 
 
 def thickening_ranks(ideal: Ideal, p: ParabolicSubset) -> GradedRanks:
@@ -177,13 +180,19 @@ def hausdorff_bound(o: BruhatOrder, ideal: Ideal, p: ParabolicSubset,
     The bound is limit_curve_dim + 2 max length over I/W_P.  When it is
     below the real dimension 2n of G/P_D the domain is non-empty; two
     further thresholds flag vanishing (2n-2)- and (2n-4)-dimensional
-    Hausdorff measure.
+    Hausdorff measure.  limit_curve_dim is an int or a float, not a
+    bool, in [0, 2].
     """
+    if (not isinstance(limit_curve_dim, (int, float))
+            or isinstance(limit_curve_dim, bool)):
+        raise InvalidInputError(
+            f"limit curve dimension {clip(repr(limit_curve_dim))} "
+            "is not a number")
     if not 0.0 <= limit_curve_dim <= 2.0:
         raise InvalidInputError("limit curve dimension must lie in [0, 2]")
-    if not classify(o, ideal).slim:
+    if ideal.mask & ~orthogonal(o, ideal).mask:
         raise InvalidInputError("ideal is not slim")
-    maxlen = max((k for k, r in enumerate(_ranks(ideal, p)) if r), default=0)
+    maxlen = max(len(_trim(_ranks(ideal, p))) - 1, 0)
     n = p.max_quotient_length
     bound = limit_curve_dim + 2 * maxlen
     return HausdorffReport(

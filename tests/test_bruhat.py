@@ -711,8 +711,10 @@ def test_omega_betti_refuses_an_enumerated_ideal_under_another_theta():
 
 @pytest.mark.parametrize("spec, theta", [("A4", ()), ("D4", (0,))])
 def test_enumeration_transposes_once(monkeypatch, spec, theta):
-    """The certificate's transposition is the only one: the generators
-    come from the rows of the canonical sort."""
+    """The certificate's transposition is the only one on W; under an
+    invariance the W^P certificate's is followed by one expansion of its
+    columns into the masks on W.  The generators come from the rows of
+    the canonical sort."""
     g, o = make_order(spec)
     p = build_parabolic(g, theta) if theta else None
     columns, calls = bruhat._columns, []
@@ -721,8 +723,64 @@ def test_enumeration_transposes_once(monkeypatch, spec, theta):
         calls.append(n)
         return columns(masks, n)
     monkeypatch.setattr(bruhat, "_columns", count)
-    assert enumerate_balanced(o, invariance=p, max_order=g.order)
-    assert calls == [g.order]
+    ideals = enumerate_balanced(o, invariance=p, max_order=g.order)
+    assert ideals
+    assert calls == ([p.n_cosets, len(ideals)] if theta else [g.order])
+
+
+@pytest.mark.parametrize("spec, theta", [
+    ("D4", (0,)), ("B4", (0, 1)), ("C4", (0, 1)), ("A5", (0, 1, 2))])
+def test_coset_path_reads_no_masks_of_w(spec, theta):
+    """Under a nonempty invariance the search and the certificate run on
+    W^P: the order's masks are never built, and an order without them
+    lists the same ideals."""
+    g, o = make_order(spec)
+    p = build_parabolic(g, theta)
+    ideals = enumerate_balanced(o, invariance=p, max_order=g.order)
+    assert ideals and "down" not in vars(o)
+    maskless = build_order(g, dense_limit=0)
+    assert maskless.down is None
+    assert [i.mask for i in enumerate_balanced(
+        maskless, invariance=p, max_order=g.order)] == \
+        [i.mask for i in ideals]
+
+
+@pytest.mark.parametrize("spec, theta", [("A2", (0,)), ("A4", (0, 1, 2)),
+                                         ("B3", (0, 1, 2))])
+def test_odd_coset_count_builds_no_coset_map(monkeypatch, spec, theta):
+    """An odd |W/W_P| is |W| / |W_P|, read off the walked subgroup: the
+    coset map is never built and nothing is searched."""
+    def refuse(*args, **kwargs):
+        pytest.fail("searched for an odd coset count")
+
+    monkeypatch.setattr(bruhat, "_propagate", refuse)
+    g, o = make_order(spec)
+    p = build_parabolic(g, theta)
+    assert p.n_cosets % 2
+    assert enumerate_balanced(o, invariance=p, max_order=g.order) == []
+    assert "coset_of" not in vars(p) and "min_reps" not in vars(p)
+
+
+COSET_PATH_TYPES = ["A3", "B3", "C3", "G2", "A4", "A2xA1", "B2xA1", "D4"]
+
+
+@pytest.mark.parametrize("spec", COSET_PATH_TYPES)
+def test_coset_path_ideals_are_right_invariant(spec):
+    """Every ideal the W^P path lists is right-invariant and balanced by
+    checks that read no memo: on a fresh copy of its mask, for every
+    theta with an even coset count."""
+    g, o = make_order(spec)
+    listed = 0
+    for k in range(1, g.rank + 1):
+        for theta in itertools.combinations(range(g.rank), k):
+            p = build_parabolic(g, theta)
+            for ideal in enumerate_balanced(o, invariance=p,
+                                            max_order=g.order):
+                fresh = bruhat.Ideal(g, ideal.mask)
+                assert is_right_invariant(fresh, p), (spec, theta)
+                assert classify(o, fresh).balanced, (spec, theta)
+                listed += 1
+    assert listed
 
 
 def test_invariant_counts_agree_across_diagram_symmetry():
@@ -744,7 +802,7 @@ def test_certification_rejects_each_broken_property():
     ok = ideals[0].mask
     # a fresh ideal: the enumerated one holds the certified generators
     gens = minimal_generators(o, bruhat.Ideal(g, ok))
-    gen_cols = _certify_all(o, [ok], None)
+    gen_cols = _certify_all(o, [ok])
     assert [x for x, c in enumerate(gen_cols) if c] == gens
     top = 1 << g.w0
     shifted = (ok & ~1) | top           # the identity swapped for w0
@@ -758,39 +816,35 @@ def test_certification_rejects_each_broken_property():
         if g.length[x] < 3:
             twice |= 1 << x
 
-    p = build_parabolic(g, (0,))
-    moved = next(i.mask for i in ideals if not is_right_invariant(i, p))
-
     # claim the identity covers one generator, so it drops out
     covers = list(o.covers)
     covers[0] = [gens[-1]]
     forged = forge(o, covers=covers)
 
     cases = [
-        (o, ok & ~1, None, "undecided"),    # neither the identity nor w0
-        (o, ok | top, None, "half of W"),
-        (o, shifted, None, "not downward closed"),
-        (o, twice, None, "undecided"),
-        (o, moved, p, "union of cosets"),
-        (forged, ok, None, "regenerate"),
+        (o, ok & ~1, "undecided"),    # neither the identity nor w0
+        (o, ok | top, "half of W"),
+        (o, shifted, "not downward closed"),
+        (o, twice, "undecided"),
+        (forged, ok, "regenerate"),
     ]
-    def sound(order, inv):
+    def sound(order):
         """The enumerated results that pass alone on this order."""
         out = []
         for i in ideals:
             try:
-                _certify_all(order, [i.mask], inv)
+                _certify_all(order, [i.mask])
             except VerificationError:
                 continue
             out.append(i.mask)
         return out
 
-    for order, mask, inv, what in cases:
+    for order, mask, what in cases:
         # alone, and in the middle of results that pass, if any do
-        others = sound(order, inv)
+        others = sound(order)
         for results in ([mask], others[:3] + [mask] + others[3:]):
             with pytest.raises(VerificationError, match=what):
-                _certify_all(order, results, inv)
+                _certify_all(order, results)
 
 
 def test_enumeration_certifies_each_result_once(monkeypatch):

@@ -93,7 +93,7 @@ def test_tampered_length_is_caught():
             length[x] += 1
             bad = forge(g, length=length)
             with pytest.raises(VerificationError):
-                build_parabolic(bad, theta)
+                build_parabolic(bad, theta).coset_of
 
 
 def test_tampered_rmult_is_caught():
@@ -110,7 +110,7 @@ def test_tampered_rmult_is_caught():
                 rmult[y] = rmult[y][:i] + (z,) + rmult[y][i + 1:]
                 bad = forge(g, rmult=rmult)
                 with pytest.raises(VerificationError):
-                    build_parabolic(bad, (i,))
+                    build_parabolic(bad, (i,)).coset_of
 
 
 def test_forged_descent_slot_is_caught():
@@ -136,7 +136,7 @@ def test_forged_descent_slot_is_caught():
                         bad = forge(g, rmult=rmult)
                         with pytest.raises(VerificationError,
                                            match="another coset"):
-                            build_parabolic(bad, theta)
+                            build_parabolic(bad, theta).coset_of
                         forged += 1
             assert forged, (spec, theta)
 
@@ -173,6 +173,11 @@ def test_build_parabolic_validates_input():
         build_parabolic(g, (5,))
     with pytest.raises(InvalidInputError):
         build_parabolic(g, (-1,))
+    for theta in (0, 1.0, None):
+        with pytest.raises(InvalidInputError, match="not an iterable"):
+            build_parabolic(g, theta)
+    with pytest.raises(InvalidInputError, match="not an int"):
+        build_parabolic(g, [0.0])
 
 
 def test_invariance_predicates():

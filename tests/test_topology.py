@@ -283,6 +283,18 @@ def test_hausdorff_bound_a2():
         hausdorff_bound(o, ideal, p, limit_curve_dim=2.5)
 
 
+def test_hausdorff_bound_refuses_a_dimension_that_is_no_number():
+    """Only an int or a float is a dimension: a string is refused before
+    the range test compares it, and a bool does not pass as 0 or 1."""
+    g, o = make_order("A2")
+    ideal = lower_half_ideal(o)
+    p = build_parabolic(g, ())
+    for dim in ("1", True, False, None, [1.0]):
+        with pytest.raises(InvalidInputError, match="is not a number"):
+            hausdorff_bound(o, ideal, p, limit_curve_dim=dim)
+    assert hausdorff_bound(o, ideal, p, limit_curve_dim=1).bound == 3
+
+
 def test_flag_poincare_matches_length_histogram():
     for m in range(2, 8):
         g, _ = build_symmetric(m)

@@ -133,6 +133,36 @@ print(__debug__, outcome(lambda: orthogonal(over, ideal)),
 """
 
 
+# Under an invariance the search and the certificate run on W^P, with
+# the order's cover lists restricted to it.  A forged cover there, the
+# identity claiming to cover the one generator of B3's one balanced
+# ideal over <s2, s3>, hides that generator from every other check; the
+# W^P masks come from the table's own covers, so regeneration refuses.
+OPTIMIZED_COSETS = """
+from weylkit import (BruhatOrder, VerificationError, build_order,
+                     build_parabolic, build_root_system, enumerate_balanced,
+                     generate, minimal_generators, parse_type)
+
+
+def outcome(o):
+    try:
+        return len(enumerate_balanced(o, invariance=p))
+    except VerificationError as exc:
+        return "regenerate" if "regenerate" in str(exc) else str(exc)
+
+
+o = build_order(generate(build_root_system(parse_type("B3"))))
+p = build_parabolic(o.g, (1, 2))
+(ideal,) = enumerate_balanced(o, invariance=p)
+(gen,) = minimal_generators(o, ideal)
+rep = p.coset_of[gen]
+covers = list(o.covers)
+covers[0] = [rep]
+forged = BruhatOrder(g=o.g, covers=covers, down=None)
+print(__debug__, rep in p.min_reps, outcome(forged), outcome(o))
+"""
+
+
 # A mask that lacks its own element never decides that branch; the
 # search must refuse it instead of pushing the same state forever.
 OPTIMIZED_DOWN = """
@@ -233,6 +263,11 @@ def test_enumerated_ideal_is_refused_by_a_forged_order_under_python_O():
     assert _run_optimized(OPTIMIZED_ENUMERATED, timeout=30) == [
         "False", "InvalidInputError", "InvalidInputError",
         "VerificationError", "returned"]
+
+
+def test_forged_coset_cover_is_refused_by_regeneration_under_python_O():
+    assert _run_optimized(OPTIMIZED_COSETS, timeout=30) == [
+        "False", "True", "regenerate", "1"]
 
 
 def test_forged_down_without_its_element_is_refused_under_python_O():
